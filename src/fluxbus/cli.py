@@ -33,8 +33,8 @@ from .compiler import (
     ideal_circuit_unitary,
     parse_circuit,
 )
-from .evolve import reduced_density_matrix, run_schedule, trace_distance
-from .squid import FluxGrid, NoDoubleWellError, SquidParams
+from .evolve import QuantumState, _code_space, fidelity, reduced_density_matrix, run_schedule, trace_distance
+from .squid import FluxGrid, SquidParams
 
 __all__ = [
     "ConfigError",
@@ -55,6 +55,7 @@ EXIT_ACCEPTANCE = 4
 
 _NUMERICAL_ERRORS = (
     squidmod.WindowTooSmallError,
+    squidmod.NoDoubleWellError,
     squidmod.BracketError,
     squidmod.ConvergenceError,
     busmod.SingularSystemError,
@@ -114,6 +115,8 @@ def _number(cfg: dict, key: str, default=None):
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {value!r}")
     return value
 
 
@@ -298,18 +301,24 @@ def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
-    """Compile and run a logical circuit; report fidelity against the exact
-    logical unitary, code-space leakage, and spectator disturbance."""
+def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
+    """Register, controls and circuit shared by ``simulate`` and ``compile``."""
     _require(cfg, "n_logical")
     n_logical = int(_number(cfg, "n_logical"))
     if n_logical < 0:
         raise ConfigError("n_logical must be non-negative")
     params = _control_from_config(cfg, mode)
     circuit = parse_circuit(circuit_text)
-    reg = LogicalRegister.default(n_logical)
     if circuit.max_qubit() >= n_logical:
         raise ConfigError("circuit addresses a logical qubit outside the register")
+    return LogicalRegister.default(n_logical), params, circuit
+
+
+def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
+    """Compile and run a logical circuit; report fidelity against the exact
+    logical unitary, code-space leakage, and spectator disturbance."""
+    reg, params, circuit = _circuit_inputs(cfg, circuit_text, mode)
+    n_logical = reg.n_logical
 
     # bitstrings of 0/1 digits survive the int round trip except for leading
     # zeros, which zfill restores
@@ -324,10 +333,8 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     u = ideal_circuit_unitary(circuit, n_logical)
     logical0 = np.zeros(2**n_logical, dtype=complex)
     logical0[int(initial_bits, 2) if initial_bits else 0] = 1.0
-    ideal_final = iso @ (u @ logical0)
-    fidelity_value = float(abs(np.vdot(ideal_final, final.amplitudes)) ** 2)
-    code_amp = iso.conj().T @ final.amplitudes
-    leakage = max(0.0, 1.0 - float(np.linalg.norm(code_amp) ** 2))
+    fidelity_value = fidelity(QuantumState(iso @ (u @ logical0)), final)
+    code_amp, leakage = _code_space(iso, final)
 
     touched = {q for gate in circuit.gates for q in gate.qubits}
     spectators = {}
@@ -362,11 +369,7 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
 
 def cmd_compile(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     """Compile a circuit to its pulse schedule without running it."""
-    _require(cfg, "n_logical")
-    n_logical = int(_number(cfg, "n_logical"))
-    params = _control_from_config(cfg, mode)
-    circuit = parse_circuit(circuit_text)
-    reg = LogicalRegister.default(n_logical)
+    reg, params, circuit = _circuit_inputs(cfg, circuit_text, mode)
     schedule = compile_circuit(circuit, reg, params)
 
     segments = []
@@ -386,7 +389,7 @@ def cmd_compile(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     return {
         "command": "compile",
         "mode": params.mode,
-        "n_logical": n_logical,
+        "n_logical": reg.n_logical,
         "gates": len(circuit.gates),
         "segments": segments,
         "duration_ns": schedule.duration_ns,
@@ -577,9 +580,6 @@ def main(argv=None) -> int:
     except (ConfigError, CircuitParseError) as exc:
         sys.stderr.write(f"error[config]: {exc}\n")
         return EXIT_CONFIG
-    except NoDoubleWellError as exc:
-        sys.stderr.write(f"error[numerical]: {exc}\n")
-        return EXIT_NUMERICAL
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"error[numerical]: {exc}\n")
         return EXIT_NUMERICAL

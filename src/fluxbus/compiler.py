@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import PulseSchedule, PulseSegment, QuantumState
-from .spin import SpinHamiltonianSpec, bus_all_to_all, coupling_diagonal
+from .spin import SpinHamiltonianSpec, bus_all_to_all, coupling_diagonal, inter_pair_mask
 
 __all__ = [
     "LogicalRegister",
@@ -312,6 +312,8 @@ class Gate:
             raise ValueError(f"{self.name} operands must be distinct")
         if (self.angle is None) == (self.name in self._ANGLED):
             raise ValueError(f"{self.name} {'needs' if self.name in self._ANGLED else 'takes no'} angle")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.name} angle must be finite, got {self.angle!r}")
 
 
 @dataclass(frozen=True)
@@ -490,16 +492,8 @@ def verify_ifs(state: QuantumState, spec: SpinHamiltonianSpec, reg: LogicalRegis
             raise ValueError("default pairing needs an even qubit count")
         reg = LogicalRegister.default(spec.n_qubits // 2)
     diag = coupling_diagonal(spec, pairs=reg.pairs, inter_pair_only=True)
-    pair_of = {}
-    for p, (a, b) in enumerate(reg.pairs):
-        pair_of[a] = pair_of[b] = p
-    inter = [
-        abs(spec.coupling_mhz[i, j]) * 1e-3
-        for i in range(spec.n_qubits)
-        for j in range(i)
-        if pair_of[i] != pair_of[j]
-    ]
-    j_scale = max(inter, default=0.0)
+    inter = np.tril(inter_pair_mask(spec.n_qubits, reg.pairs))
+    j_scale = float(np.max(np.abs(spec.coupling_mhz[inter]) * 1e-3, initial=0.0))
     if j_scale == 0.0:
         return 0.0
     amp = state.amplitudes
@@ -523,37 +517,22 @@ def _rotation_matrix(name: str, angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * angle / 2.0), 0], [0, np.exp(1j * angle / 2.0)]], dtype=complex)
 
 
-def _embed(mat: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
-    """Lift a 1- or 2-qubit gate matrix to the full 2^n space."""
-    dim = 2**n
-    full = np.zeros((dim, dim), dtype=complex)
-    k = len(qubits)
-    shifts = [n - 1 - q for q in qubits]
-    for idx in range(dim):
-        sub = 0
-        for pos, sh in enumerate(shifts):
-            sub |= ((idx >> sh) & 1) << (k - 1 - pos)
-        base = idx
-        for sh in shifts:
-            base &= ~(1 << sh)
-        for sub_out in range(2**k):
-            amp = mat[sub_out, sub]
-            if amp == 0:
-                continue
-            out = base
-            for pos, sh in enumerate(shifts):
-                out |= ((sub_out >> (k - 1 - pos)) & 1) << sh
-            full[out, idx] += amp
-    return full
-
-
 def ideal_circuit_unitary(circuit: GateCircuit, n_logical: int) -> np.ndarray:
-    """Exact logical unitary of a circuit (the verification target)."""
-    u = np.eye(2**n_logical, dtype=complex)
+    """Exact logical unitary of a circuit (the verification target).
+
+    Each gate's 2^k x 2^k matrix acts on the identity columns by one tensor
+    contraction: its k qubit axes move to the front in operand order, the
+    matrix multiplies them, and they move back.
+    """
+    dim = 2**n_logical
+    u = np.eye(dim, dtype=complex).reshape([2] * n_logical + [dim])
     for gate in circuit.gates:
         if gate.name in ("RX", "RZ"):
             mat = _rotation_matrix(gate.name, gate.angle)
         else:
             mat = GATE_MATRICES[gate.name]
-        u = _embed(mat, gate.qubits, n_logical) @ u
-    return u
+        k = len(gate.qubits)
+        front = np.moveaxis(u, gate.qubits, range(k))
+        front = (mat @ front.reshape(2**k, -1)).reshape(front.shape)
+        u = np.moveaxis(front, range(k), gate.qubits)
+    return u.reshape(dim, dim)

@@ -185,6 +185,12 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
+def _code_space(iso: np.ndarray, state: QuantumState) -> tuple:
+    """Code-space amplitudes iso^dagger psi and the leakage 1 - ||iso^dagger psi||^2."""
+    code = iso.conj().T @ state.amplitudes
+    return code, max(0.0, 1.0 - float(np.linalg.norm(code) ** 2))
+
+
 _SINGLE_QUBIT_INPUTS = (
     np.array([1.0, 0.0], dtype=complex),
     np.array([0.0, 1.0], dtype=complex),
@@ -233,8 +239,7 @@ def logical_process_fidelity(
         out = run_schedule(physical, schedule)
         ideal_out = QuantumState(iso @ (u @ logical))
         fidelities.append(fidelity(ideal_out, out))
-        code_component = iso.conj().T @ out.amplitudes
-        leakages.append(max(0.0, 1.0 - float(np.linalg.norm(code_component) ** 2)))
+        leakages.append(_code_space(iso, out)[1])
 
     return ProcessFidelityResult(
         fidelity=float(np.mean(fidelities)),

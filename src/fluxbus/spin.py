@@ -27,6 +27,7 @@ __all__ = [
     "interaction_only",
     "inter_pair_interaction",
     "coupling_diagonal",
+    "inter_pair_mask",
     "z_signs",
 ]
 
@@ -110,6 +111,17 @@ def z_signs(n_qubits: int, qubit: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+def inter_pair_mask(n_qubits: int, pairs=None) -> np.ndarray:
+    """N x N boolean mask, True where qubits i and j sit in different pairs.
+
+    A qubit outside every pair of ``pairs`` forms a pair of its own.
+    """
+    label = np.arange(n_qubits) + n_qubits  # never equal to a pair index
+    for p, (a, b) in enumerate(() if pairs is None else pairs):
+        label[a] = label[b] = p
+    return label[:, None] != label[None, :]
+
+
 def coupling_diagonal(spec: SpinHamiltonianSpec, pairs=None, inter_pair_only: bool = False) -> np.ndarray:
     """Diagonal (GHz) of the sigma_z sigma_z coupling terms over the basis.
 
@@ -119,18 +131,12 @@ def coupling_diagonal(spec: SpinHamiltonianSpec, pairs=None, inter_pair_only: bo
     """
     n = spec.n_qubits
     diag = np.zeros(spec.dim)
-    pair_of = {}
-    if pairs is not None:
-        for p, (a, b) in enumerate(pairs):
-            pair_of[a] = p
-            pair_of[b] = p
+    inter = inter_pair_mask(n, pairs)
     z = [z_signs(n, q) for q in range(n)]
     for i in range(n):
         for j in range(i):
             j_ghz = spec.coupling_mhz[i, j] * 1e-3
-            if j_ghz == 0.0:
-                continue
-            if inter_pair_only and pair_of.get(i, i) == pair_of.get(j, -1):
+            if j_ghz == 0.0 or (inter_pair_only and not inter[i, j]):
                 continue
             diag += j_ghz * z[i] * z[j]
     return diag

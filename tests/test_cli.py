@@ -228,6 +228,35 @@ class TestMainExitCodes:
         assert main(["calibrate", "--config", cfg_file(SQUID_CFG), "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, value", [("L_pH", "nan"), ("Ic_uA", "inf")])
+    def test_non_finite_config_number(self, cfg_file, capsys, key, value):
+        text = SQUID_CFG.replace(f"{key} = ", f"{key} = {value}  # was ")
+        assert main(["calibrate", "--config", cfg_file(text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]:") and key in err
+
+    @pytest.mark.parametrize("line", ["RX 0,nan", "RZ 0,inf"])
+    def test_non_finite_circuit_angle(self, cfg_file, tmp_path, capsys, line):
+        circuit = tmp_path / "angle.circuit"
+        circuit.write_text(f"H 0\n{line}\n")
+        assert main(["simulate", "--config", cfg_file(SIM_CFG), "--circuit", str(circuit)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: line 2:") and "finite" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "compile"])
+    def test_negative_n_logical(self, cfg_file, tmp_path, capsys, command):
+        circuit = tmp_path / "empty.circuit"
+        circuit.write_text("")
+        cfg = cfg_file(SIM_CFG.replace("n_logical = 2", "n_logical = -1"))
+        assert main([command, "--config", cfg, "--circuit", str(circuit)]) == 2
+        assert capsys.readouterr().err == "error[config]: n_logical must be non-negative\n"
+
+    def test_no_double_well_is_numerical(self, cfg_file, capsys):
+        # Ic = 1 uA gives beta_L = 0.456: a single well, so no two-level qubit to couple
+        path = cfg_file(DESIGN_CFG.replace("Ic_uA = 3.0", "Ic_uA = 1.0"))
+        assert main(["design", "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("error[numerical]:")
+
 
 class TestReproducePaper:
     def test_rows_and_verdict(self):
