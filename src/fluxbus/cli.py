@@ -211,7 +211,10 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
         report.derived["delta_GHz"] = tlp.delta_ghz
         report.derived["epsilon_GHz"] = tlp.epsilon_ghz
         report.derived["i_p_uA"] = tlp.i_p_ua
-        report.derived["pi_pulse_ns"] = 1.0 / (2.0 * tlp.delta_ghz)
+        if tlp.delta_ghz > 0.0:
+            report.derived["pi_pulse_ns"] = 1.0 / (2.0 * tlp.delta_ghz)
+        else:
+            report.notes.append("splitting underflows to 0 at the solver floor: no pi pulse")
         report.flags["delta_at_solver_floor"] = tlp.at_solver_floor
 
     target = _number(cfg, "target_delta_GHz")

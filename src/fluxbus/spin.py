@@ -7,8 +7,12 @@ The two-level reduction of the coupled-SQUID system is
 
 with delta, epsilon in GHz and couplings stored in MHz.  Qubit 0 is the most
 significant bit of the computational basis index, and spin-up is the |0>
-state (sigma_z eigenvalue +1).  Dense operators only; the hard cap keeps the
-module a desk-scale verification tool.
+state (sigma_z eigenvalue +1).  ``coupling_diagonal`` and ``z_signs`` give
+the diagonal part over the basis.  ``build_hamiltonian`` assembles the dense
+operator: it is the reference for the block-structured propagation in
+``evolve``, which calls it only for the 2^k x 2^k drive operator of the k
+driven qubits.  The hard cap keeps the module a desk-scale verification
+tool.
 """
 
 from __future__ import annotations

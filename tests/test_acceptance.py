@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fluxbus as fb
+from fluxbus.cli import cmd_simulate
 from fluxbus.cli import main as cli_main
 
 SQUID = fb.SquidParams(150.0, 80.0, 3.0)
@@ -201,3 +202,22 @@ def test_criterion_10_reproduction_table(capsys):
     ]
     assert all(r["ok"] for r in records[:-1])
     report(10, "reproduce-paper emits 7 rows, all PASS, exit code 0")
+
+
+def test_criterion_11_idle_pairs_free_at_fourteen_qubits():
+    # Only pairs 0 and 1 are driven; every further encoded pair idles in the
+    # code space, where the always-on bus coupling acts as zero.  Growing the
+    # register from 2 to 7 logical qubits (N = 4 to 14) must leave the gate
+    # figures unchanged.
+    start = time.perf_counter()
+    small = cmd_simulate({"n_logical": 2}, "H 0\nCNOT 0,1\n", mode="physical")
+    large = cmd_simulate({"n_logical": 7}, "H 0\nCNOT 0,1\n", mode="physical")
+    elapsed = time.perf_counter() - start
+    assert abs(large["fidelity"] - small["fidelity"]) <= 1e-10
+    assert abs(large["leakage"] - small["leakage"]) <= 1e-10
+    assert max(large["spectator_trace_distance"].values()) <= 1e-10
+    report(
+        11,
+        f"physical H;CNOT F = {large['fidelity']:.6f}, leakage = {large['leakage']:.2e} "
+        f"at N = 14 equal N = 4 within 1e-10; {elapsed:.2f} s",
+    )

@@ -257,6 +257,21 @@ class TestMainExitCodes:
         assert main(["design", "--config", path]) == 3
         assert capsys.readouterr().err.startswith("error[numerical]:")
 
+    def test_zero_splitting_calibrate(self, cfg_file, capsys):
+        # the splitting underflows to exactly 0 here: no pi pulse, still exit 0
+        path = cfg_file("L_pH = 135.6\nC_fF = 99.9\nIc_uA = 3.4\n")
+        assert main(["calibrate", "--config", path, "--format", "records"]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        lines = capsys.readouterr().out.splitlines()
+        records = {r["key"]: r["value"] for r in (json.loads(line, parse_constant=reject) for line in lines)}
+        assert records["delta_GHz"] == 0.0
+        assert records["delta_at_solver_floor"] is True
+        assert "pi_pulse_ns" not in records
+        assert "no pi pulse" in records["note"]
+
 
 class TestReproducePaper:
     def test_rows_and_verdict(self):

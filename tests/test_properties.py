@@ -16,8 +16,15 @@ from fluxbus.compiler import (
     ideal_circuit_unitary,
     verify_ifs,
 )
-from fluxbus.evolve import QuantumState, logical_process_fidelity
-from fluxbus.spin import SpinHamiltonianSpec
+from fluxbus.evolve import (
+    PulseSchedule,
+    PulseSegment,
+    QuantumState,
+    evolve_segment,
+    logical_process_fidelity,
+    run_schedule,
+)
+from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian
 
 # Fixed example sequence: the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -123,3 +130,71 @@ def test_code_space_is_interaction_free(case, data):
     logical = np.asarray(weights, dtype=complex)
     state = QuantumState(reg.isometry() @ (logical / np.linalg.norm(logical)))
     assert verify_ifs(state, spec, reg) == 0.0
+
+
+_DRIVES = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@st.composite
+def segment_specs(draw, max_qubits):
+    """Any driven subset (k = 0..N), random biases, random symmetric
+    couplings (MHz) under a random topology tag."""
+    n = draw(st.integers(1, max_qubits))
+    driven = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    delta = np.zeros(n)
+    for q in driven:
+        delta[q] = draw(_DRIVES.filter(lambda d: d != 0.0))
+    epsilon = np.array([draw(_DRIVES) for _ in range(n)])
+    lower = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i):
+            lower[i, j] = draw(st.floats(-100.0, 100.0, allow_nan=False))
+    topology = draw(st.sampled_from(["custom", "bus_all_to_all", "linear_chain_encoded"]))
+    return SpinHamiltonianSpec(n, delta, epsilon, lower + lower.T, topology)
+
+
+def _random_state(data, n):
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    amp = np.array([complex(data.draw(parts), data.draw(parts)) for _ in range(2**n)])
+    amp[0] += 2.0  # keeps the norm away from 0
+    return QuantumState(amp / np.linalg.norm(amp))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(segment_specs(max_qubits=8), st.floats(0.0, 10.0, allow_nan=False), st.data())
+def test_evolve_segment_matches_dense_oracle(spec, t_ns, data):
+    state = _random_state(data, spec.n_qubits)
+    w, v = np.linalg.eigh(build_hamiltonian(spec).matrix)
+    expected = v @ (np.exp(-2j * math.pi * w * t_ns) * (v.conj().T @ state.amplitudes))
+    assert np.max(np.abs(evolve_segment(state, spec, t_ns).amplitudes - expected)) <= 1e-12
+
+
+@st.composite
+def physical_schedules(draw, max_qubits, max_segments):
+    """Physical segments over a random base: each keeps or overrides the
+    drives, as the compiler's pulses and waits do."""
+    base = draw(segment_specs(max_qubits))
+    n = base.n_qubits
+    segments = []
+    for _ in range(draw(st.integers(0, max_segments))):
+        delta = epsilon = None
+        if draw(st.booleans()):
+            delta = np.zeros(n)
+            for q in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+                delta[q] = draw(_DRIVES)
+        if draw(st.booleans()):
+            epsilon = np.array([draw(_DRIVES) for _ in range(n)])
+        duration = draw(st.floats(0.0, 5.0, allow_nan=False))
+        segments.append(PulseSegment(duration, delta, epsilon))
+    return PulseSchedule(tuple(segments), base)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(physical_schedules(max_qubits=5, max_segments=6), st.data())
+def test_physical_schedules_are_unitary(schedule, data):
+    n = schedule.base.n_qubits
+    state = _random_state(data, n)
+    assert abs(np.linalg.norm(run_schedule(state, schedule).amplitudes) - 1.0) <= 1e-12
+    columns = [run_schedule(QuantumState.basis(n, i), schedule).amplitudes for i in range(2**n)]
+    u = np.column_stack(columns)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) <= 1e-12
