@@ -6,6 +6,14 @@ every SQUID to every other one with an effective mutual inductance M^2/L_b.
 This module solves the loop current equations exactly, evaluates the
 inductive energy, and packages the design formulas (coupling strength, weak
 coupling ratio, geometric qubit bound, residual-current decay).
+
+Each SQUID couples to the bus loop and to nothing else, so its loop equation
+holds only its own current and the bus current.  The (N+1) x (N+1) inductance
+matrix is L times the identity bordered by one row and one column of M:
+eliminating the SQUID currents through the one loop leaves a scalar equation
+for the bus current, and the solve costs O(N).  The matrix is positive
+definite (the bus is passive) exactly when its Schur complement
+L_b - N M^2/L is positive, i.e. when N M^2 < L L_b.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ WEAK_COUPLING_WARN_AT = 0.1
 
 
 class SingularSystemError(ValueError):
-    """Inductance matrix is not positive definite (passivity violated)."""
+    """Inductance matrix is not positive definite (passivity violated: N M^2 >= L L_b)."""
 
 
 class WeakCouplingWarning(UserWarning):
@@ -71,14 +79,6 @@ class BusParams:
         return self.l_b_nh * 1e3
 
 
-def _check_passivity(squid: SquidParams, bus: BusParams) -> None:
-    if bus.m_ph**2 >= squid.l_ph * bus.l_b_ph:
-        raise SingularSystemError(
-            f"M^2 = {bus.m_ph**2:.4g} pH^2 violates passivity against "
-            f"L*L_b = {squid.l_ph * bus.l_b_ph:.4g} pH^2"
-        )
-
-
 @dataclass(frozen=True)
 class CurrentSolution:
     """Circulating currents (uA) of the N SQUIDs and the bus loop."""
@@ -101,7 +101,16 @@ def solve_currents(
         L I_i + M I_b = Phi_i - Phi_ix          (each SQUID loop)
         sum_i M I_i + L_b I_b = n Phi0 - Phi_bx (bus flux conservation)
 
-    solved exactly with the bare inductances.  Flux quantization defaults to
+    solved exactly with the bare inductances.  With r_i = (Phi_i - Phi_ix)
+    Phi0 and r_b = (n - Phi_bx) Phi0, each SQUID loop gives
+    I_i = (r_i - M I_b) / L; substituting into the bus equation eliminates
+    every SQUID current and leaves
+
+        I_b = (r_b - (M/L) sum_i r_i) / (L_b - N M^2/L)
+
+    so the solve is O(N) in time and memory.  The denominator is the Schur
+    complement of the SQUID block; a bus with N M^2 >= L L_b is not passive
+    and raises ``SingularSystemError``.  Flux quantization defaults to
     n = 0; both n and the bus bias are overridable for residual-current
     studies.
     """
@@ -109,25 +118,19 @@ def solve_currents(
     biases = np.asarray(biases_phi0, dtype=float)
     if fluxes.shape != (bus.n_qubits,) or biases.shape != (bus.n_qubits,):
         raise ValueError(f"flux and bias lists must have length N = {bus.n_qubits}")
-    _check_passivity(squid, bus)
 
-    n = bus.n_qubits
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = np.eye(n) * squid.l_ph
-    a[:n, n] = bus.m_ph
-    a[n, :n] = bus.m_ph
-    a[n, n] = bus.l_b_ph
+    l, m = squid.l_ph, bus.m_ph
+    schur = bus.l_b_ph - bus.n_qubits * m**2 / l
+    if schur <= 0.0:
+        raise SingularSystemError(
+            f"L_b - N M^2/L = {schur:.4g} pH with N = {bus.n_qubits}: the bus is not passive "
+            f"(N M^2 must stay below L*L_b = {l * bus.l_b_ph:.4g} pH^2)"
+        )
+    r = (fluxes - biases) * PHI0_PH_UA
+    r_b = (n_quanta - bus.phi_bx) * PHI0_PH_UA
+    bus_current = (r_b - (m / l) * float(np.sum(r))) / schur
 
-    rhs = np.empty(n + 1)
-    rhs[:n] = (fluxes - biases) * PHI0_PH_UA
-    rhs[n] = (n_quanta - bus.phi_bx) * PHI0_PH_UA
-
-    try:
-        currents = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"singular inductance system: {exc}") from exc
-
-    sol = CurrentSolution(squid_currents_ua=currents[:n], bus_current_ua=float(currents[n]))
+    sol = CurrentSolution(squid_currents_ua=(r - m * bus_current) / l, bus_current_ua=bus_current)
     residual = flux_quantization_residual(sol, bus, n_quanta=n_quanta)
     if residual > 1e-12:
         raise SingularSystemError(f"flux quantization residual {residual:.2e} Phi0")

@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .spin import SpinHamiltonianSpec, build_hamiltonian, coupling_diagonal, z_signs
+from .spin import SpinHamiltonianSpec, build_hamiltonian, ising_diagonal
 
 __all__ = [
     "QuantumState",
@@ -137,9 +137,7 @@ def evolve_segment(state: QuantumState, spec: SpinHamiltonianSpec, t_ns: float) 
     n = spec.n_qubits
     driven = np.flatnonzero(spec.delta_ghz)
     k = driven.size
-    diag = coupling_diagonal(spec)
-    for q in range(n):
-        diag -= 0.5 * spec.epsilon_ghz[q] * z_signs(n, q)
+    diag = ising_diagonal(spec)
     drive = SpinHamiltonianSpec(k, spec.delta_ghz[driven], np.zeros(k), np.zeros((k, k)))
     local = build_hamiltonian(drive).matrix
 

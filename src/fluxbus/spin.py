@@ -7,12 +7,14 @@ The two-level reduction of the coupled-SQUID system is
 
 with delta, epsilon in GHz and couplings stored in MHz.  Qubit 0 is the most
 significant bit of the computational basis index, and spin-up is the |0>
-state (sigma_z eigenvalue +1).  ``coupling_diagonal`` and ``z_signs`` give
-the diagonal part over the basis.  ``build_hamiltonian`` assembles the dense
-operator: it is the reference for the block-structured propagation in
-``evolve``, which calls it only for the 2^k x 2^k drive operator of the k
-driven qubits.  The hard cap keeps the module a desk-scale verification
-tool.
+state (sigma_z eigenvalue +1).  ``ising_diagonal`` gives the diagonal part
+D = sum_{i>j} J_ij z_i z_j - (1/2) sum_q epsilon_q z_q over the basis, and
+``coupling_diagonal`` its coupling terms alone; one helper forms both in
+O(2^N) memory.  ``build_hamiltonian`` assembles the dense operator: it is
+the reference for the block-structured propagation in ``evolve``, which
+takes D from ``ising_diagonal`` and calls ``build_hamiltonian`` only for the
+2^k x 2^k drive operator of the k driven qubits.  The hard cap keeps the
+module a desk-scale verification tool.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "interaction_only",
     "inter_pair_interaction",
     "coupling_diagonal",
+    "ising_diagonal",
     "inter_pair_mask",
     "z_signs",
 ]
@@ -38,6 +41,8 @@ __all__ = [
 MAX_DENSE_QUBITS = 14
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SIGNS = np.array([1.0, -1.0])  # sigma_z eigenvalues of |0> and |1>
+_PAIR_SIGNS = np.multiply.outer(_SIGNS, _SIGNS)[:, None, :]  # z_j z_i over (bit j, -, bit i)
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,26 @@ def inter_pair_mask(n_qubits: int, pairs=None) -> np.ndarray:
     return label[:, None] != label[None, :]
 
 
+def _coupling_sum(coupling_ghz: np.ndarray) -> np.ndarray:
+    """sum_{i>j} J_ij z_i z_j over the 2^N basis states, J_ij in GHz.
+
+    The terms are added one after another in (i, j) row-major order, zero
+    couplings skipped.  Every entry is therefore bit-identical to a
+    term-by-term loop over the full basis, and on a code word of adjacent
+    pairs with equal couplings each pair's +J and -J cancel exactly.
+
+    Each qubit i doubles the diagonal (qubit i is the new last bit) and adds
+    its pairs in place as 2 x 2 sign patterns, so memory stays O(2^N).
+    """
+    diag = np.zeros(1)
+    for i in range(coupling_ghz.shape[0]):
+        diag = np.repeat(diag, 2)
+        for j in np.flatnonzero(coupling_ghz[i, :i]):
+            view = diag.reshape(2**j, 2, -1, 2)
+            view += coupling_ghz[i, j] * _PAIR_SIGNS
+    return diag
+
+
 def coupling_diagonal(spec: SpinHamiltonianSpec, pairs=None, inter_pair_only: bool = False) -> np.ndarray:
     """Diagonal (GHz) of the sigma_z sigma_z coupling terms over the basis.
 
@@ -133,16 +158,21 @@ def coupling_diagonal(spec: SpinHamiltonianSpec, pairs=None, inter_pair_only: bo
     ``pairs`` are dropped, leaving the operator whose kernel is the code
     space.
     """
-    n = spec.n_qubits
-    diag = np.zeros(spec.dim)
-    inter = inter_pair_mask(n, pairs)
-    z = [z_signs(n, q) for q in range(n)]
-    for i in range(n):
-        for j in range(i):
-            j_ghz = spec.coupling_mhz[i, j] * 1e-3
-            if j_ghz == 0.0 or (inter_pair_only and not inter[i, j]):
-                continue
-            diag += j_ghz * z[i] * z[j]
+    coupling = spec.coupling_mhz * 1e-3
+    if inter_pair_only:
+        coupling = np.where(inter_pair_mask(spec.n_qubits, pairs), coupling, 0.0)
+    return _coupling_sum(coupling)
+
+
+def ising_diagonal(spec: SpinHamiltonianSpec) -> np.ndarray:
+    """Diagonal D (GHz) of H/h: sum_{i>j} J_ij z_i z_j - (1/2) sum_q eps_q z_q.
+
+    The bias terms follow the coupling terms, qubit by qubit, in place.
+    """
+    diag = _coupling_sum(spec.coupling_mhz * 1e-3)
+    for q in range(spec.n_qubits):
+        view = diag.reshape(2**q, 2, -1)
+        view -= 0.5 * spec.epsilon_ghz[q] * _SIGNS[:, None]
     return diag
 
 
@@ -156,10 +186,7 @@ def _sigma_x_term(n_qubits: int, qubit: int) -> np.ndarray:
 def build_hamiltonian(spec: SpinHamiltonianSpec) -> DenseOperator:
     """Assemble the dense Hamiltonian H/h in GHz."""
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    diag = coupling_diagonal(spec)
-    for q in range(spec.n_qubits):
-        diag -= 0.5 * spec.epsilon_ghz[q] * z_signs(spec.n_qubits, q)
-    np.fill_diagonal(h, diag)
+    np.fill_diagonal(h, ising_diagonal(spec))
     for q in range(spec.n_qubits):
         if spec.delta_ghz[q] != 0.0:
             h -= 0.5 * spec.delta_ghz[q] * _sigma_x_term(spec.n_qubits, q)

@@ -83,6 +83,19 @@ class TestSolveCurrents:
         with pytest.raises(SingularSystemError):
             solve_currents([0.5, 0.5], [0.5, 0.5], SQUID, monster)
 
+    def test_whole_bus_passivity_enforced(self):
+        # Each SQUID alone is passive (M^2 = 100 < L L_b = 15000 pH^2), but the
+        # 200 of them together are not: N M^2 = 20000 pH^2 makes the (N+1)-loop
+        # inductance matrix indefinite.
+        bus = BusParams(l_b_nh=0.1, m_ph=10.0, n_qubits=200)
+        with pytest.raises(SingularSystemError, match="N = 200"):
+            solve_currents([0.5] * 200, [0.49] * 200, SQUID, bus)
+
+    def test_just_passive_bus_has_positive_energy(self):
+        bus = BusParams(l_b_nh=0.1, m_ph=10.0, n_qubits=148)  # N M^2 / (L L_b) = 0.987
+        sol = solve_currents([0.5] * 148, [0.49] * 148, SQUID, bus)
+        assert inductive_energy(sol, SQUID, bus) > 0.0
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             solve_currents([0.5] * 3, [0.5] * 4, SQUID, BUS4)

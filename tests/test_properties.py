@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxbus.bus import BusParams, inductive_energy, pairwise_inductive_energy, solve_currents
 from fluxbus.compiler import (
     ControlParams,
     Gate,
@@ -24,7 +25,9 @@ from fluxbus.evolve import (
     logical_process_fidelity,
     run_schedule,
 )
-from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian
+from fluxbus.constants import ENERGY_GHZ_PER_PH_UA2, PHI0_PH_UA
+from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian, coupling_diagonal, ising_diagonal
+from fluxbus.squid import SquidParams
 
 # Fixed example sequence: the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -198,3 +201,90 @@ def test_physical_schedules_are_unitary(schedule, data):
     columns = [run_schedule(QuantumState.basis(n, i), schedule).amplitudes for i in range(2**n)]
     u = np.column_stack(columns)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) <= 1e-12
+
+
+_PAULI_Z = np.diag([1.0, -1.0])
+
+
+def _z_product(n, qubits):
+    """Diagonal of the kron product with Z on each of ``qubits`` and the
+    identity elsewhere (the kron of their 2 x 2 diagonals)."""
+    return reduce(np.kron, [np.diag(_PAULI_Z if q in qubits else np.eye(2)) for q in range(n)], np.ones(1))
+
+
+@st.composite
+def tiling_pairs(draw, n):
+    """Disjoint qubit pairs; qubits left out of every pair stand alone."""
+    order = draw(st.permutations(range(n)))
+    pairs = [tuple(order[2 * p : 2 * p + 2]) for p in range(n // 2)]
+    return [pair for pair in pairs if draw(st.booleans())]
+
+
+@settings(PROPERTY, max_examples=40)
+@given(segment_specs(max_qubits=8), st.data())
+def test_diagonal_matches_pauli_kron_sum(spec, data):
+    n = spec.n_qubits
+    pairs = data.draw(tiling_pairs(n))
+    same_pair = {frozenset(p) for p in pairs}
+    coupling = np.zeros(2**n)
+    inter_pair = np.zeros(2**n)
+    for i in range(n):
+        for j in range(i):
+            term = spec.coupling_mhz[i, j] * 1e-3 * _z_product(n, (i, j))
+            coupling += term
+            if frozenset((i, j)) not in same_pair:
+                inter_pair += term
+    bias = sum((-0.5 * spec.epsilon_ghz[q] * _z_product(n, (q,)) for q in range(n)), np.zeros(2**n))
+    assert np.max(np.abs(ising_diagonal(spec) - (coupling + bias))) <= 1e-12
+    assert np.max(np.abs(coupling_diagonal(spec) - coupling)) <= 1e-12
+    inter = coupling_diagonal(spec, pairs=pairs, inter_pair_only=True)
+    assert np.max(np.abs(inter - inter_pair)) <= 1e-12
+
+
+@st.composite
+def passive_buses(draw):
+    """A bus of N = 2..2000 SQUIDs with N M^2 / (L L_b) in [0, 0.99), plus a
+    seed for its fluxes and biases.  M is set from the drawn ratio."""
+    n = 2 * draw(st.integers(1, 1000))
+    l_ph = draw(st.floats(50.0, 500.0))
+    l_b_nh = draw(st.floats(0.1, 10.0))
+    ratio = draw(st.floats(0.0, 0.99, exclude_max=True))
+    m_ph = math.sqrt(ratio * l_ph * l_b_nh * 1e3 / n)
+    squid = SquidParams(l_ph, 80.0, 3.0)
+    return squid, BusParams(l_b_nh, m_ph, n, phi_bx=draw(st.floats(-1.0, 1.0))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(passive_buses(), st.integers(-2, 2))
+def test_solve_currents_matches_dense_solve(case, n_quanta):
+    squid, bus, seed = case
+    rng = np.random.default_rng(seed)
+    n = bus.n_qubits
+    fluxes, biases = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = squid.l_ph * np.eye(n)
+    a[:n, n] = a[n, :n] = bus.m_ph
+    a[n, n] = bus.l_b_ph
+    rhs = np.append((fluxes - biases) * PHI0_PH_UA, (n_quanta - bus.phi_bx) * PHI0_PH_UA)
+    expected = np.linalg.solve(a, rhs)
+    sol = solve_currents(fluxes, biases, squid, bus, n_quanta=n_quanta)
+    got = np.append(sol.squid_currents_ua, sol.bus_current_ua)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(passive_buses())
+def test_pairwise_energy_within_weak_coupling_bound(case):
+    # With no trapped flux and no bus bias the exact-minus-pairwise gap is
+    # (1/2L) (M^2/L L_b) S^2 r/(1 - r), S = sum of offsets d_i, and
+    # S^2 <= N sum d^2 bounds it by r^2/(1 - r) times the bare energy.
+    squid, bus, seed = case
+    bus = BusParams(bus.l_b_nh, bus.m_ph, bus.n_qubits)
+    rng = np.random.default_rng(seed)
+    fluxes, biases = rng.uniform(0.0, 1.0, bus.n_qubits), rng.uniform(0.0, 1.0, bus.n_qubits)
+    exact = inductive_energy(solve_currents(fluxes, biases, squid, bus), squid, bus)
+    pairwise = pairwise_inductive_energy(fluxes, biases, squid, bus)
+    d = (fluxes - biases) * PHI0_PH_UA
+    bare = float(d @ d) / (2.0 * squid.l_ph) * ENERGY_GHZ_PER_PH_UA2
+    r = bus.n_qubits * bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
+    assert abs(exact - pairwise) <= r**2 / (1.0 - r) * bare * (1.0 + 1e-9) + 1e-12 * abs(exact)
