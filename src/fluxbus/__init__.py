@@ -48,12 +48,9 @@ from .evolve import (
     trace_distance,
 )
 from .spin import (
-    DenseOperator,
     SpinHamiltonianSpec,
     build_hamiltonian,
     bus_all_to_all,
-    inter_pair_interaction,
-    interaction_only,
     linear_chain_encoded,
 )
 from .squid import (

@@ -33,6 +33,7 @@ __all__ = [
     "SingularSystemError",
     "WeakCouplingWarning",
     "solve_currents",
+    "passive_schur_complement",
     "inductive_energy",
     "pairwise_inductive_energy",
     "effective_mutual",
@@ -87,6 +88,21 @@ class CurrentSolution:
     bus_current_ua: float
 
 
+def passive_schur_complement(squid: SquidParams, bus: BusParams) -> float:
+    """Schur complement L_b - N M^2/L (pH) of the inductance matrix.
+
+    The bus is passive exactly when it is positive, i.e. N M^2 < L L_b;
+    otherwise ``SingularSystemError`` names N.
+    """
+    schur = bus.l_b_ph - bus.n_qubits * bus.m_ph**2 / squid.l_ph
+    if schur <= 0.0:
+        raise SingularSystemError(
+            f"L_b - N M^2/L = {schur:.4g} pH with N = {bus.n_qubits}: the bus is not passive "
+            f"(N M^2 must stay below L*L_b = {squid.l_ph * bus.l_b_ph:.4g} pH^2)"
+        )
+    return schur
+
+
 def solve_currents(
     fluxes_phi0,
     biases_phi0,
@@ -120,12 +136,7 @@ def solve_currents(
         raise ValueError(f"flux and bias lists must have length N = {bus.n_qubits}")
 
     l, m = squid.l_ph, bus.m_ph
-    schur = bus.l_b_ph - bus.n_qubits * m**2 / l
-    if schur <= 0.0:
-        raise SingularSystemError(
-            f"L_b - N M^2/L = {schur:.4g} pH with N = {bus.n_qubits}: the bus is not passive "
-            f"(N M^2 must stay below L*L_b = {l * bus.l_b_ph:.4g} pH^2)"
-        )
+    schur = passive_schur_complement(squid, bus)
     r = (fluxes - biases) * PHI0_PH_UA
     r_b = (n_quanta - bus.phi_bx) * PHI0_PH_UA
     bus_current = (r_b - (m / l) * float(np.sum(r))) / schur

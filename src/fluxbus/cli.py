@@ -170,7 +170,7 @@ def _grid_from_config(cfg: dict) -> FluxGrid | None:
     )
 
 
-def _squid_from_config(cfg: dict, renorm: float = 1.0) -> SquidParams:
+def _squid_from_config(cfg: dict) -> SquidParams:
     _require(cfg, "L_pH", "C_fF", "Ic_uA")
     try:
         return SquidParams(
@@ -178,7 +178,6 @@ def _squid_from_config(cfg: dict, renorm: float = 1.0) -> SquidParams:
             c_ff=_number(cfg, "C_fF"),
             ic_ua=_number(cfg, "Ic_uA"),
             phi_x=_number(cfg, "phi_x_Phi0", 0.5),
-            l_renorm_factor=renorm,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -248,9 +247,10 @@ def cmd_design(cfg: dict) -> DesignReport:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    l_ph = _number(cfg, "L_pH", 0.0) or 0.0
-    renorm = 1.0 + bus.m_ph**2 / (l_ph * bus.l_b_ph) if l_ph else 1.0
-    squid = _squid_from_config(cfg, renorm=renorm)
+    squid = _squid_from_config(cfg)
+    renorm = 1.0 + bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
+    squid = replace(squid, l_renorm_factor=renorm)
+    busmod.passive_schur_complement(squid, bus)
 
     report = DesignReport(kind="design")
     report.inputs = {
@@ -304,12 +304,22 @@ def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
         raise ConfigError(str(exc)) from exc
 
 
+# A simulation's memory is dominated by the dense 2^(2n) x 2^n code-space
+# isometry, 16 * 8^n bytes; a 1 GiB budget bounds n_logical at 8.
+_MAX_LOGICAL = int(math.log(2**30 / 16, 8))
+
+
 def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
     """Register, controls and circuit shared by ``simulate`` and ``compile``."""
     _require(cfg, "n_logical")
     n_logical = int(_number(cfg, "n_logical"))
     if n_logical < 0:
         raise ConfigError("n_logical must be non-negative")
+    if n_logical > _MAX_LOGICAL:
+        raise ConfigError(
+            f"n_logical = {n_logical} exceeds {_MAX_LOGICAL}: the 16 * 8^n_logical byte code-space isometry "
+            "must fit in 1 GiB"
+        )
     params = _control_from_config(cfg, mode)
     circuit = parse_circuit(circuit_text)
     if circuit.max_qubit() >= n_logical:

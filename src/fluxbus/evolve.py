@@ -8,9 +8,12 @@ errors from always-on-coupling errors).
 Physical propagation is block-structured and exact at machine precision.
 The coupling and the biases are diagonal in the computational basis, so a
 segment that drives k qubits splits into 2^(N-k) independent 2^k x 2^k
-blocks, diagonalised together; an undriven segment is a pure phase.  No
-2^N x 2^N operator is built; the dense ``spin.build_hamiltonian`` operator
-is the reference the tests compare against.
+blocks, diagonalised together; an undriven segment is a pure phase.  The
+coupling is fixed for a whole schedule: ``run_schedule`` forms its diagonal
+once and adds each segment's biases to a copy, and ``evolve_segment`` takes
+that diagonal and the drive vector as arrays.  No 2^N x 2^N operator is
+built; the dense ``spin.build_hamiltonian`` matrix is the reference the
+tests compare against.
 
 Ideal labels: ``("x_flip", q)``, ``("x_rot", q, angle)``, ``("z_rot", q,
 angle)`` with rotations in the exp(-i angle/2 sigma) convention.
@@ -24,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .spin import SpinHamiltonianSpec, build_hamiltonian, ising_diagonal
+from .spin import SpinHamiltonianSpec, add_biases, build_hamiltonian, coupling_diagonal
 
 __all__ = [
     "QuantumState",
@@ -125,21 +128,26 @@ class PulseSchedule:
         return sum(seg.duration_ns for seg in self.segments)
 
 
-def evolve_segment(state: QuantumState, spec: SpinHamiltonianSpec, t_ns: float) -> QuantumState:
+def evolve_segment(state: QuantumState, diag, delta_ghz, t_ns: float) -> QuantumState:
     """Apply exp(-i 2 pi (H/h) t) exactly; norm-preserving.
 
-    H/h = diag(D) - sum over driven q of (delta_q/2) X_q.  With the k driven
-    axes moved to the back, H is block diagonal in 2^(N-k) blocks of size
-    2^k: the k-qubit drive operator plus that block's slice of D.  One
-    batched eigendecomposition propagates every block; k = 0 reduces to the
-    phases exp(-i 2 pi D t).
+    H/h = diag(D) - sum over driven q of (delta_q/2) X_q, with D (GHz, one
+    entry per basis state, e.g. ``spin.ising_diagonal``) and the drives
+    ``delta_ghz`` (GHz, one per qubit).  With the k driven axes moved to the
+    back, H is block diagonal in 2^(N-k) blocks of size 2^k: the k-qubit
+    drive operator plus that block's slice of D.  One batched
+    eigendecomposition propagates every block; k = 0 reduces to the phases
+    exp(-i 2 pi D t).
     """
-    n = spec.n_qubits
-    driven = np.flatnonzero(spec.delta_ghz)
+    n = state.n_qubits
+    diag = np.asarray(diag, dtype=float)
+    delta_ghz = np.asarray(delta_ghz, dtype=float)
+    if diag.shape != (2**n,) or delta_ghz.shape != (n,):
+        raise ValueError(f"need a length-{2**n} diagonal and {n} drives for a {n}-qubit state")
+    driven = np.flatnonzero(delta_ghz)
     k = driven.size
-    diag = ising_diagonal(spec)
-    drive = SpinHamiltonianSpec(k, spec.delta_ghz[driven], np.zeros(k), np.zeros((k, k)))
-    local = build_hamiltonian(drive).matrix
+    drive = SpinHamiltonianSpec(k, delta_ghz[driven], np.zeros(k), np.zeros((k, k)))
+    local = build_hamiltonian(drive)
 
     back = list(range(n - k, n))
     diag = np.moveaxis(diag.reshape([2] * n), driven, back).reshape(-1, 2**k)
@@ -176,15 +184,22 @@ def _apply_ideal(state: QuantumState, op: tuple) -> QuantumState:
 
 
 def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
-    """Left-fold of the schedule's segments over the state."""
-    if state.n_qubits != schedule.base.n_qubits:
+    """Left-fold of the schedule's segments over the state.
+
+    The coupling diagonal is formed once; each physical segment adds its
+    biases to a copy of it.
+    """
+    base = schedule.base
+    if state.n_qubits != base.n_qubits:
         raise ValueError("state size does not match the schedule's qubit count")
+    coupling = coupling_diagonal(base)
     for seg in schedule.segments:
         if seg.mode == "ideal":
             state = _apply_ideal(state, seg.ideal_op)
         else:
-            spec = schedule.base.with_overrides(seg.delta_ghz, seg.epsilon_ghz)
-            state = evolve_segment(state, spec, seg.duration_ns)
+            epsilon = base.epsilon_ghz if seg.epsilon_ghz is None else seg.epsilon_ghz
+            delta = base.delta_ghz if seg.delta_ghz is None else seg.delta_ghz
+            state = evolve_segment(state, add_biases(coupling.copy(), epsilon), delta, seg.duration_ns)
     return state
 
 

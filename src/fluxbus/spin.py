@@ -8,13 +8,14 @@ The two-level reduction of the coupled-SQUID system is
 with delta, epsilon in GHz and couplings stored in MHz.  Qubit 0 is the most
 significant bit of the computational basis index, and spin-up is the |0>
 state (sigma_z eigenvalue +1).  ``ising_diagonal`` gives the diagonal part
-D = sum_{i>j} J_ij z_i z_j - (1/2) sum_q epsilon_q z_q over the basis, and
-``coupling_diagonal`` its coupling terms alone; one helper forms both in
-O(2^N) memory.  ``build_hamiltonian`` assembles the dense operator: it is
-the reference for the block-structured propagation in ``evolve``, which
-takes D from ``ising_diagonal`` and calls ``build_hamiltonian`` only for the
-2^k x 2^k drive operator of the k driven qubits.  The hard cap keeps the
-module a desk-scale verification tool.
+D = sum_{i>j} J_ij z_i z_j - (1/2) sum_q epsilon_q z_q over the basis:
+``coupling_diagonal`` forms the coupling terms in O(2^N) memory and
+``add_biases`` adds the bias terms in place.  The coupling is fixed for a
+whole pulse schedule, so ``evolve.run_schedule`` forms it once and adds each
+segment's biases to a copy.  ``build_hamiltonian`` assembles the dense
+2^N x 2^N matrix, capped at ``MAX_DENSE_QUBITS``: it is the reference the
+tests compare the block-structured propagation against, and ``evolve``
+calls it only for the 2^k x 2^k drive operator of the k driven qubits.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ import numpy as np
 __all__ = [
     "MAX_DENSE_QUBITS",
     "SpinHamiltonianSpec",
-    "DenseOperator",
     "build_hamiltonian",
     "bus_all_to_all",
     "linear_chain_encoded",
-    "interaction_only",
-    "inter_pair_interaction",
     "coupling_diagonal",
+    "add_biases",
     "ising_diagonal",
     "inter_pair_mask",
     "z_signs",
@@ -57,11 +56,10 @@ class SpinHamiltonianSpec:
     delta_ghz: np.ndarray
     epsilon_ghz: np.ndarray
     coupling_mhz: np.ndarray
-    topology: str = "custom"
 
     def __post_init__(self):
-        if self.n_qubits < 0 or self.n_qubits > MAX_DENSE_QUBITS:
-            raise ValueError(f"n_qubits must lie in [0, {MAX_DENSE_QUBITS}] for dense simulation")
+        if self.n_qubits < 0:
+            raise ValueError("n_qubits must be non-negative")
         object.__setattr__(self, "delta_ghz", np.asarray(self.delta_ghz, dtype=float))
         object.__setattr__(self, "epsilon_ghz", np.asarray(self.epsilon_ghz, dtype=float))
         object.__setattr__(self, "coupling_mhz", np.asarray(self.coupling_mhz, dtype=float))
@@ -75,8 +73,6 @@ class SpinHamiltonianSpec:
             raise ValueError("coupling matrix must be symmetric")
         if n and float(np.max(np.abs(np.diag(self.coupling_mhz)))) != 0.0:
             raise ValueError("coupling matrix must have zero diagonal")
-        if self.topology not in ("bus_all_to_all", "linear_chain_encoded", "custom"):
-            raise ValueError(f"unknown topology tag {self.topology!r}")
 
     @property
     def dim(self) -> int:
@@ -89,28 +85,6 @@ class SpinHamiltonianSpec:
             delta_ghz=self.delta_ghz if delta_ghz is None else np.asarray(delta_ghz, dtype=float),
             epsilon_ghz=self.epsilon_ghz if epsilon_ghz is None else np.asarray(epsilon_ghz, dtype=float),
         )
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Dense 2^N x 2^N operator with an optional hermiticity guarantee."""
-
-    matrix: np.ndarray
-    hermitian: bool = True
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator must be a square matrix")
-        if self.hermitian:
-            scale = max(float(np.max(np.abs(m))), 1.0)
-            if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
-                raise ValueError("operator flagged hermitian is not")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def z_signs(n_qubits: int, qubit: int) -> np.ndarray:
@@ -164,16 +138,18 @@ def coupling_diagonal(spec: SpinHamiltonianSpec, pairs=None, inter_pair_only: bo
     return _coupling_sum(coupling)
 
 
-def ising_diagonal(spec: SpinHamiltonianSpec) -> np.ndarray:
-    """Diagonal D (GHz) of H/h: sum_{i>j} J_ij z_i z_j - (1/2) sum_q eps_q z_q.
-
-    The bias terms follow the coupling terms, qubit by qubit, in place.
-    """
-    diag = _coupling_sum(spec.coupling_mhz * 1e-3)
-    for q in range(spec.n_qubits):
+def add_biases(diag: np.ndarray, epsilon_ghz: np.ndarray) -> np.ndarray:
+    """Add the bias terms -(1/2) sum_q eps_q z_q (GHz) to ``diag`` in place,
+    qubit by qubit, and return it."""
+    for q in range(epsilon_ghz.shape[0]):
         view = diag.reshape(2**q, 2, -1)
-        view -= 0.5 * spec.epsilon_ghz[q] * _SIGNS[:, None]
+        view -= 0.5 * epsilon_ghz[q] * _SIGNS[:, None]
     return diag
+
+
+def ising_diagonal(spec: SpinHamiltonianSpec) -> np.ndarray:
+    """Diagonal D (GHz) of H/h: sum_{i>j} J_ij z_i z_j - (1/2) sum_q eps_q z_q."""
+    return add_biases(coupling_diagonal(spec), spec.epsilon_ghz)
 
 
 def _sigma_x_term(n_qubits: int, qubit: int) -> np.ndarray:
@@ -183,14 +159,16 @@ def _sigma_x_term(n_qubits: int, qubit: int) -> np.ndarray:
     return op
 
 
-def build_hamiltonian(spec: SpinHamiltonianSpec) -> DenseOperator:
-    """Assemble the dense Hamiltonian H/h in GHz."""
+def build_hamiltonian(spec: SpinHamiltonianSpec) -> np.ndarray:
+    """Assemble the dense 2^N x 2^N Hamiltonian H/h in GHz, N <= MAX_DENSE_QUBITS."""
+    if spec.n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(f"a dense Hamiltonian is limited to {MAX_DENSE_QUBITS} qubits, got {spec.n_qubits}")
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     np.fill_diagonal(h, ising_diagonal(spec))
     for q in range(spec.n_qubits):
         if spec.delta_ghz[q] != 0.0:
             h -= 0.5 * spec.delta_ghz[q] * _sigma_x_term(spec.n_qubits, q)
-    return DenseOperator(h, hermitian=True)
+    return h
 
 
 def bus_all_to_all(n: int, j_mhz: float) -> SpinHamiltonianSpec:
@@ -204,7 +182,6 @@ def bus_all_to_all(n: int, j_mhz: float) -> SpinHamiltonianSpec:
         delta_ghz=np.zeros(n),
         epsilon_ghz=np.zeros(n),
         coupling_mhz=coupling,
-        topology="bus_all_to_all",
     )
 
 
@@ -228,23 +205,4 @@ def linear_chain_encoded(n_logical: int, j_q_mhz: float, j_prime_mhz: float) -> 
         delta_ghz=np.zeros(n),
         epsilon_ghz=np.zeros(n),
         coupling_mhz=coupling,
-        topology="linear_chain_encoded",
-    )
-
-
-def interaction_only(spec: SpinHamiltonianSpec) -> DenseOperator:
-    """Coupling terms only (all drives off); diagonal in the z basis."""
-    return DenseOperator(np.diag(coupling_diagonal(spec)).astype(complex), hermitian=True)
-
-
-def inter_pair_interaction(spec: SpinHamiltonianSpec, pairs) -> DenseOperator:
-    """Coupling terms between qubits of different pairs only.
-
-    On the code space spanned by per-pair {up-down, down-up} states this
-    operator is identically zero: each pair's collective sigma_z annihilates
-    the code words, which is what makes the encoding interaction free.
-    """
-    return DenseOperator(
-        np.diag(coupling_diagonal(spec, pairs=pairs, inter_pair_only=True)).astype(complex),
-        hermitian=True,
     )

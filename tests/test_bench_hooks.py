@@ -1,24 +1,38 @@
-"""The benchmark tracer patches functions by (module, attribute); each must exist."""
+"""The benchmark tracer patches functions by (module, attribute); each must
+exist, and the layers a workload exercises must be seen doing work."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from fluxbus import cli
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def _traced_targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_traced_hook_resolves():
-    targets = _traced_targets()
+    targets = _tracing().TARGETS
     missing = [
         (module, attr)
         for module, attr, _ in targets
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert targets and missing == []
+
+
+def test_traced_simulate_reaches_the_dynamics_layers():
+    tracer = _tracing().Tracer()
+    with tracer.active():
+        cli.cmd_simulate({"n_logical": 2}, "H 0\nCNOT 0,1\n", mode="physical")
+    metrics = tracer.layer_metrics()
+    busy = ("spin.build_hamiltonian", "evolve.evolve_segment", "evolve.run_schedule")
+    idle = ("squid.solve_levels", "squid.extract_two_level", "bus.solve_currents")
+    assert [metrics[f"{name}.calls"] > 0 for name in busy] == [True] * len(busy)
+    assert [metrics[f"{name}.calls"] for name in idle] == [0] * len(idle)

@@ -140,10 +140,20 @@ class TestDesign:
         assert "N_max" not in report.derived
 
     def test_overloaded_bus_warns(self):
-        cfg = parse_config_text(DESIGN_CFG) | {"N": 80000}
+        # N M^2/(L L_b) = 0.133: past the weak-coupling warning, still passive
+        cfg = parse_config_text(DESIGN_CFG) | {"N": 10000}
         report = cmd_design(cfg)
         assert report.flags["weak_coupling_warn"]
         assert report.flags["N_exceeds_max"]
+
+    def test_bus_that_is_not_passive_rejected(self, tmp_path, capsys):
+        # N M^2/(L L_b) = 200 * 100 / (150 * 100) = 1.33: the same bus that
+        # solve_currents refuses
+        path = tmp_path / "bus.cfg"
+        path.write_text(SQUID_CFG + "M_pH = 10\nL_b_nH = 0.1\nN = 200\n")
+        assert main(["design", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[numerical]:") and "not passive" in err and "N = 200" in err
 
 
 def parse_config_text(text):
@@ -250,6 +260,30 @@ class TestMainExitCodes:
         cfg = cfg_file(SIM_CFG.replace("n_logical = 2", "n_logical = -1"))
         assert main([command, "--config", cfg, "--circuit", str(circuit)]) == 2
         assert capsys.readouterr().err == "error[config]: n_logical must be non-negative\n"
+
+    def test_largest_n_logical_runs(self, cfg_file, tmp_path, capsys):
+        # 16 physical qubits; idle encoded pairs leave the gate figures unchanged
+        circuit = tmp_path / "bell.circuit"
+        circuit.write_text(BELL_CIRCUIT)
+        records = []
+        for n_logical in (2, 8):
+            text = SIM_CFG.replace("n_logical = 2", f"n_logical = {n_logical}").replace("initial_bits = 00", "")
+            args = ["simulate", "--config", cfg_file(text), "--circuit", str(circuit), "--mode", "physical"]
+            assert main(args + ["--format", "records"]) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        small, large = records
+        assert abs(large["fidelity"] - small["fidelity"]) <= 1e-10
+        assert abs(large["leakage"] - small["leakage"]) <= 1e-10
+
+    @pytest.mark.parametrize("command", ["simulate", "compile"])
+    @pytest.mark.parametrize("n_logical", [9, 10**9])
+    def test_oversize_n_logical(self, cfg_file, tmp_path, capsys, command, n_logical):
+        circuit = tmp_path / "empty.circuit"
+        circuit.write_text("")
+        cfg = cfg_file(SIM_CFG.replace("n_logical = 2", f"n_logical = {n_logical}"))
+        assert main([command, "--config", cfg, "--circuit", str(circuit)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config]: n_logical = {n_logical} exceeds 8")
 
     def test_no_double_well_is_numerical(self, cfg_file, capsys):
         # Ic = 1 uA gives beta_L = 0.456: a single well, so no two-level qubit to couple

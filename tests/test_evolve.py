@@ -17,7 +17,8 @@ from fluxbus.evolve import (
     run_schedule,
     trace_distance,
 )
-from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian, bus_all_to_all
+from fluxbus import spin
+from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian, bus_all_to_all, ising_diagonal
 
 
 def spec_with(n, delta=None, epsilon=None, coupling=None):
@@ -27,6 +28,11 @@ def spec_with(n, delta=None, epsilon=None, coupling=None):
         epsilon_ghz=np.zeros(n) if epsilon is None else np.asarray(epsilon, float),
         coupling_mhz=np.zeros((n, n)) if coupling is None else np.asarray(coupling, float),
     )
+
+
+def evolve_spec(state, spec, t_ns):
+    """evolve_segment under the spec's full Hamiltonian."""
+    return evolve_segment(state, ising_diagonal(spec), spec.delta_ghz, t_ns)
 
 
 def random_spec(rng, n):
@@ -46,7 +52,7 @@ class TestEvolveSegment:
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(0)
         state = random_state(rng, 3)
-        out = evolve_segment(state, random_spec(rng, 3), 0.0)
+        out = evolve_spec(state, random_spec(rng, 3), 0.0)
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
 
     def test_rabi_flip_at_design_tunneling(self):
@@ -54,7 +60,7 @@ class TestEvolveSegment:
         spec = spec_with(1, delta=[2.6])
         t_pi = 1.0 / (2.0 * 2.6)
         assert t_pi == pytest.approx(0.1923, abs=1e-4)
-        out = evolve_segment(QuantumState.basis(1, 0), spec, t_pi)
+        out = evolve_spec(QuantumState.basis(1, 0), spec, t_pi)
         assert abs(out.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_ising_phase(self):
@@ -62,7 +68,7 @@ class TestEvolveSegment:
         # relative to the aligned states.
         spec = spec_with(2, coupling=[[0.0, 25.0], [25.0, 0.0]])
         plus = QuantumState(np.full(4, 0.5, dtype=complex))
-        out = evolve_segment(plus, spec, 1.0)
+        out = evolve_spec(plus, spec, 1.0)
         j, t = 0.025, 1.0
         ratio_ud = out.amplitudes[1] / out.amplitudes[0]
         assert ratio_ud == pytest.approx(np.exp(2j * math.pi * j * t) / np.exp(-2j * math.pi * j * t), abs=1e-12)
@@ -71,30 +77,37 @@ class TestEvolveSegment:
         rng = np.random.default_rng(1)
         for n in (1, 2, 3):
             spec = random_spec(rng, n)
-            h = build_hamiltonian(spec).matrix
+            h = build_hamiltonian(spec)
             w, v = np.linalg.eigh(h)
             u = v @ np.diag(np.exp(-2j * math.pi * w * 0.73)) @ v.conj().T
             assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-10
             state = random_state(rng, n)
-            out = evolve_segment(state, spec, 0.73)
+            out = evolve_spec(state, spec, 0.73)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
     def test_composition(self):
         rng = np.random.default_rng(2)
         spec = random_spec(rng, 3)
         state = random_state(rng, 3)
-        once = evolve_segment(state, spec, 1.9)
-        twice = evolve_segment(evolve_segment(state, spec, 1.1), spec, 0.8)
+        once = evolve_spec(state, spec, 1.9)
+        twice = evolve_spec(evolve_spec(state, spec, 1.1), spec, 0.8)
         assert np.max(np.abs(once.amplitudes - twice.amplitudes)) < 1e-10
+
+    def test_shapes_checked(self):
+        state = QuantumState.basis(2, 0)
+        with pytest.raises(ValueError):
+            evolve_segment(state, np.zeros(8), np.zeros(2), 1.0)
+        with pytest.raises(ValueError):
+            evolve_segment(state, np.zeros(4), np.zeros(3), 1.0)
 
     def test_energy_conservation(self):
         rng = np.random.default_rng(3)
         spec = random_spec(rng, 3)
-        h = build_hamiltonian(spec).matrix
+        h = build_hamiltonian(spec)
         state = random_state(rng, 3)
         e0 = np.vdot(state.amplitudes, h @ state.amplitudes).real
         for t in (0.1, 0.9, 5.0):
-            out = evolve_segment(state, spec, t)
+            out = evolve_spec(state, spec, t)
             e = np.vdot(out.amplitudes, h @ out.amplitudes).real
             assert abs(e - e0) < 1e-10
 
@@ -150,7 +163,7 @@ class TestRunSchedule:
         state = random_state(rng, 2)
         seg = PulseSegment(duration_ns=0.4, delta_ghz=np.array([2.6, 0.0]))
         sched = PulseSchedule((seg,), spec)
-        direct = evolve_segment(state, spec.with_overrides(delta_ghz=[2.6, 0.0]), 0.4)
+        direct = evolve_spec(state, spec.with_overrides(delta_ghz=[2.6, 0.0]), 0.4)
         assert np.allclose(run_schedule(state, sched).amplitudes, direct.amplitudes, atol=1e-14)
 
     def test_override_none_keeps_base(self):
@@ -169,6 +182,17 @@ class TestRunSchedule:
     def test_state_size_checked(self):
         with pytest.raises(ValueError):
             run_schedule(QuantumState.basis(3, 0), PulseSchedule((), spec_with(2)))
+
+    def test_coupling_formed_once_per_schedule(self, monkeypatch):
+        # The N-qubit coupling sum runs once; each segment's k-qubit drive
+        # block (k <= 2 here) forms only its own, coupling-free diagonal.
+        sizes = []
+        original = spin._coupling_sum
+        monkeypatch.setattr(spin, "_coupling_sum", lambda c: sizes.append(c.shape[0]) or original(c))
+        seg = PulseSegment(duration_ns=0.3, delta_ghz=np.array([2.6, 0.0, 1.0]), epsilon_ghz=np.array([0.0, 1.0, 0.5]))
+        schedule = PulseSchedule((seg, PulseSegment(0.5), seg), bus_all_to_all(3, 25.0))
+        run_schedule(QuantumState.basis(3, 0), schedule)
+        assert sizes.count(3) == 1 and max(sizes) == 3
 
 
 class TestFidelity:
