@@ -12,6 +12,7 @@ failure, 4 reproduction-table failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -327,6 +328,13 @@ def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
     return LogicalRegister.default(n_logical), params, circuit
 
 
+@functools.lru_cache(maxsize=None)
+def _bitstrings(n_logical: int) -> tuple:
+    """The 2^n basis labels "0...0" .. "1...1", shared by every record
+    (one entry per n_logical <= _MAX_LOGICAL)."""
+    return tuple(format(ell, f"0{n_logical}b") if n_logical else "" for ell in range(2**n_logical))
+
+
 def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     """Compile and run a logical circuit; report fidelity against the exact
     logical unitary, code-space leakage, and spectator disturbance."""
@@ -358,9 +366,10 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
         rho1 = reduced_density_matrix(final, list(reg.pairs[ell]))
         spectators[str(ell)] = trace_distance(rho0, rho1)
 
+    # Code words the state never reaches have amplitude exactly 0 and share
+    # one 0.0, which keeps a record small.
     probabilities = {
-        format(ell, f"0{n_logical}b") if n_logical else "": float(abs(code_amp[ell]) ** 2)
-        for ell in range(2**n_logical)
+        key: float(abs(amp) ** 2) if amp else 0.0 for key, amp in zip(_bitstrings(n_logical), code_amp)
     }
     record = {
         "command": "simulate",

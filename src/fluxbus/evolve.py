@@ -8,12 +8,16 @@ errors from always-on-coupling errors).
 Physical propagation is block-structured and exact at machine precision.
 The coupling and the biases are diagonal in the computational basis, so a
 segment that drives k qubits splits into 2^(N-k) independent 2^k x 2^k
-blocks, diagonalised together; an undriven segment is a pure phase.  The
-coupling is fixed for a whole schedule: ``run_schedule`` forms its diagonal
-once and adds each segment's biases to a copy, and ``evolve_segment`` takes
-that diagonal and the drive vector as arrays.  No 2^N x 2^N operator is
-built; the dense ``spin.build_hamiltonian`` matrix is the reference the
-tests compare against.
+blocks.  The coupling is fixed for a whole schedule: ``run_schedule`` forms
+its diagonal once and adds each segment's biases to a copy.  Undriven
+segments (waits and bias pulses) are diagonal and commute, so
+``run_schedule`` sums the exponents of each run of them and applies one
+phase vector.  Each driven segment goes through ``evolve_segment``, which
+takes the diagonal and the drive vector as arrays: one driven qubit has a
+closed-form 2 x 2 propagator, and k >= 2 driven qubits (the CPHASE flips)
+diagonalise all their blocks in one batched ``eigh``.  No 2^N x 2^N
+operator is built; the dense ``spin.build_hamiltonian`` matrix is the
+reference the tests compare against.
 
 Ideal labels: ``("x_flip", q)``, ``("x_rot", q, angle)``, ``("z_rot", q,
 angle)`` with rotations in the exp(-i angle/2 sigma) convention.
@@ -135,9 +139,10 @@ def evolve_segment(state: QuantumState, diag, delta_ghz, t_ns: float) -> Quantum
     entry per basis state, e.g. ``spin.ising_diagonal``) and the drives
     ``delta_ghz`` (GHz, one per qubit).  With the k driven axes moved to the
     back, H is block diagonal in 2^(N-k) blocks of size 2^k: the k-qubit
-    drive operator plus that block's slice of D.  One batched
-    eigendecomposition propagates every block; k = 0 reduces to the phases
-    exp(-i 2 pi D t).
+    drive operator plus that block's slice of D.  k = 0 is the phases
+    exp(-i 2 pi D t); k = 1 is the closed-form 2 x 2 propagator
+    (``_evolve_one_drive``); k >= 2 propagates every block through one
+    batched eigendecomposition.
     """
     n = state.n_qubits
     diag = np.asarray(diag, dtype=float)
@@ -146,6 +151,11 @@ def evolve_segment(state: QuantumState, diag, delta_ghz, t_ns: float) -> Quantum
         raise ValueError(f"need a length-{2**n} diagonal and {n} drives for a {n}-qubit state")
     driven = np.flatnonzero(delta_ghz)
     k = driven.size
+    if k == 0:
+        return QuantumState(np.exp(-2j * math.pi * diag * t_ns) * state.amplitudes)
+    if k == 1:
+        q = int(driven[0])
+        return QuantumState(_evolve_one_drive(state.amplitudes, diag, q, delta_ghz[q], t_ns))
     drive = SpinHamiltonianSpec(k, delta_ghz[driven], np.zeros(k), np.zeros((k, k)))
     local = build_hamiltonian(drive)
 
@@ -158,6 +168,35 @@ def evolve_segment(state: QuantumState, diag, delta_ghz, t_ns: float) -> Quantum
     amp = v @ (phases * (v.conj().transpose(0, 2, 1) @ amp))
     amp = np.moveaxis(amp.reshape([2] * n), back, driven)
     return QuantumState(amp.reshape(-1))
+
+
+def _evolve_one_drive(amp: np.ndarray, diag: np.ndarray, q: int, delta: float, t_ns: float) -> np.ndarray:
+    """exp(-i 2 pi H t) on the 2 x 2 blocks of one driven qubit ``q``.
+
+    Each block is H = m I + h Z + b X with m = (d0 + d1)/2, h = (d0 - d1)/2
+    and b = -delta/2, where d0, d1 are D at bit q = 0, 1.  With Omega =
+    hypot(h, b) its propagator is e^{-i 2 pi m t} [cos(2 pi Omega t) I
+    - i (sin(2 pi Omega t)/Omega) (h Z + b X)].  At Omega = 0 (h = b = 0)
+    the block is the phase alone; the division is guarded there, and hypot
+    keeps Omega from underflowing to 0 while h or b is not.
+    """
+    d = diag.reshape(2**q, 2, -1)
+    a = amp.reshape(2**q, 2, -1)
+    a0, a1 = a[:, 0], a[:, 1]
+    m = 0.5 * (d[:, 0] + d[:, 1])
+    h = 0.5 * (d[:, 0] - d[:, 1])
+    b = -0.5 * delta
+    omega = np.hypot(h, b)
+    theta = 2.0 * math.pi * omega * t_ns
+    cos = np.cos(theta)
+    sin_over = np.sin(theta) / np.where(omega > 0.0, omega, 1.0)
+    phase = np.exp(-2j * math.pi * m * t_ns)
+    off = -1j * sin_over * b  # the X entry of the bracket
+    zh = -1j * sin_over * h
+    out = np.empty_like(a)
+    out[:, 0] = phase * ((cos + zh) * a0 + off * a1)
+    out[:, 1] = phase * (off * a0 + (cos - zh) * a1)
+    return out.reshape(-1)
 
 
 def _apply_ideal(state: QuantumState, op: tuple) -> QuantumState:
@@ -187,19 +226,34 @@ def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
     """Left-fold of the schedule's segments over the state.
 
     The coupling diagonal is formed once; each physical segment adds its
-    biases to a copy of it.
+    biases to a copy of it.  Undriven segments are diagonal and commute, so
+    each run of them sums its exponents -i 2 pi D_s t_s and applies one
+    phase vector when the run ends (at a driven segment, an ideal op or the
+    end of the schedule).  Driven segments go through ``evolve_segment``.
     """
     base = schedule.base
     if state.n_qubits != base.n_qubits:
         raise ValueError("state size does not match the schedule's qubit count")
     coupling = coupling_diagonal(base)
+    angle = None  # summed exponent of the pending undriven run
     for seg in schedule.segments:
+        if seg.mode == "physical":
+            epsilon = base.epsilon_ghz if seg.epsilon_ghz is None else seg.epsilon_ghz
+            delta = base.delta_ghz if seg.delta_ghz is None else seg.delta_ghz
+            diag = add_biases(coupling.copy(), epsilon)
+            if not delta.any():
+                term = -2j * math.pi * diag * seg.duration_ns
+                angle = term if angle is None else angle + term
+                continue
+        if angle is not None:
+            state = QuantumState(np.exp(angle) * state.amplitudes)
+            angle = None
         if seg.mode == "ideal":
             state = _apply_ideal(state, seg.ideal_op)
         else:
-            epsilon = base.epsilon_ghz if seg.epsilon_ghz is None else seg.epsilon_ghz
-            delta = base.delta_ghz if seg.delta_ghz is None else seg.delta_ghz
-            state = evolve_segment(state, add_biases(coupling.copy(), epsilon), delta, seg.duration_ns)
+            state = evolve_segment(state, diag, delta, seg.duration_ns)
+    if angle is not None:
+        state = QuantumState(np.exp(angle) * state.amplitudes)
     return state
 
 

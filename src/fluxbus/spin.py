@@ -15,12 +15,13 @@ whole pulse schedule, so ``evolve.run_schedule`` forms it once and adds each
 segment's biases to a copy.  ``build_hamiltonian`` assembles the dense
 2^N x 2^N matrix, capped at ``MAX_DENSE_QUBITS``: it is the reference the
 tests compare the block-structured propagation against, and ``evolve``
-calls it only for the 2^k x 2^k drive operator of the k driven qubits.
+calls it only for the 2^k x 2^k drive operator of a segment that drives
+k >= 2 qubits (the CPHASE flips); one driven qubit has a closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "add_biases",
     "ising_diagonal",
     "inter_pair_mask",
-    "z_signs",
 ]
 
 MAX_DENSE_QUBITS = 14
@@ -77,21 +77,6 @@ class SpinHamiltonianSpec:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
-
-    def with_overrides(self, delta_ghz=None, epsilon_ghz=None) -> "SpinHamiltonianSpec":
-        """Copy with replaced drive values; the coupling never changes."""
-        return replace(
-            self,
-            delta_ghz=self.delta_ghz if delta_ghz is None else np.asarray(delta_ghz, dtype=float),
-            epsilon_ghz=self.epsilon_ghz if epsilon_ghz is None else np.asarray(epsilon_ghz, dtype=float),
-        )
-
-
-def z_signs(n_qubits: int, qubit: int) -> np.ndarray:
-    """sigma_z eigenvalues (+-1) of one qubit over the 2^N basis states."""
-    idx = np.arange(2**n_qubits)
-    bits = (idx >> (n_qubits - 1 - qubit)) & 1
-    return 1.0 - 2.0 * bits
 
 
 def inter_pair_mask(n_qubits: int, pairs=None) -> np.ndarray:

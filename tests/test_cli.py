@@ -217,6 +217,21 @@ class TestMainExitCodes:
         assert main(["calibrate", "--config", path]) == 3
         assert capsys.readouterr().err.startswith("error[numerical]:")
 
+    def test_fine_grid_calibrates(self, cfg_file, capsys):
+        # The eigen-residual bound scales with the operator norm (~1/dphi^2),
+        # so a 30000-point grid passes.  Its delta at the suppressed current
+        # agrees with the default grid's to that grid's discretisation error
+        # (3-point differences, O(dphi^2): ~7e-6 relative at 4097 points).
+        text = "L_pH = 150\nC_fF = 80\nIc_uA = 2.375\ntarget_delta_GHz = 2.6\n"
+        derived = []
+        for extra in ("", "grid_points = 30000\n"):
+            assert main(["calibrate", "--config", cfg_file(text + extra), "--format", "records"]) == 0
+            records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            derived.append({r["key"]: r["value"] for r in records if r["section"] == "derived"})
+        default, fine = derived
+        assert fine["delta_GHz"] == pytest.approx(default["delta_GHz"], rel=2e-5)
+        assert fine["calibrated_Ic_uA"] == pytest.approx(default["calibrated_Ic_uA"], rel=1e-3)
+
     def test_simulate_and_compile(self, cfg_file, tmp_path, capsys):
         cfg = cfg_file(SIM_CFG)
         circuit = tmp_path / "bell.circuit"

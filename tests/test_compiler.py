@@ -338,9 +338,8 @@ class TestInitSchedule:
         out = run_schedule(
             QuantumState.basis(4, 0), init_schedule(reg, ControlParams(mode="ideal"))
         )
-        from fluxbus.spin import z_signs
-
-        collective = sum(z_signs(4, q) for q in range(4))
+        # sum_q z_q = 4 - 2 (number of 1 bits) on each basis state
+        collective = np.array([4.0 - 2.0 * bin(i).count("1") for i in range(16)])
         assert abs(np.vdot(out.amplitudes, collective * out.amplitudes)) < 1e-12
 
 

@@ -1,6 +1,7 @@
 """Propagator, schedules, fidelities, reduced states."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fluxbus.evolve import (
     run_schedule,
     trace_distance,
 )
+from fluxbus import evolve as evolve_mod
 from fluxbus import spin
 from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian, bus_all_to_all, ising_diagonal
 
@@ -100,6 +102,24 @@ class TestEvolveSegment:
         with pytest.raises(ValueError):
             evolve_segment(state, np.zeros(4), np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("t_ns", [0.0, 5.0])
+    @pytest.mark.parametrize("delta", [5e-324, 9.49e-301, 3.0])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_drive_closed_form_matches_dense(self, n, delta, t_ns):
+        # Tiny drives make Omega^2 underflow; hypot and the Omega = 0 guard
+        # keep the 2 x 2 closed form finite.  n = 1 has h = 0 (Omega = |delta|/2
+        # or 0); n = 3 couples and biases the driven qubit.
+        if n == 1:
+            spec = spec_with(1, delta=[delta])
+        else:
+            coupling = [[0.0, 30.0, -12.0], [30.0, 0.0, 45.0], [-12.0, 45.0, 0.0]]
+            spec = spec_with(3, delta=[0.0, delta, 0.0], epsilon=[0.4, 0.9, -1.1], coupling=coupling)
+        state = random_state(np.random.default_rng(11), n)
+        w, v = np.linalg.eigh(build_hamiltonian(spec))
+        expected = v @ (np.exp(-2j * math.pi * w * t_ns) * (v.conj().T @ state.amplitudes))
+        out = evolve_spec(state, spec, t_ns)
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
     def test_energy_conservation(self):
         rng = np.random.default_rng(3)
         spec = random_spec(rng, 3)
@@ -163,7 +183,7 @@ class TestRunSchedule:
         state = random_state(rng, 2)
         seg = PulseSegment(duration_ns=0.4, delta_ghz=np.array([2.6, 0.0]))
         sched = PulseSchedule((seg,), spec)
-        direct = evolve_spec(state, spec.with_overrides(delta_ghz=[2.6, 0.0]), 0.4)
+        direct = evolve_spec(state, replace(spec, delta_ghz=np.array([2.6, 0.0])), 0.4)
         assert np.allclose(run_schedule(state, sched).amplitudes, direct.amplitudes, atol=1e-14)
 
     def test_override_none_keeps_base(self):
@@ -193,6 +213,21 @@ class TestRunSchedule:
         schedule = PulseSchedule((seg, PulseSegment(0.5), seg), bus_all_to_all(3, 25.0))
         run_schedule(QuantumState.basis(3, 0), schedule)
         assert sizes.count(3) == 1 and max(sizes) == 3
+
+    def test_kernels_run_only_where_needed(self, monkeypatch):
+        # Undriven runs are folded into phases: evolve_segment runs once per
+        # driven segment, and the dense drive block is built only for k >= 2.
+        kernel_calls, blocks = [], []
+        kernel, dense = evolve_mod.evolve_segment, evolve_mod.build_hamiltonian
+        monkeypatch.setattr(evolve_mod, "evolve_segment", lambda *a: kernel_calls.append(1) or kernel(*a))
+        monkeypatch.setattr(evolve_mod, "build_hamiltonian", lambda spec: blocks.append(spec.n_qubits) or dense(spec))
+        one = PulseSegment(0.3, delta_ghz=np.array([0.0, 2.6, 0.0]))
+        two = PulseSegment(0.2, delta_ghz=np.array([1.0, 0.0, 2.0]), epsilon_ghz=np.array([0.5, 0.0, 0.0]))
+        wait, bias = PulseSegment(0.5), PulseSegment(0.4, epsilon_ghz=np.array([0.0, 2.7, 0.0]))
+        flip = PulseSegment(mode="ideal", ideal_op=("x_flip", 2))
+        schedule = PulseSchedule((wait, one, bias, wait, flip, wait, two, one, wait, bias), bus_all_to_all(3, 25.0))
+        run_schedule(QuantumState.basis(3, 0), schedule)
+        assert len(kernel_calls) == 3 and blocks == [2]
 
 
 class TestFidelity:

@@ -1,6 +1,7 @@
 """Invariants checked over generated circuits, states and couplings."""
 
 import math
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -203,6 +204,15 @@ def test_physical_schedules_are_unitary(schedule, data):
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) <= 1e-12
 
 
+def _segment_spec(base, seg):
+    """The base spec with a physical segment's drives (None keeps the base value)."""
+    return replace(
+        base,
+        delta_ghz=base.delta_ghz if seg.delta_ghz is None else seg.delta_ghz,
+        epsilon_ghz=base.epsilon_ghz if seg.epsilon_ghz is None else seg.epsilon_ghz,
+    )
+
+
 @settings(PROPERTY, max_examples=40)
 @given(physical_schedules(max_qubits=6, max_segments=6), st.data())
 def test_schedule_matches_per_segment_dense_oracle(schedule, data):
@@ -211,8 +221,57 @@ def test_schedule_matches_per_segment_dense_oracle(schedule, data):
     state = _random_state(data, schedule.base.n_qubits)
     expected = state.amplitudes
     for seg in schedule.segments:
-        w, v = np.linalg.eigh(build_hamiltonian(schedule.base.with_overrides(seg.delta_ghz, seg.epsilon_ghz)))
+        w, v = np.linalg.eigh(build_hamiltonian(_segment_spec(schedule.base, seg)))
         expected = v @ (np.exp(-2j * math.pi * w * seg.duration_ns) * (v.conj().T @ expected))
+    assert np.max(np.abs(run_schedule(state, schedule).amplitudes - expected)) <= 1e-12
+
+
+_IDEAL_GATES = {"x_flip": "X", "x_rot": "RX", "z_rot": "RZ"}
+
+
+@st.composite
+def mixed_schedules(draw, max_qubits, max_runs):
+    """Runs of two or more undriven segments (waits and bias pulses, biases
+    random or None) separated by ideal ops and driven segments, over an
+    undriven base; the schedule ends on an undriven run."""
+    base = draw(segment_specs(max_qubits))
+    n = base.n_qubits
+    base = replace(base, delta_ghz=np.zeros(n))
+    segments = []
+    for _ in range(draw(st.integers(1, max_runs))):
+        for _ in range(draw(st.integers(1, 2))):
+            q = draw(st.integers(0, n - 1))
+            kind = draw(st.sampled_from(("x_flip", "x_rot", "z_rot", "driven")))
+            if kind == "driven":
+                delta = np.zeros(n)
+                for p in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2)):
+                    delta[p] = draw(_DRIVES.filter(lambda d: d != 0.0))
+                segments.append(PulseSegment(draw(st.floats(0.0, 5.0)), delta))
+            elif kind == "x_flip":
+                segments.append(PulseSegment(mode="ideal", ideal_op=(kind, q)))
+            else:
+                segments.append(PulseSegment(mode="ideal", ideal_op=(kind, q, draw(_ANGLES))))
+        for _ in range(draw(st.integers(2, 4))):
+            delta = draw(st.sampled_from((None, np.zeros(n))))
+            epsilon = draw(st.none() | st.lists(_DRIVES, min_size=n, max_size=n).map(np.array))
+            segments.append(PulseSegment(draw(st.floats(0.0, 5.0)), delta, epsilon))
+    return PulseSchedule(tuple(segments), base)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(mixed_schedules(max_qubits=5, max_runs=3), st.data())
+def test_undriven_runs_between_ideal_ops_match_dense_oracle(schedule, data):
+    n = schedule.base.n_qubits
+    state = _random_state(data, n)
+    expected = state.amplitudes
+    for seg in schedule.segments:
+        if seg.mode == "ideal":
+            kind, q, *angle = seg.ideal_op
+            gate = _reference_matrix(Gate(_IDEAL_GATES[kind], (q,), *angle))
+            expected = _kron_lift(gate, (q,), n) @ expected
+        else:
+            w, v = np.linalg.eigh(build_hamiltonian(_segment_spec(schedule.base, seg)))
+            expected = v @ (np.exp(-2j * math.pi * w * seg.duration_ns) * (v.conj().T @ expected))
     assert np.max(np.abs(run_schedule(state, schedule).amplitudes - expected)) <= 1e-12
 
 

@@ -77,8 +77,8 @@ class TestBuildHamiltonian:
         assert np.max(np.abs(h - brute_force_hamiltonian(spec))) < 1e-12
 
     def test_design_parameters_four_qubits(self):
-        spec = bus_all_to_all(4, 25.0).with_overrides(
-            delta_ghz=np.full(4, 2.6), epsilon_ghz=np.full(4, 2.7)
+        spec = spec_with(
+            4, delta=np.full(4, 2.6), epsilon=np.full(4, 2.7), coupling=bus_all_to_all(4, 25.0).coupling_mhz
         )
         h = build_hamiltonian(spec)
         oracle = brute_force_hamiltonian(spec)
@@ -106,8 +106,8 @@ class TestBuildHamiltonian:
             spec_with(2, coupling=[[1.0, 0.0], [0.0, 1.0]])
 
     def test_permutation_symmetry_of_all_to_all_spectrum(self):
-        spec = bus_all_to_all(4, 25.0).with_overrides(
-            delta_ghz=np.full(4, 1.3), epsilon_ghz=np.full(4, 0.7)
+        spec = spec_with(
+            4, delta=np.full(4, 1.3), epsilon=np.full(4, 0.7), coupling=bus_all_to_all(4, 25.0).coupling_mhz
         )
         evals = np.linalg.eigvalsh(build_hamiltonian(spec))
         # relabeling qubits permutes the basis; the all-equal couplings keep
@@ -160,8 +160,8 @@ class TestInteractionOnly:
         assert np.max(np.abs(coupling_diagonal(spec_with(3)))) == 0.0
 
     def test_drops_drive_terms(self):
-        spec = bus_all_to_all(3, 25.0).with_overrides(
-            delta_ghz=np.full(3, 2.6), epsilon_ghz=np.full(3, 2.7)
+        spec = spec_with(
+            3, delta=np.full(3, 2.6), epsilon=np.full(3, 2.7), coupling=bus_all_to_all(3, 25.0).coupling_mhz
         )
         diag = coupling_diagonal(spec)
         oracle = brute_force_hamiltonian(
