@@ -161,13 +161,27 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# At its peak the flux solver holds about 16 float64 arrays of grid_points
+# entries (grid, potential, operator, LAPACK work space and eigenvectors; 108 B
+# per point measured at k = 2); a 1 GiB budget bounds grid_points at 2^23.
+_MAX_GRID_POINTS = 2**30 // (16 * 8)
+
+
 def _grid_from_config(cfg: dict) -> FluxGrid | None:
     if "grid_points" not in cfg and "phi_window_lo" not in cfg:
         return None
+    n_points = _number(cfg, "grid_points", 4097)
+    if n_points != int(n_points):
+        raise ConfigError(f"config key grid_points must be an integer, got {n_points!r}")
+    if n_points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid_points = {int(n_points)} exceeds {_MAX_GRID_POINTS}: the flux solver's ~16 float64 arrays "
+            "of grid_points entries must fit in 1 GiB"
+        )
     return FluxGrid(
         phi_min=_number(cfg, "phi_window_lo", -0.25),
         phi_max=_number(cfg, "phi_window_hi", 1.25),
-        n_points=int(_number(cfg, "grid_points", 4097)),
+        n_points=int(n_points),
     )
 
 

@@ -8,6 +8,13 @@ on a uniform flux grid with Dirichlet boundaries and reduces the two lowest
 levels to two-level qubit parameters: tunneling splitting ``delta``, bias
 asymmetry ``epsilon`` and persistent current ``i_p``.
 
+At the symmetric bias (Phi_x at the grid centre) the discrete operator is
+mirror symmetric, so it is solved as two independent half-size tridiagonal
+problems, one per parity sector.  Level j has parity (-1)^j, so each sector
+supplies every other level; the energies are sorted on return because the two
+partners of a deep-well doublet agree only to rounding.  Every level then has
+exact parity, however near-degenerate its partner.
+
 Conventions
 -----------
 * ``delta`` is the observable splitting (E1 - E0)/h at the symmetric bias
@@ -193,29 +200,55 @@ def potential(params: SquidParams, phi) -> np.ndarray | float:
     return float(u) if u.ndim == 0 else u
 
 
-def _parity_purify(vectors: np.ndarray) -> np.ndarray:
-    """Project eigenvectors onto definite parity about the grid center.
+def _lowest(diag: np.ndarray, off: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``count`` eigenpairs of a real symmetric tridiagonal matrix."""
+    try:
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
 
-    Valid only when the potential is mirror symmetric.  The k-th bound state
-    of a symmetric 1-D potential has parity (-1)^k; near-degenerate pairs come
-    out of the solver arbitrarily mixed, which this undoes.
+
+def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``k`` eigenpairs of a mirror-symmetric tridiagonal matrix with
+    constant off-diagonal ``off``, solved in its even and odd sectors.
+
+    In the basis (e_i +- e_{n-1-i})/sqrt(2) of mirror pairs the matrix splits
+    into two half-size tridiagonal blocks.  For odd n the centre point belongs
+    to the even block alone, bonded to its neighbour pair by sqrt(2) off.  For
+    even n the two middle points are mirror images, so their bond adds +off to
+    the last diagonal entry of the even block and -off to that of the odd one.
+    The diagonal is the mean of the two mirror halves, the projection of the
+    matrix onto either sector.  Level j has parity (-1)^j, so the lowest k
+    levels are the lowest ceil(k/2) even and floor(k/2) odd ones, returned
+    sorted by energy.
     """
-    k = vectors.shape[1]
-    purified = np.empty_like(vectors)
-    for j in range(k):
-        sign = 1.0 if j % 2 == 0 else -1.0
-        v = vectors[:, j]
-        proj = 0.5 * (v + sign * v[::-1])
-        if np.linalg.norm(proj) < 0.5:
-            # Dominantly wrong parity: the degenerate partner carries it.
-            partner = j + 1 if j + 1 < k else j - 1
-            w = vectors[:, partner]
-            proj = 0.5 * (w + sign * w[::-1])
-        purified[:, j] = proj / np.linalg.norm(proj)
-    # Restore exact orthonormality (projections of a near-degenerate pair are
-    # orthogonal across parity, nearly so within).
-    q, r = np.linalg.qr(purified)
-    return q * np.sign(np.diag(r))
+    n = diag.size
+    m = n // 2
+    half = 0.5 * (diag[:m] + diag[::-1][:m])
+    bonds = np.full(m - 1, off)
+    if n % 2:
+        even = (np.append(half, diag[m]), np.append(bonds, math.sqrt(2.0) * off))
+        odd = (half, bonds)
+    else:
+        even_diag, odd_diag = half.copy(), half.copy()
+        even_diag[-1] += off
+        odd_diag[-1] -= off
+        even, odd = (even_diag, bonds), (odd_diag, bonds)
+    e_even, x_even = _lowest(*even, (k + 1) // 2)
+    e_odd, x_odd = _lowest(*odd, k // 2)
+
+    # Mirror each half back onto the full grid.
+    vectors = np.zeros((n, k))
+    pairs = np.hstack([x_even[:m], x_odd]) / math.sqrt(2.0)
+    parity = np.repeat([1.0, -1.0], [e_even.size, e_odd.size])
+    vectors[:m] = pairs
+    vectors[n - m :] = pairs[::-1] * parity
+    if n % 2:
+        vectors[m, : e_even.size] = x_even[m]
+
+    energies = np.concatenate([e_even, e_odd])
+    order = np.argsort(energies, kind="stable")
+    return energies[order], vectors[:, order]
 
 
 def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) -> EigenSolution:
@@ -223,8 +256,12 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
 
     Symmetric three-point finite differences with Dirichlet boundaries; the
     resulting real symmetric tridiagonal problem is solved exactly for the
-    requested levels.  For a mirror-symmetric potential the eigenvectors are
-    purified to definite parity, which keeps near-degenerate doublets clean.
+    requested levels.  For a mirror-symmetric potential (bias at the grid
+    centre) the problem splits into independent even and odd sectors of half
+    the size; each returned level then has exact parity about the centre,
+    which keeps near-degenerate doublets clean, and the energies are sorted
+    because the sectors' doublet partners agree only to rounding at the
+    solver floor.
 
     Raises
     ------
@@ -252,17 +289,14 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
     diag = u + 2.0 * kin / dphi**2
     off = np.full(n - 1, -kin / dphi**2)
 
-    try:
-        energies, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-
     symmetric = (
         abs(params.phi_x - grid.center) < 1e-12
         and float(np.max(np.abs(u - u[::-1]))) <= 1e-9 * (float(np.max(np.abs(u))) + 1.0)
     )
     if symmetric:
-        vectors = _parity_purify(vectors)
+        energies, vectors = _lowest_mirror_symmetric(diag, off[0], k)
+    else:
+        energies, vectors = _lowest(diag, off, k)
 
     # Sign convention: positive at the left well (fall back to the dominant
     # component for states with a node there).

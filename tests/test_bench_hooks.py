@@ -7,7 +7,9 @@ from pathlib import Path
 
 from fluxbus import cli
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+DEMOS = ROOT / "demos"
 
 
 def _tracing():
@@ -35,4 +37,19 @@ def test_traced_simulate_reaches_the_dynamics_layers():
     busy = ("spin.build_hamiltonian", "evolve.evolve_segment", "evolve.run_schedule")
     idle = ("squid.solve_levels", "squid.extract_two_level", "bus.solve_currents")
     assert [metrics[f"{name}.calls"] > 0 for name in busy] == [True] * len(busy)
+    assert [metrics[f"{name}.calls"] for name in idle] == [0] * len(idle)
+
+
+def test_traced_calibration_reaches_the_squid_layer():
+    # Every eigensolve goes through the traced name: one for the two-level
+    # reduction plus those the Ic calibration makes, and no dynamics work.
+    tracer = _tracing().Tracer()
+    with tracer.active():
+        cli.cmd_calibrate(cli.parse_config(DEMOS / "squid.cfg"))
+    metrics = tracer.layer_metrics()
+    calibration_solves = metrics["squid.eigensolves_per_calibration"]
+    assert calibration_solves >= 2
+    assert metrics["squid.solve_levels.calls"] == 1 + calibration_solves
+    assert metrics["squid.extract_two_level.calls"] == 1
+    idle = ("spin.build_hamiltonian", "evolve.evolve_segment", "evolve.run_schedule", "evolve.logical_process_fidelity")
     assert [metrics[f"{name}.calls"] for name in idle] == [0] * len(idle)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fluxbus import squid as squidmod
 from fluxbus.cli import (
     ConfigError,
     cmd_calibrate,
@@ -13,6 +14,7 @@ from fluxbus.cli import (
     main,
     parse_config,
 )
+from fluxbus.squid import TwoLevelParams
 
 SQUID_CFG = """
 # design-point rf-SQUID
@@ -306,8 +308,8 @@ class TestMainExitCodes:
         assert main(["design", "--config", path]) == 3
         assert capsys.readouterr().err.startswith("error[numerical]:")
 
-    def test_zero_splitting_calibrate(self, cfg_file, capsys):
-        # the splitting underflows to exactly 0 here: no pi pulse, still exit 0
+    def test_solver_floor_calibrate(self, cfg_file, capsys):
+        # a ~5e-11 GHz splitting: flagged at the solver floor, still exit 0 and valid JSON
         path = cfg_file("L_pH = 135.6\nC_fF = 99.9\nIc_uA = 3.4\n")
         assert main(["calibrate", "--config", path, "--format", "records"]) == 0
 
@@ -316,10 +318,30 @@ class TestMainExitCodes:
 
         lines = capsys.readouterr().out.splitlines()
         records = {r["key"]: r["value"] for r in (json.loads(line, parse_constant=reject) for line in lines)}
-        assert records["delta_GHz"] == 0.0
         assert records["delta_at_solver_floor"] is True
+
+    def test_zero_splitting_calibrate(self, cfg_file, capsys, monkeypatch):
+        # a splitting that underflows to exactly 0: no pi pulse, still exit 0
+        def underflowed(params, grid=None):
+            return TwoLevelParams(delta_ghz=0.0, epsilon_ghz=0.0, i_p_ua=2.9, at_solver_floor=True)
+
+        monkeypatch.setattr(squidmod, "extract_two_level", underflowed)
+        assert main(["calibrate", "--config", cfg_file(SQUID_CFG), "--format", "records"]) == 0
+        records = {r["key"]: r["value"] for r in map(json.loads, capsys.readouterr().out.splitlines())}
+        assert records["delta_GHz"] == 0.0
         assert "pi_pulse_ns" not in records
         assert "no pi pulse" in records["note"]
+
+    @pytest.mark.parametrize("value, reason", [("1000000000000", "exceeds"), ("4097.5", "must be an integer")])
+    def test_grid_points_bound(self, cfg_file, capsys, monkeypatch, value, reason):
+        # rejected before any grid array is allocated or any level solved
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve_levels reached")
+
+        monkeypatch.setattr(squidmod, "solve_levels", unreachable)
+        assert main(["calibrate", "--config", cfg_file(SQUID_CFG + f"grid_points = {value}\n")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]:") and "grid_points" in err and reason in err
 
 
 class TestReproducePaper:

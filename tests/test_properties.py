@@ -5,6 +5,7 @@ from dataclasses import replace
 from functools import reduce
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +27,9 @@ from fluxbus.evolve import (
     logical_process_fidelity,
     run_schedule,
 )
-from fluxbus.constants import ENERGY_GHZ_PER_PH_UA2, PHI0_PH_UA
+from fluxbus.constants import ENERGY_GHZ_PER_PH_UA2, KINETIC_GHZ_FF, PHI0_PH_UA
 from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian, coupling_diagonal, ising_diagonal
-from fluxbus.squid import SquidParams
+from fluxbus.squid import FluxGrid, SquidParams, potential, solve_levels
 
 # Fixed example sequence: the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -360,3 +361,30 @@ def test_pairwise_energy_within_weak_coupling_bound(case):
     bare = float(d @ d) / (2.0 * squid.l_ph) * ENERGY_GHZ_PER_PH_UA2
     r = bus.n_qubits * bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
     assert abs(exact - pairwise) <= r**2 / (1.0 - r) * bare * (1.0 + 1e-9) + 1e-12 * abs(exact)
+
+
+@st.composite
+def symmetric_squids(draw):
+    """A SQUID biased at Phi0/2 on the default window, from the harmonic limit
+    (Ic = 0) to deep double wells, on an odd or even grid of 257-4098 points,
+    with k = 2..5 levels requested."""
+    params = SquidParams(draw(st.floats(100.0, 400.0)), draw(st.floats(20.0, 500.0)), draw(st.floats(0.0, 3.5)))
+    n_points = 2 * draw(st.integers(128, 2048)) + draw(st.integers(1, 2))
+    return params, FluxGrid(-0.25, 1.25, n_points), draw(st.integers(2, 5))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(symmetric_squids())
+def test_parity_sectors_match_full_grid_spectrum(case):
+    params, grid, k = case
+    sol = solve_levels(params, grid, k=k)
+    dphi, kin = grid.spacing, KINETIC_GHZ_FF / params.c_ff
+    diag = potential(params, grid.points) + 2.0 * kin / dphi**2
+    off = np.full(grid.n_points - 1, -kin / dphi**2)
+    full = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1))
+    norm = float(np.max(np.abs(diag))) + 2.0 * kin / dphi**2
+    assert np.max(np.abs(sol.energies - full)) <= 1e-14 * norm
+    assert np.all(np.diff(sol.energies) >= 0.0) and sol.gap >= 0.0
+    assert all(np.array_equal(psi[::-1], psi) or np.array_equal(psi[::-1], -psi) for psi in sol.wavefunctions)
+    gram = sol.wavefunctions @ sol.wavefunctions.T * dphi
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-12

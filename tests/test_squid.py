@@ -141,6 +141,30 @@ class TestSolveLevels:
             solve_levels(P_UNSUPPRESSED, k=1)
 
 
+class TestDeepWellDoublets:
+    """Deep symmetric double wells, whose doublet partners agree to rounding."""
+
+    @pytest.mark.parametrize(
+        "params, grid, k",
+        [
+            (SquidParams(400.0, 80.0, 3.0), None, 3),
+            (SquidParams(150.0, 500.0, 3.0), FluxGrid(-0.25, 1.25, 30000), 3),  # even n
+            (SquidParams(157.5, 85.0, 3.0), None, 2),
+        ],
+    )
+    def test_doublet_solves_with_exact_parity(self, params, grid, k):
+        sol = solve_levels(params, grid, k=k)
+        assert np.all(np.diff(sol.energies) >= 0.0) and sol.gap >= 0.0
+        assert sol.gap < 1e-9 * sol.energies[0]  # a doublet at the solver floor
+        parities = [
+            1 if np.array_equal(psi[::-1], psi) else -1 if np.array_equal(psi[::-1], -psi) else 0
+            for psi in sol.wavefunctions
+        ]
+        assert sorted(parities) == sorted([1] * ((k + 1) // 2) + [-1] * (k // 2))
+        gram = sol.wavefunctions @ sol.wavefunctions.T * sol.grid.spacing
+        assert np.max(np.abs(gram - np.eye(k))) < 1e-12
+
+
 class TestExtractTwoLevel:
     def test_unsuppressed_at_solver_floor(self):
         tlp = extract_two_level(P_UNSUPPRESSED)
