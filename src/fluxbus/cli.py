@@ -121,6 +121,17 @@ def _number(cfg: dict, key: str, default=None):
     return value
 
 
+def _integer(cfg: dict, key: str, default=None) -> int:
+    """A config number that must be a non-negative integer (an integral
+    float such as 4097.0 is accepted)."""
+    value = _number(cfg, key, default)
+    if value != int(value):
+        raise ConfigError(f"config key {key} must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigError(f"{key} must be non-negative")
+    return int(value)
+
+
 @dataclass
 class DesignReport:
     """One command's inputs, derived quantities, and pass/warn flags."""
@@ -170,18 +181,16 @@ _MAX_GRID_POINTS = 2**30 // (16 * 8)
 def _grid_from_config(cfg: dict) -> FluxGrid | None:
     if "grid_points" not in cfg and "phi_window_lo" not in cfg:
         return None
-    n_points = _number(cfg, "grid_points", 4097)
-    if n_points != int(n_points):
-        raise ConfigError(f"config key grid_points must be an integer, got {n_points!r}")
+    n_points = _integer(cfg, "grid_points", 4097)
     if n_points > _MAX_GRID_POINTS:
         raise ConfigError(
-            f"grid_points = {int(n_points)} exceeds {_MAX_GRID_POINTS}: the flux solver's ~16 float64 arrays "
+            f"grid_points = {n_points} exceeds {_MAX_GRID_POINTS}: the flux solver's ~16 float64 arrays "
             "of grid_points entries must fit in 1 GiB"
         )
     return FluxGrid(
         phi_min=_number(cfg, "phi_window_lo", -0.25),
         phi_max=_number(cfg, "phi_window_hi", 1.25),
-        n_points=int(n_points),
+        n_points=n_points,
     )
 
 
@@ -198,11 +207,41 @@ def _squid_from_config(cfg: dict) -> SquidParams:
         raise ConfigError(str(exc)) from exc
 
 
+# Each sweep point adds two report entries; the report and its output text
+# peak at ~1.1 kB per point (tracemalloc, eigensolves stubbed out), so a 1 GiB
+# budget at 1.2 kB per point bounds sweep_points before any Ic is allocated.
+_MAX_SWEEP_POINTS = 2**30 // 1200
+
+
+def _sweep_from_config(cfg: dict) -> np.ndarray | None:
+    if "sweep_Ic_lo_uA" not in cfg:
+        return None
+    _require(cfg, "sweep_Ic_hi_uA", "sweep_points")
+    points = _integer(cfg, "sweep_points")
+    if points > _MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep_points = {points} exceeds {_MAX_SWEEP_POINTS}: the report's two entries per point "
+            "must fit in 1 GiB"
+        )
+    return np.linspace(_number(cfg, "sweep_Ic_lo_uA"), _number(cfg, "sweep_Ic_hi_uA"), points)
+
+
 def cmd_calibrate(cfg: dict) -> DesignReport:
     """Two-level parameters at the configured bias; optional inverse
     calibration of Ic against a target tunneling splitting and Ic sweep."""
     params = _squid_from_config(cfg)
     grid = _grid_from_config(cfg)
+    target = _number(cfg, "target_delta_GHz")
+    if target is not None:
+        bracket = (_number(cfg, "bracket_lo_uA", 1.5), _number(cfg, "bracket_hi_uA", 3.0))
+        if target <= 0:
+            raise ConfigError(f"config key target_delta_GHz must be positive, got {target!r}")
+        if not 0 <= bracket[0] < bracket[1]:
+            raise ConfigError(
+                f"config keys bracket_lo_uA = {bracket[0]!r}, bracket_hi_uA = {bracket[1]!r} "
+                "must satisfy 0 <= bracket_lo_uA < bracket_hi_uA"
+            )
+    sweep = _sweep_from_config(cfg)
     report = DesignReport(kind="calibrate")
     report.inputs = {
         "L_pH": params.l_ph,
@@ -231,18 +270,13 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
             report.notes.append("splitting underflows to 0 at the solver floor: no pi pulse")
         report.flags["delta_at_solver_floor"] = tlp.at_solver_floor
 
-    target = _number(cfg, "target_delta_GHz")
     if target is not None:
-        bracket = (_number(cfg, "bracket_lo_uA", 1.5), _number(cfg, "bracket_hi_uA", 3.0))
         ic = squidmod.calibrate_critical_current(params, target, bracket=bracket, grid=grid)
         report.derived["target_delta_GHz"] = target
         report.derived["calibrated_Ic_uA"] = ic
 
-    if "sweep_Ic_lo_uA" in cfg:
-        _require(cfg, "sweep_Ic_hi_uA", "sweep_points")
-        lo, hi = _number(cfg, "sweep_Ic_lo_uA"), _number(cfg, "sweep_Ic_hi_uA")
-        points = int(_number(cfg, "sweep_points"))
-        for idx, ic in enumerate(np.linspace(lo, hi, points)):
+    if sweep is not None:
+        for idx, ic in enumerate(sweep):
             sol = squidmod.solve_levels(replace(params, ic_ua=float(ic), phi_x=0.5), grid=grid, k=2)
             report.derived[f"sweep[{idx}].Ic_uA"] = float(ic)
             report.derived[f"sweep[{idx}].delta_GHz"] = sol.gap
@@ -257,7 +291,7 @@ def cmd_design(cfg: dict) -> DesignReport:
         bus = BusParams(
             l_b_nh=_number(cfg, "L_b_nH"),
             m_ph=_number(cfg, "M_pH"),
-            n_qubits=int(_number(cfg, "N")),
+            n_qubits=_integer(cfg, "N"),
             k_geom=_number(cfg, "k_geom", 1.0),
         )
     except ValueError as exc:
@@ -327,9 +361,7 @@ _MAX_LOGICAL = int(math.log(2**30 / 16, 8))
 def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
     """Register, controls and circuit shared by ``simulate`` and ``compile``."""
     _require(cfg, "n_logical")
-    n_logical = int(_number(cfg, "n_logical"))
-    if n_logical < 0:
-        raise ConfigError("n_logical must be non-negative")
+    n_logical = _integer(cfg, "n_logical")
     if n_logical > _MAX_LOGICAL:
         raise ConfigError(
             f"n_logical = {n_logical} exceeds {_MAX_LOGICAL}: the 16 * 8^n_logical byte code-space isometry "

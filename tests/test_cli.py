@@ -41,6 +41,8 @@ mode = ideal
 initial_bits = 00
 """
 
+SWEEP_CFG = SQUID_CFG + "sweep_Ic_lo_uA = 2.0\nsweep_Ic_hi_uA = 3.0\n"
+
 BELL_CIRCUIT = "H 0\nCNOT 0,1\n"
 
 
@@ -342,6 +344,46 @@ class TestMainExitCodes:
         assert main(["calibrate", "--config", cfg_file(SQUID_CFG + f"grid_points = {value}\n")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[config]:") and "grid_points" in err and reason in err
+
+    @pytest.mark.parametrize(
+        "command, text, reason",
+        [
+            pytest.param("calibrate", SWEEP_CFG + "sweep_points = 2.5\n", "config key sweep_points must be an integer",
+                         id="sweep_points-fraction"),
+            pytest.param("calibrate", SWEEP_CFG + "sweep_points = -3\n", "sweep_points must be non-negative",
+                         id="sweep_points-negative"),
+            pytest.param("calibrate", SWEEP_CFG + "sweep_points = 1000000000000\n",
+                         "sweep_points = 1000000000000 exceeds", id="sweep_points-oversize"),
+            pytest.param("design", DESIGN_CFG.replace("N = 1000", "N = 1000.7"), "config key N must be an integer",
+                         id="N-fraction"),
+            pytest.param("simulate", SIM_CFG.replace("n_logical = 2", "n_logical = 2.5"),
+                         "config key n_logical must be an integer", id="n_logical-fraction"),
+            pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = -1\n",
+                         "config key target_delta_GHz must be positive", id="target-negative"),
+            pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = 2.6\nbracket_lo_uA = 3.0\nbracket_hi_uA = 1.5\n",
+                         "bracket_lo_uA = 3.0, bracket_hi_uA = 1.5", id="bracket-reversed"),
+            pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = 2.6\nbracket_lo_uA = -1\n",
+                         "bracket_lo_uA = -1", id="bracket-negative"),
+        ],
+    )
+    def test_bad_config_key_named(self, cfg_file, tmp_path, capsys, monkeypatch, command, text, reason):
+        # rejected at the boundary, before any level is solved
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve_levels reached")
+
+        monkeypatch.setattr(squidmod, "solve_levels", unreachable)
+        circuit = tmp_path / "bell.circuit"
+        circuit.write_text(BELL_CIRCUIT)
+        args = [command, "--config", cfg_file(text)] + (["--circuit", str(circuit)] if command == "simulate" else [])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]:") and reason in err
+
+    def test_inverse_iteration_failure_is_numerical(self, cfg_file, capsys, monkeypatch):
+        monkeypatch.setattr(squidmod, "_INVERSE_ITERATIONS", 1)
+        assert main(["calibrate", "--config", cfg_file(SQUID_CFG)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[numerical]:") and "inverse iteration did not converge" in err
 
 
 class TestReproducePaper:

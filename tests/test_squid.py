@@ -6,14 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fluxbus import squid as squidmod
 from fluxbus.constants import JOSEPHSON_GHZ_PER_UA
 from fluxbus.squid import (
     BracketError,
+    ConvergenceError,
     FluxGrid,
     NoDoubleWellError,
     SquidParams,
     TwoLevelParams,
     WindowTooSmallError,
+    _ground_state,
     beta_l,
     calibrate_critical_current,
     default_grid,
@@ -163,6 +166,44 @@ class TestDeepWellDoublets:
         assert sorted(parities) == sorted([1] * ((k + 1) // 2) + [-1] * (k // 2))
         gram = sol.wavefunctions @ sol.wavefunctions.T * sol.grid.spacing
         assert np.max(np.abs(gram - np.eye(k))) < 1e-12
+
+
+class TestSectorGroundState:
+    """Inverse iteration, which supplies a parity sector's single level."""
+
+    # Dirichlet chain (2, -1): lowest level 2 - 2 cos(pi/(n+1)), a sine mode.
+    CHAIN = (np.full(257, 2.0), np.full(256, -1.0))
+
+    def test_symmetric_two_level_solve_skips_bisection(self, monkeypatch):
+        class Bisection(Exception):
+            pass
+
+        def bisection(*args, **kwargs):
+            raise Bisection
+
+        monkeypatch.setattr(squidmod, "eigh_tridiagonal", bisection)
+        assert solve_levels(P_SUPPRESSED).gap == pytest.approx(2.570995640416868, rel=1e-6)
+        with pytest.raises(Bisection):
+            solve_levels(replace(P_SUPPRESSED, phi_x=0.5 + BIAS_OFFSET))
+        with pytest.raises(Bisection):
+            solve_levels(P_SUPPRESSED, k=3)
+
+    def test_matches_closed_form_chain(self):
+        n = self.CHAIN[0].size
+        energies, vectors = _ground_state(*self.CHAIN, 0.0, 1e-14)
+        mode = np.sin(math.pi * np.arange(1, n + 1) / (n + 1))
+        assert energies.shape == (1,) and vectors.shape == (n, 1)
+        assert energies[0] == pytest.approx(2.0 - 2.0 * math.cos(math.pi / (n + 1)), rel=1e-9)
+        assert abs(vectors[:, 0] @ mode) / np.linalg.norm(mode) == pytest.approx(1.0, abs=1e-12)
+
+    def test_shift_inside_spectrum_raises(self):
+        with pytest.raises(ConvergenceError, match="not below"):
+            _ground_state(*self.CHAIN, 1e-3, 1e-14)  # above the lowest level, 1.5e-4
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(squidmod, "_INVERSE_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            solve_levels(P_SUPPRESSED)
 
 
 class TestExtractTwoLevel:
