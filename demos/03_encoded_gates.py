@@ -61,9 +61,10 @@ for mode in ("ideal", "physical"):
 
 print("\n=== spectators stay untouched ===")
 reg3 = fb.LogicalRegister.default(3)
-iso = reg3.isometry()
 logical = np.kron(np.kron([1, 0], [0, 1]), [1 / math.sqrt(2), 1j / math.sqrt(2)])
-psi0 = fb.QuantumState(iso @ logical.astype(complex))
+amp = np.zeros(2**reg3.n_physical, dtype=complex)
+amp[reg3.code_indices()] = logical
+psi0 = fb.QuantumState(amp)
 segs = fb.compile_cphase(0, 1, reg3, fb.ControlParams(mode="physical"))
 out = fb.run_schedule(psi0, fb.PulseSchedule(tuple(segs), fb.bus_all_to_all(6, 25.0)))
 td = fb.trace_distance(

@@ -34,7 +34,7 @@ from .compiler import (
     ideal_circuit_unitary,
     parse_circuit,
 )
-from .evolve import QuantumState, _code_space, fidelity, reduced_density_matrix, run_schedule, trace_distance
+from .evolve import QuantumState, fidelity, reduced_density_matrix, run_schedule, trace_distance
 from .squid import FluxGrid, SquidParams
 
 __all__ = [
@@ -187,11 +187,15 @@ def _grid_from_config(cfg: dict) -> FluxGrid | None:
             f"grid_points = {n_points} exceeds {_MAX_GRID_POINTS}: the flux solver's ~16 float64 arrays "
             "of grid_points entries must fit in 1 GiB"
         )
-    return FluxGrid(
-        phi_min=_number(cfg, "phi_window_lo", -0.25),
-        phi_max=_number(cfg, "phi_window_hi", 1.25),
-        n_points=n_points,
-    )
+    if n_points < 257:  # FluxGrid's minimum
+        raise ConfigError(f"config key grid_points must be at least 257, got {n_points}")
+    lo, hi = _number(cfg, "phi_window_lo", -0.25), _number(cfg, "phi_window_hi", 1.25)
+    if not lo < hi:
+        raise ConfigError(
+            f"config keys phi_window_lo = {lo!r}, phi_window_hi = {hi!r} "
+            "must satisfy phi_window_lo < phi_window_hi"
+        )
+    return FluxGrid(phi_min=lo, phi_max=hi, n_points=n_points)
 
 
 def _squid_from_config(cfg: dict) -> SquidParams:
@@ -223,7 +227,10 @@ def _sweep_from_config(cfg: dict) -> np.ndarray | None:
             f"sweep_points = {points} exceeds {_MAX_SWEEP_POINTS}: the report's two entries per point "
             "must fit in 1 GiB"
         )
-    return np.linspace(_number(cfg, "sweep_Ic_lo_uA"), _number(cfg, "sweep_Ic_hi_uA"), points)
+    lo, hi = _number(cfg, "sweep_Ic_lo_uA"), _number(cfg, "sweep_Ic_hi_uA")
+    if lo < 0 or hi < 0:
+        raise ConfigError(f"config keys sweep_Ic_lo_uA = {lo!r}, sweep_Ic_hi_uA = {hi!r} must be non-negative")
+    return np.linspace(lo, hi, points)
 
 
 def cmd_calibrate(cfg: dict) -> DesignReport:
@@ -353,9 +360,11 @@ def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
         raise ConfigError(str(exc)) from exc
 
 
-# A simulation's memory is dominated by the dense 2^(2n) x 2^n code-space
-# isometry, 16 * 8^n bytes; a 1 GiB budget bounds n_logical at 8.
-_MAX_LOGICAL = int(math.log(2**30 / 16, 8))
+# A simulation holds its states, the logical unitary and run_schedule's working
+# arrays, 4^n_logical amplitudes each: at most 320 B per amplitude (tracemalloc
+# at n_logical 7-9, peak in a two-qubit flip's batched eigh); a 1 GiB budget
+# bounds n_logical at 10.
+_MAX_LOGICAL = int(math.log(2**30 / 320, 4))
 
 
 def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
@@ -364,8 +373,8 @@ def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
     n_logical = _integer(cfg, "n_logical")
     if n_logical > _MAX_LOGICAL:
         raise ConfigError(
-            f"n_logical = {n_logical} exceeds {_MAX_LOGICAL}: the 16 * 8^n_logical byte code-space isometry "
-            "must fit in 1 GiB"
+            f"n_logical = {n_logical} exceeds {_MAX_LOGICAL}: the simulation's 320 B for each of its "
+            "4^n_logical amplitudes must fit in 1 GiB"
         )
     params = _control_from_config(cfg, mode)
     circuit = parse_circuit(circuit_text)
@@ -376,8 +385,8 @@ def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _bitstrings(n_logical: int) -> tuple:
-    """The 2^n basis labels "0...0" .. "1...1", shared by every record
-    (one entry per n_logical <= _MAX_LOGICAL)."""
+    """The 2^n logical labels "0...0" .. "1...1" in ``code_indices`` order,
+    shared by every record (one cached tuple per n_logical <= _MAX_LOGICAL)."""
     return tuple(format(ell, f"0{n_logical}b") if n_logical else "" for ell in range(2**n_logical))
 
 
@@ -396,12 +405,13 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     state0 = encode(initial_bits, reg)
     final = run_schedule(state0, schedule)
 
-    iso = reg.isometry()
+    idx = reg.code_indices()
     u = ideal_circuit_unitary(circuit, n_logical)
-    logical0 = np.zeros(2**n_logical, dtype=complex)
-    logical0[int(initial_bits, 2) if initial_bits else 0] = 1.0
-    fidelity_value = fidelity(QuantumState(iso @ (u @ logical0)), final)
-    code_amp, leakage = _code_space(iso, final)
+    ideal = np.zeros(2**reg.n_physical, dtype=complex)
+    ideal[idx] = u[:, int(initial_bits or "0", 2)]
+    fidelity_value = fidelity(QuantumState(ideal), final)
+    code_amp = final.amplitudes[idx]
+    leakage = max(0.0, 1.0 - float(np.linalg.norm(code_amp) ** 2))
 
     touched = {q for gate in circuit.gates for q in gate.qubits}
     spectators = {}

@@ -94,31 +94,24 @@ class LogicalRegister:
     def default(cls, n_logical: int) -> "LogicalRegister":
         return cls(tuple((2 * k, 2 * k + 1) for k in range(n_logical)))
 
-    def physical_index(self, logical_bits: str) -> int:
-        """Basis index of the code word for a logical bitstring."""
-        n = self.n_physical
-        index = 0
-        for bit, (a, b) in zip(logical_bits, self.pairs):
-            if bit == "0":
-                index |= 1 << (n - 1 - b)  # a up (0), b down (1)
-            else:
-                index |= 1 << (n - 1 - a)
-        return index
+    def code_indices(self) -> np.ndarray:
+        """Code map: the 2^(2P) basis index of each of the 2^P code words.
 
-    def isometry(self) -> np.ndarray:
-        """Code map: 2^(2P) x 2^P matrix with one code word per column."""
-        iso = np.zeros((2**self.n_physical, 2**self.n_logical), dtype=complex)
-        for ell in range(2**self.n_logical):
-            bits = format(ell, f"0{self.n_logical}b") if self.n_logical else ""
-            iso[self.physical_index(bits), ell] = 1.0
-        return iso
+        Entry ell is the code word of the logical bitstring ell (logical
+        qubit 0 is its leading bit).  Logical 0 on pair (a, b) is a up (0),
+        b down (1), logical 1 the reverse; physical qubit q is bit 2P-1-q.
+        """
+        n, p = self.n_physical, self.n_logical
+        logical_bits = (np.arange(2**p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
+        a_down, b_down = (1 << (n - 1 - np.array(self.pairs, dtype=np.int64).reshape(p, 2))).T
+        return np.where(logical_bits == 1, a_down, b_down).sum(axis=1)
 
 
 def encode(bits: str, reg: LogicalRegister) -> QuantumState:
     """Product code state for a logical bitstring."""
     if len(bits) != reg.n_logical or (bits and set(bits) - {"0", "1"}):
         raise ValueError(f"need a {reg.n_logical}-character bitstring of 0s and 1s")
-    return QuantumState.basis(reg.n_physical, reg.physical_index(bits))
+    return QuantumState.basis(reg.n_physical, reg.code_indices()[int(bits or "0", 2)])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import reduce
 
 import numpy as np
 
@@ -278,18 +278,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
-def _code_space(iso: np.ndarray, state: QuantumState) -> tuple:
-    """Code-space amplitudes iso^dagger psi and the leakage 1 - ||iso^dagger psi||^2."""
-    code = iso.conj().T @ state.amplitudes
-    return code, max(0.0, 1.0 - float(np.linalg.norm(code) ** 2))
-
-
-_SINGLE_QUBIT_INPUTS = (
-    np.array([1.0, 0.0], dtype=complex),
-    np.array([0.0, 1.0], dtype=complex),
-    np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
-)
+# Columns |0>, |1>, |+>, |+i>: the single-qubit product-input states.
+_SINGLE_QUBIT_INPUTS = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0j]]) / np.sqrt([1.0, 1.0, 2.0, 2.0])
 
 
 @dataclass(frozen=True)
@@ -309,37 +299,42 @@ def logical_process_fidelity(
 ) -> ProcessFidelityResult:
     """Compare a schedule's action on code space against an ideal logical gate.
 
-    ``encoding`` provides ``n_logical`` and ``isometry()`` (the 2^N_phys x
-    2^n_logical code map).  The figure of merit is the state fidelity between
-    the schedule output and the encoded ideal output, averaged over all
-    4^n_logical products of {|0>, |1>, |+>, |+i>}; superposition inputs make
-    relative-phase errors visible while a global phase cancels per input.
-    Leakage out of the code space is reported, never raised.
+    ``encoding`` provides ``n_logical``, ``n_physical`` (which must match the
+    schedule) and ``code_indices()`` (the basis index of each of the
+    2^n_logical code words).  The figure of merit is the state fidelity
+    between the schedule output and the encoded ideal output, averaged over
+    all 4^n_logical products of {|0>, |1>, |+>, |+i>}; superposition inputs
+    make relative-phase errors visible while a global phase cancels per
+    input.  Leakage out of the code space is reported, never raised; an
+    input whose output (or ideal output) is not normalised to 1e-10 raises
+    ValueError.
     """
-    iso = encoding.isometry()
+    idx = encoding.code_indices()
     n_logical = encoding.n_logical
     u = np.asarray(ideal_logical_unitary, dtype=complex)
     if u.shape != (2**n_logical, 2**n_logical):
         raise ValueError("ideal unitary size does not match the encoding")
 
-    # Propagation is linear: run each code word once, then form every
-    # product input's output from the code-word images.
-    image = np.column_stack(
-        [run_schedule(QuantumState(iso[:, j]), schedule).amplitudes for j in range(iso.shape[1])]
-    )
-    fidelities = []
-    leakages = []
-    for combo in product(_SINGLE_QUBIT_INPUTS, repeat=n_logical):
-        logical = np.array([1.0], dtype=complex)
-        for s in combo:
-            logical = np.kron(logical, s)
-        out = QuantumState(image @ logical)
-        ideal_out = QuantumState(iso @ (u @ logical))
-        fidelities.append(fidelity(ideal_out, out))
-        leakages.append(_code_space(iso, out)[1])
+    # Propagation is linear: run each code word once.  Every product input l
+    # (a column of ``inputs``) then gives the output image @ l, whose
+    # code-space part is M @ l with M = image[idx]; the ideal output u @ l
+    # lies in the code space.
+    n_physical = encoding.n_physical
+    image = np.column_stack([run_schedule(QuantumState.basis(n_physical, i), schedule).amplitudes for i in idx])
+    inputs = reduce(np.kron, [_SINGLE_QUBIT_INPUTS] * n_logical, np.ones((1, 1)))
+    ideal = u @ inputs
+    gram = image.conj().T @ image  # ||image @ l||^2 = l^dagger gram l
+    out_norms = np.sqrt(np.abs(np.sum(inputs.conj() * (gram @ inputs), axis=0)))
+    for label, norms in (("output", out_norms), ("ideal output", np.linalg.norm(ideal, axis=0))):
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))
+        if bad.size:
+            raise ValueError(f"product input {bad[0]}: {label} norm {norms[bad[0]]:.12f} is not 1")
+    code = image[idx] @ inputs
+    fidelities = np.abs(np.sum(ideal.conj() * code, axis=0)) ** 2
+    leakages = np.maximum(0.0, 1.0 - np.linalg.norm(code, axis=0) ** 2)
 
     return ProcessFidelityResult(
         fidelity=float(np.mean(fidelities)),
         max_leakage=float(np.max(leakages)),
-        per_input=tuple(fidelities),
+        per_input=tuple(fidelities.tolist()),
     )

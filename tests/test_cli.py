@@ -14,6 +14,7 @@ from fluxbus.cli import (
     main,
     parse_config,
 )
+from fluxbus.compiler import LogicalRegister
 from fluxbus.squid import TwoLevelParams
 
 SQUID_CFG = """
@@ -281,7 +282,8 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == "error[config]: n_logical must be non-negative\n"
 
     def test_largest_n_logical_runs(self, cfg_file, tmp_path, capsys):
-        # 16 physical qubits; idle encoded pairs leave the gate figures unchanged
+        # 16 physical qubits through main (criterion 11 simulates 18); idle
+        # encoded pairs leave the gate figures unchanged
         circuit = tmp_path / "bell.circuit"
         circuit.write_text(BELL_CIRCUIT)
         records = []
@@ -295,14 +297,19 @@ class TestMainExitCodes:
         assert abs(large["leakage"] - small["leakage"]) <= 1e-10
 
     @pytest.mark.parametrize("command", ["simulate", "compile"])
-    @pytest.mark.parametrize("n_logical", [9, 10**9])
-    def test_oversize_n_logical(self, cfg_file, tmp_path, capsys, command, n_logical):
+    @pytest.mark.parametrize("n_logical", [11, 10**9])
+    def test_oversize_n_logical(self, cfg_file, tmp_path, capsys, monkeypatch, command, n_logical):
+        # rejected before the register is built or anything is allocated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("register built")
+
+        monkeypatch.setattr(LogicalRegister, "default", unreachable)
         circuit = tmp_path / "empty.circuit"
         circuit.write_text("")
         cfg = cfg_file(SIM_CFG.replace("n_logical = 2", f"n_logical = {n_logical}"))
         assert main([command, "--config", cfg, "--circuit", str(circuit)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error[config]: n_logical = {n_logical} exceeds 8")
+        assert err.startswith(f"error[config]: n_logical = {n_logical} exceeds 10")
 
     def test_no_double_well_is_numerical(self, cfg_file, capsys):
         # Ic = 1 uA gives beta_L = 0.456: a single well, so no two-level qubit to couple
@@ -364,6 +371,12 @@ class TestMainExitCodes:
                          "bracket_lo_uA = 3.0, bracket_hi_uA = 1.5", id="bracket-reversed"),
             pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = 2.6\nbracket_lo_uA = -1\n",
                          "bracket_lo_uA = -1", id="bracket-negative"),
+            pytest.param("calibrate", SWEEP_CFG.replace("sweep_Ic_lo_uA = 2.0", "sweep_Ic_lo_uA = -1")
+                         + "sweep_points = 3\n", "sweep_Ic_lo_uA = -1", id="sweep_Ic-negative"),
+            pytest.param("calibrate", SQUID_CFG + "phi_window_lo = 1.25\nphi_window_hi = -0.25\n",
+                         "phi_window_lo = 1.25, phi_window_hi = -0.25", id="phi_window-reversed"),
+            pytest.param("calibrate", SQUID_CFG + "grid_points = 100\n", "config key grid_points must be at least 257",
+                         id="grid_points-small"),
         ],
     )
     def test_bad_config_key_named(self, cfg_file, tmp_path, capsys, monkeypatch, command, text, reason):

@@ -273,9 +273,10 @@ class _TrivialEncoding:
     """One logical qubit in one physical qubit, for fidelity plumbing tests."""
 
     n_logical = 1
+    n_physical = 1
 
-    def isometry(self):
-        return np.eye(2, dtype=complex)
+    def code_indices(self):
+        return np.arange(2)
 
 
 class TestLogicalProcessFidelity:
@@ -301,6 +302,16 @@ class TestLogicalProcessFidelity:
         )
         res = logical_process_fidelity(sched, target, _TrivialEncoding())
         assert res.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_unitary_target_rejected(self):
+        sched = PulseSchedule((), spec_with(1))
+        with pytest.raises(ValueError, match="ideal output norm"):
+            logical_process_fidelity(sched, np.diag([1.0, 0.5]), _TrivialEncoding())
+
+    def test_encoding_size_must_match_schedule(self):
+        sched = PulseSchedule((), spec_with(2))
+        with pytest.raises(ValueError, match="state size"):
+            logical_process_fidelity(sched, np.eye(2), _TrivialEncoding())
 
     def test_result_dataclass(self):
         res = ProcessFidelityResult(fidelity=0.5, max_leakage=0.1)

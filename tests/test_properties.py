@@ -16,6 +16,7 @@ from fluxbus.compiler import (
     GateCircuit,
     LogicalRegister,
     compile_circuit,
+    encode,
     ideal_circuit_unitary,
     verify_ifs,
 )
@@ -30,6 +31,8 @@ from fluxbus.evolve import (
 from fluxbus.constants import ENERGY_GHZ_PER_PH_UA2, KINETIC_GHZ_FF, PHI0_PH_UA
 from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian, coupling_diagonal, ising_diagonal
 from fluxbus.squid import FluxGrid, SquidParams, potential, solve_levels
+
+from code_space_oracle import dense_isometry
 
 # Fixed example sequence: the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -133,8 +136,29 @@ def test_code_space_is_interaction_free(case, data):
         ).filter(lambda w: np.linalg.norm(w) > 1e-3)
     )
     logical = np.asarray(weights, dtype=complex)
-    state = QuantumState(reg.isometry() @ (logical / np.linalg.norm(logical)))
+    state = QuantumState(dense_isometry(reg) @ (logical / np.linalg.norm(logical)))
     assert verify_ifs(state, spec, reg) == 0.0
+
+
+@st.composite
+def tilings(draw):
+    """Any register of 0..5 pairs: a random permutation of the physical
+    qubits, taken two at a time."""
+    n_logical = draw(st.integers(0, 5))
+    qubits = draw(st.permutations(range(2 * n_logical)))
+    return LogicalRegister(tuple(zip(qubits[::2], qubits[1::2])))
+
+
+@PROPERTY
+@given(tilings())
+def test_code_indices_match_dense_isometry(reg):
+    iso = dense_isometry(reg)
+    cols, rows = np.nonzero(iso.T)  # ordered by column
+    assert cols.tolist() == list(range(2**reg.n_logical))
+    assert reg.code_indices().tolist() == rows.tolist()
+    for ell in range(2**reg.n_logical):
+        bits = format(ell, f"0{reg.n_logical}b") if reg.n_logical else ""
+        assert np.array_equal(encode(bits, reg).amplitudes, iso[:, ell])
 
 
 _DRIVES = st.floats(-5.0, 5.0, allow_nan=False)
