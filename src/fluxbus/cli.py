@@ -179,7 +179,7 @@ _MAX_GRID_POINTS = 2**30 // (16 * 8)
 
 
 def _grid_from_config(cfg: dict) -> FluxGrid | None:
-    if "grid_points" not in cfg and "phi_window_lo" not in cfg:
+    if not any(key in cfg for key in ("grid_points", "phi_window_lo", "phi_window_hi")):
         return None
     n_points = _integer(cfg, "grid_points", 4097)
     if n_points > _MAX_GRID_POINTS:
@@ -361,10 +361,13 @@ def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
 
 
 # A simulation holds its states, the logical unitary and run_schedule's working
-# arrays, 4^n_logical amplitudes each: at most 320 B per amplitude (tracemalloc
-# at n_logical 7-9, peak in a two-qubit flip's batched eigh); a 1 GiB budget
-# bounds n_logical at 10.
-_MAX_LOGICAL = int(math.log(2**30 / 320, 4))
+# arrays, 4^n_logical amplitudes each.  Their tracemalloc peak over 200 random
+# circuits at n_logical 7 is at most 340 B per amplitude, reached while a
+# two-qubit flip's blocks are diagonalised with the previous flip's still
+# kept; _BYTES_PER_AMPLITUDE adds a 50% margin for numpy's temporaries
+# (tests/test_cli.py checks it).  A 1 GiB budget bounds n_logical at 10.
+_BYTES_PER_AMPLITUDE = 512
+_MAX_LOGICAL = int(math.log(2**30 / _BYTES_PER_AMPLITUDE, 4))
 
 
 def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
@@ -373,8 +376,8 @@ def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
     n_logical = _integer(cfg, "n_logical")
     if n_logical > _MAX_LOGICAL:
         raise ConfigError(
-            f"n_logical = {n_logical} exceeds {_MAX_LOGICAL}: the simulation's 320 B for each of its "
-            "4^n_logical amplitudes must fit in 1 GiB"
+            f"n_logical = {n_logical} exceeds {_MAX_LOGICAL}: the simulation's {_BYTES_PER_AMPLITUDE} B "
+            "for each of its 4^n_logical amplitudes must fit in 1 GiB"
         )
     params = _control_from_config(cfg, mode)
     circuit = parse_circuit(circuit_text)

@@ -9,15 +9,19 @@ Physical propagation is block-structured and exact at machine precision.
 The coupling and the biases are diagonal in the computational basis, so a
 segment that drives k qubits splits into 2^(N-k) independent 2^k x 2^k
 blocks.  The coupling is fixed for a whole schedule: ``run_schedule`` forms
-its diagonal once and adds each segment's biases to a copy.  Undriven
+its diagonal once, and each distinct bias vector adds its non-zero biases to
+one copy of it (an all-zero bias uses the coupling itself).  Undriven
 segments (waits and bias pulses) are diagonal and commute, so
 ``run_schedule`` sums the exponents of each run of them and applies one
-phase vector.  Each driven segment goes through ``evolve_segment``, which
-takes the diagonal and the drive vector as arrays: one driven qubit has a
-closed-form 2 x 2 propagator, and k >= 2 driven qubits (the CPHASE flips)
-diagonalise all their blocks in one batched ``eigh``.  No 2^N x 2^N
-operator is built; the dense ``spin.build_hamiltonian`` matrix is the
-reference the tests compare against.
+phase vector.  ``evolve_segment`` propagates one segment given the diagonal
+and the drive vector as arrays: one driven qubit has a closed-form 2 x 2
+propagator, and k >= 2 driven qubits (the CPHASE flips) diagonalise all
+their blocks in one batched ``eigh``.  ``run_schedule`` sends one-qubit
+drives through it and keeps the last k >= 2 block decomposition, so a flip
+that repeats the previous one's (bias, drive, duration), as the two flips of
+a CPHASE do, is not diagonalised again.  No 2^N x 2^N operator is built;
+the dense ``spin.build_hamiltonian`` matrix is the reference the tests
+compare against.
 
 Ideal labels: ``("x_flip", q)``, ``("x_rot", q, angle)``, ``("z_rot", q,
 angle)`` with rotations in the exp(-i angle/2 sigma) convention.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -156,18 +160,38 @@ def evolve_segment(state: QuantumState, diag, delta_ghz, t_ns: float) -> Quantum
     if k == 1:
         q = int(driven[0])
         return QuantumState(_evolve_one_drive(state.amplitudes, diag, q, delta_ghz[q], t_ns))
+    return QuantumState(_evolve_blocks(state.amplitudes, driven, *_block_propagator(diag, delta_ghz, t_ns)))
+
+
+def _block_propagator(diag: np.ndarray, delta_ghz: np.ndarray, t_ns: float) -> tuple:
+    """The propagators exp(-i 2 pi H_b t) of the 2^(N-k) blocks of a segment
+    driving k >= 2 qubits, as (v, phases): their eigenvectors, stacked
+    (2^(N-k), 2^k, 2^k) in block order, and exp(-i 2 pi w t) of their
+    eigenvalues w, (2^(N-k), 2^k, 1).
+
+    Each block H_b is the k-qubit drive operator (``build_hamiltonian`` of
+    the driven qubits alone) plus its slice of D; one batched ``eigh``
+    diagonalises them all.
+    """
+    n = delta_ghz.shape[0]
+    driven = np.flatnonzero(delta_ghz)
+    k = driven.size
     drive = SpinHamiltonianSpec(k, delta_ghz[driven], np.zeros(k), np.zeros((k, k)))
     local = build_hamiltonian(drive)
-
     back = list(range(n - k, n))
     diag = np.moveaxis(diag.reshape([2] * n), driven, back).reshape(-1, 2**k)
-    amp = np.moveaxis(state.amplitudes.reshape([2] * n), driven, back).reshape(-1, 2**k, 1)
-    blocks = local + diag[:, :, None] * np.eye(2**k)
-    w, v = np.linalg.eigh(blocks)
-    phases = np.exp(-2j * math.pi * w * t_ns)[:, :, None]
-    amp = v @ (phases * (v.conj().transpose(0, 2, 1) @ amp))
-    amp = np.moveaxis(amp.reshape([2] * n), back, driven)
-    return QuantumState(amp.reshape(-1))
+    w, v = np.linalg.eigh(local + diag[:, :, None] * np.eye(2**k))
+    return v, np.exp(-2j * math.pi * w * t_ns)[:, :, None]
+
+
+def _evolve_blocks(amp: np.ndarray, driven: np.ndarray, v: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Apply the block propagators of ``_block_propagator`` to the 2^N
+    amplitudes ``amp``, the ``driven`` qubits' axes moved to the back."""
+    n = amp.shape[0].bit_length() - 1
+    back = list(range(n - driven.size, n))
+    blocks = np.moveaxis(amp.reshape([2] * n), driven, back).reshape(-1, 2**driven.size, 1)
+    blocks = v @ (phases * (v.conj().transpose(0, 2, 1) @ blocks))
+    return np.moveaxis(blocks.reshape([2] * n), back, driven).reshape(-1)
 
 
 def _evolve_one_drive(amp: np.ndarray, diag: np.ndarray, q: int, delta: float, t_ns: float) -> np.ndarray:
@@ -222,25 +246,46 @@ def _apply_ideal(state: QuantumState, op: tuple) -> QuantumState:
     return QuantumState(amp.reshape(-1))
 
 
+# Distinct biased diagonals one run_schedule keeps at once, 8 B per amplitude
+# each, so its memory does not grow with the schedule's length.
+_KEPT_DIAGONALS = 8
+
+
 def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
     """Left-fold of the schedule's segments over the state.
 
-    The coupling diagonal is formed once; each physical segment adds its
-    biases to a copy of it.  Undriven segments are diagonal and commute, so
-    each run of them sums its exponents -i 2 pi D_s t_s and applies one
-    phase vector when the run ends (at a driven segment, an ideal op or the
-    end of the schedule).  Driven segments go through ``evolve_segment``.
+    The coupling diagonal is formed once; each distinct bias vector adds its
+    biases to a copy of it, and an all-zero bias uses it as is.  Undriven
+    segments are diagonal and commute, so each run of them sums its
+    exponents -i 2 pi D_s t_s and applies one phase vector when the run ends
+    (at a driven segment, an ideal op or the end of the schedule).  One-qubit
+    drives go through ``evolve_segment``.  A segment driving k >= 2 qubits
+    reuses the block decomposition of the last such segment when its bias,
+    drive and duration are the same (the two flips of a CPHASE), and forms
+    it otherwise.
     """
     base = schedule.base
     if state.n_qubits != base.n_qubits:
         raise ValueError("state size does not match the schedule's qubit count")
     coupling = coupling_diagonal(base)
+    coupling.flags.writeable = False
+
+    # Keyed by the vectors' bytes; np.frombuffer gives the vector back.
+    @lru_cache(maxsize=_KEPT_DIAGONALS)
+    def biased(epsilon_key):
+        epsilon = np.frombuffer(epsilon_key)
+        return add_biases(coupling.copy(), epsilon) if epsilon.any() else coupling
+
+    @lru_cache(maxsize=1)
+    def blocks(epsilon_key, delta_key, t_ns):
+        return _block_propagator(biased(epsilon_key), np.frombuffer(delta_key), t_ns)
+
     angle = None  # summed exponent of the pending undriven run
     for seg in schedule.segments:
         if seg.mode == "physical":
             epsilon = base.epsilon_ghz if seg.epsilon_ghz is None else seg.epsilon_ghz
             delta = base.delta_ghz if seg.delta_ghz is None else seg.delta_ghz
-            diag = add_biases(coupling.copy(), epsilon)
+            diag = biased(epsilon.tobytes())
             if not delta.any():
                 term = -2j * math.pi * diag * seg.duration_ns
                 angle = term if angle is None else angle + term
@@ -250,8 +295,11 @@ def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
             angle = None
         if seg.mode == "ideal":
             state = _apply_ideal(state, seg.ideal_op)
-        else:
+        elif np.count_nonzero(delta) == 1:
             state = evolve_segment(state, diag, delta, seg.duration_ns)
+        else:
+            propagator = blocks(epsilon.tobytes(), delta.tobytes(), seg.duration_ns)
+            state = QuantumState(_evolve_blocks(state.amplitudes, np.flatnonzero(delta), *propagator))
     if angle is not None:
         state = QuantumState(np.exp(angle) * state.amplitudes)
     return state

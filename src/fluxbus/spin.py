@@ -10,13 +10,14 @@ significant bit of the computational basis index, and spin-up is the |0>
 state (sigma_z eigenvalue +1).  ``ising_diagonal`` gives the diagonal part
 D = sum_{i>j} J_ij z_i z_j - (1/2) sum_q epsilon_q z_q over the basis:
 ``coupling_diagonal`` forms the coupling terms in O(2^N) memory and
-``add_biases`` adds the bias terms in place.  The coupling is fixed for a
-whole pulse schedule, so ``evolve.run_schedule`` forms it once and adds each
-segment's biases to a copy.  ``build_hamiltonian`` assembles the dense
-2^N x 2^N matrix, capped at ``MAX_DENSE_QUBITS``: it is the reference the
-tests compare the block-structured propagation against, and ``evolve``
-calls it only for the 2^k x 2^k drive operator of a segment that drives
-k >= 2 qubits (the CPHASE flips); one driven qubit has a closed form.
+``add_biases`` adds the non-zero bias terms in place.  The coupling is fixed
+for a whole pulse schedule, so ``evolve.run_schedule`` forms it once and
+adds each distinct bias vector to one copy.  ``build_hamiltonian`` assembles
+the dense 2^N x 2^N matrix, capped at ``MAX_DENSE_QUBITS``: it is the
+reference the tests compare the block-structured propagation against, and
+``evolve`` calls it only for the 2^k x 2^k drive operator of a segment that
+drives k >= 2 qubits (the CPHASE flips), once per distinct (drive, bias,
+duration) in a schedule; one driven qubit has a closed form.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def coupling_diagonal(spec: SpinHamiltonianSpec, pairs=None, inter_pair_only: bo
 
 def add_biases(diag: np.ndarray, epsilon_ghz: np.ndarray) -> np.ndarray:
     """Add the bias terms -(1/2) sum_q eps_q z_q (GHz) to ``diag`` in place,
-    qubit by qubit, and return it."""
-    for q in range(epsilon_ghz.shape[0]):
+    qubit by qubit, and return it.  A zero bias adds nothing and is skipped."""
+    for q in np.flatnonzero(epsilon_ghz):
         view = diag.reshape(2**q, 2, -1)
         view -= 0.5 * epsilon_ghz[q] * _SIGNS[:, None]
     return diag

@@ -40,6 +40,20 @@ def test_traced_simulate_reaches_the_dynamics_layers():
     assert [metrics[f"{name}.calls"] for name in idle] == [0] * len(idle)
 
 
+def test_traced_simulate_builds_a_repeated_flip_once():
+    # CNOT is a CPHASE between basis changes of its target.  The CPHASE flips
+    # the same two qubits twice under the same bias for the same time, so its
+    # drive block is built once; the basis changes' one-qubit drives go
+    # through evolve_segment.
+    tracer = _tracing().Tracer()
+    with tracer.active():
+        cli.cmd_simulate({"n_logical": 2}, "CNOT 0,1\n", mode="physical")
+    metrics = tracer.layer_metrics()
+    flips = 2
+    assert metrics["spin.build_hamiltonian.calls"] == 1
+    assert metrics["evolve.evolve_segment.calls"] == metrics["compiler.segments.driven"] - flips > 0
+
+
 def test_traced_calibration_reaches_the_squid_layer():
     # Every eigensolve goes through the traced name: one for the two-level
     # reduction plus those the Ic calibration makes, and no dynamics work.

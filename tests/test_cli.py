@@ -1,9 +1,11 @@
 """Command-line harness: configs, reports, exit codes, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
+from fluxbus import cli
 from fluxbus import squid as squidmod
 from fluxbus.cli import (
     ConfigError,
@@ -237,6 +239,17 @@ class TestMainExitCodes:
         assert fine["delta_GHz"] == pytest.approx(default["delta_GHz"], rel=2e-5)
         assert fine["calibrated_Ic_uA"] == pytest.approx(default["calibrated_Ic_uA"], rel=1e-3)
 
+    def test_any_grid_key_builds_the_grid(self, cfg_file, capsys):
+        # phi_window_hi alone narrows the window like it does next to grid_points.
+        deltas = []
+        for extra in ("", "phi_window_hi = 0.9\n", "phi_window_hi = 0.9\ngrid_points = 4097\n"):
+            assert main(["calibrate", "--config", cfg_file(SQUID_CFG + extra), "--format", "records"]) == 0
+            records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            deltas.append(next(r["value"] for r in records if r["section"] == "derived" and r["key"] == "delta_GHz"))
+        default, window, window_and_points = deltas
+        assert window == window_and_points == pytest.approx(3.206309884262737e-08, rel=1e-12)
+        assert window != default
+
     def test_simulate_and_compile(self, cfg_file, tmp_path, capsys):
         cfg = cfg_file(SIM_CFG)
         circuit = tmp_path / "bell.circuit"
@@ -295,6 +308,23 @@ class TestMainExitCodes:
         small, large = records
         assert abs(large["fidelity"] - small["fidelity"]) <= 1e-10
         assert abs(large["leakage"] - small["leakage"]) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "circuit",
+        ["CPHASE 0,1\n", "CNOT 0,1\n", "CNOT 6,4\nCPHASE 0,1\nH 4\nCNOT 5,6\nX 5\nX 0\nCPHASE 5,6\nCNOT 6,0\nH 4\n"],
+    )
+    def test_memory_per_amplitude_within_bound(self, circuit):
+        # The bound behind n_logical <= 10: the traced peak of a physical
+        # simulation per amplitude, here at n_logical = 7 (the last circuit
+        # diagonalises new flip blocks while it keeps an earlier flip's).
+        tracemalloc.start()
+        try:
+            cmd_simulate({"n_logical": 7}, circuit, mode="physical")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 4**7 <= cli._BYTES_PER_AMPLITUDE
+        assert cli._MAX_LOGICAL == 10
 
     @pytest.mark.parametrize("command", ["simulate", "compile"])
     @pytest.mark.parametrize("n_logical", [11, 10**9])

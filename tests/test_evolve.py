@@ -215,19 +215,22 @@ class TestRunSchedule:
         assert sizes.count(3) == 1 and max(sizes) == 3
 
     def test_kernels_run_only_where_needed(self, monkeypatch):
-        # Undriven runs are folded into phases: evolve_segment runs once per
-        # driven segment, and the dense drive block is built only for k >= 2.
+        # Undriven runs are folded into phases and one-qubit drives go through
+        # evolve_segment.  Only k >= 2 builds a dense drive block: the flip
+        # `two` builds it once and reuses it while no other k >= 2 segment
+        # comes between, and the same drive under another bias builds anew.
         kernel_calls, blocks = [], []
         kernel, dense = evolve_mod.evolve_segment, evolve_mod.build_hamiltonian
         monkeypatch.setattr(evolve_mod, "evolve_segment", lambda *a: kernel_calls.append(1) or kernel(*a))
         monkeypatch.setattr(evolve_mod, "build_hamiltonian", lambda spec: blocks.append(spec.n_qubits) or dense(spec))
         one = PulseSegment(0.3, delta_ghz=np.array([0.0, 2.6, 0.0]))
         two = PulseSegment(0.2, delta_ghz=np.array([1.0, 0.0, 2.0]), epsilon_ghz=np.array([0.5, 0.0, 0.0]))
+        rebiased = replace(two, epsilon_ghz=np.array([0.0, 0.0, 0.5]))
         wait, bias = PulseSegment(0.5), PulseSegment(0.4, epsilon_ghz=np.array([0.0, 2.7, 0.0]))
         flip = PulseSegment(mode="ideal", ideal_op=("x_flip", 2))
-        schedule = PulseSchedule((wait, one, bias, wait, flip, wait, two, one, wait, bias), bus_all_to_all(3, 25.0))
-        run_schedule(QuantumState.basis(3, 0), schedule)
-        assert len(kernel_calls) == 3 and blocks == [2]
+        segments = (wait, one, bias, wait, flip, wait, two, one, wait, bias, two, flip, two, rebiased)
+        run_schedule(QuantumState.basis(3, 0), PulseSchedule(segments, bus_all_to_all(3, 25.0)))
+        assert len(kernel_calls) == 2 and blocks == [2, 2]
 
 
 class TestFidelity:

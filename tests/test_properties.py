@@ -29,7 +29,7 @@ from fluxbus.evolve import (
     run_schedule,
 )
 from fluxbus.constants import ENERGY_GHZ_PER_PH_UA2, KINETIC_GHZ_FF, PHI0_PH_UA
-from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian, coupling_diagonal, ising_diagonal
+from fluxbus.spin import SpinHamiltonianSpec, add_biases, build_hamiltonian, coupling_diagonal, ising_diagonal
 from fluxbus.squid import FluxGrid, SquidParams, potential, solve_levels
 
 from code_space_oracle import dense_isometry
@@ -298,6 +298,82 @@ def test_undriven_runs_between_ideal_ops_match_dense_oracle(schedule, data):
             w, v = np.linalg.eigh(build_hamiltonian(_segment_spec(schedule.base, seg)))
             expected = v @ (np.exp(-2j * math.pi * w * seg.duration_ns) * (v.conj().T @ expected))
     assert np.max(np.abs(run_schedule(state, schedule).amplitudes - expected)) <= 1e-12
+
+
+@st.composite
+def repeating_schedules(draw, max_qubits, max_segments):
+    """Schedules drawn from a pool of at most four segments, so (drive, bias,
+    duration) keys repeat: a k = 2 flip that appears at least twice (and
+    maybe the same flip under another bias), other physical segments whose
+    biases mix zero and non-zero entries (or keep the base's), and ideal ops
+    between them.  Returns the schedule and the pool index of each
+    segment."""
+    base = draw(segment_specs(max_qubits))
+    n = base.n_qubits
+    biases = st.lists(st.sampled_from((0.0, 2.7, -1.3)) | _DRIVES, min_size=n, max_size=n).map(np.array)
+    pool = []
+    if n >= 2:
+        delta = np.zeros(n)
+        delta[list(draw(st.permutations(range(n)))[:2])] = draw(_DRIVES.filter(lambda d: d != 0.0))
+        pool.append(PulseSegment(draw(st.floats(0.0, 5.0)), delta, draw(st.none() | biases)))
+        if draw(st.booleans()):
+            pool.append(replace(pool[0], epsilon_ghz=draw(biases)))
+    for _ in range(draw(st.integers(1, 4 - len(pool)))):
+        q = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("physical", "x_flip", "x_rot", "z_rot")))
+        if kind == "physical":
+            delta = draw(st.sampled_from((None, np.zeros(n))))
+            if draw(st.booleans()):  # one, two or all qubits driven
+                delta = np.zeros(n)
+                for p in draw(st.permutations(range(n)))[: draw(st.sampled_from((1, 2, n)))]:
+                    delta[p] = draw(_DRIVES.filter(lambda d: d != 0.0))
+            pool.append(PulseSegment(draw(st.floats(0.0, 5.0)), delta, draw(st.none() | biases)))
+        elif kind == "x_flip":
+            pool.append(PulseSegment(mode="ideal", ideal_op=(kind, q)))
+        else:
+            pool.append(PulseSegment(mode="ideal", ideal_op=(kind, q, draw(_ANGLES))))
+    order = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_segments - 2)) + [0, 0]
+    order = draw(st.permutations(order))
+    return PulseSchedule(tuple(pool[i] for i in order), base), order
+
+
+@settings(PROPERTY, max_examples=30)
+@given(repeating_schedules(max_qubits=8, max_segments=8), st.data())
+def test_repeated_segments_match_per_segment_dense_oracle(case, data):
+    schedule, order = case
+    n = schedule.base.n_qubits
+    state = _random_state(data, n)
+    oracle = {}  # one dense propagator per pool entry
+    for i, seg in zip(order, schedule.segments):
+        if i in oracle:
+            continue
+        if seg.mode == "ideal":
+            kind, q, *angle = seg.ideal_op
+            oracle[i] = _kron_lift(_reference_matrix(Gate(_IDEAL_GATES[kind], (q,), *angle)), (q,), n)
+        else:
+            w, v = np.linalg.eigh(build_hamiltonian(_segment_spec(schedule.base, seg)))
+            oracle[i] = (v * np.exp(-2j * math.pi * w * seg.duration_ns)) @ v.conj().T
+    expected = state.amplitudes
+    for i in order:
+        expected = oracle[i] @ expected
+    assert np.max(np.abs(run_schedule(state, schedule).amplitudes - expected)) <= 1e-12
+
+
+def _add_biases_every_qubit(diag, epsilon):
+    """add_biases without the zero skip: every qubit's term, zeros too."""
+    for q in range(epsilon.shape[0]):
+        view = diag.reshape(2**q, 2, -1)
+        view -= 0.5 * epsilon[q] * np.array([1.0, -1.0])[:, None]
+    return diag
+
+
+@settings(PROPERTY, max_examples=40)
+@given(segment_specs(max_qubits=8), st.data())
+def test_add_biases_skipping_zeros_equals_the_full_loop(spec, data):
+    n = spec.n_qubits
+    epsilon = np.array([data.draw(st.just(0.0) | _DRIVES) for _ in range(n)])
+    coupling = coupling_diagonal(spec)
+    assert np.array_equal(add_biases(coupling.copy(), epsilon), _add_biases_every_qubit(coupling.copy(), epsilon))
 
 
 _PAULI_Z = np.diag([1.0, -1.0])
