@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import PulseSchedule, PulseSegment, QuantumState
+from .evolve import GATE_MATRICES, PulseSchedule, PulseSegment, QuantumState, apply_on_qubits, gate_matrix
 from .spin import SpinHamiltonianSpec, bus_all_to_all, coupling_diagonal, inter_pair_mask
 
 __all__ = [
@@ -218,7 +218,10 @@ def _logical_rz(logical: int, theta: float, reg: LogicalRegister, params: Contro
 
     The full-space unitary exp(-i theta/4 (sigma_z_a - sigma_z_b)) restricts
     to Rz(theta) on the code space and to identity on the flipped subspace.
+    It has period 4 pi in theta, which is reduced first so that the pulse
+    does not grow with the angle as given.
     """
+    theta = math.remainder(theta, 4.0 * math.pi)
     if theta == 0.0:
         return []
     a, b = reg.pairs[logical]
@@ -493,39 +496,15 @@ def verify_ifs(state: QuantumState, spec: SpinHamiltonianSpec, reg: LogicalRegis
     return float(np.linalg.norm(diag * amp) / (j_scale * np.linalg.norm(amp)))
 
 
-_SQ2 = 1.0 / math.sqrt(2.0)
-GATE_MATRICES = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "CPHASE": np.diag([1, 1, 1, -1]).astype(complex),
-    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-}
-
-
-def _rotation_matrix(name: str, angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    if name == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    return np.array([[np.exp(-1j * angle / 2.0), 0], [0, np.exp(1j * angle / 2.0)]], dtype=complex)
-
-
 def ideal_circuit_unitary(circuit: GateCircuit, n_logical: int) -> np.ndarray:
     """Exact logical unitary of a circuit (the verification target).
 
-    Each gate's 2^k x 2^k matrix acts on the identity columns by one tensor
-    contraction: its k qubit axes move to the front in operand order, the
-    matrix multiplies them, and they move back.
+    Each gate's matrix maps the identity rows (the basis states) through
+    ``evolve.apply_on_qubits``, the kernel of ideal propagation; row j ends
+    as the image of basis state j, so the unitary is their transpose.
     """
-    dim = 2**n_logical
-    u = np.eye(dim, dtype=complex).reshape([2] * n_logical + [dim])
+    rows = np.eye(2**n_logical, dtype=complex)
     for gate in circuit.gates:
-        if gate.name in ("RX", "RZ"):
-            mat = _rotation_matrix(gate.name, gate.angle)
-        else:
-            mat = GATE_MATRICES[gate.name]
-        k = len(gate.qubits)
-        front = np.moveaxis(u, gate.qubits, range(k))
-        front = (mat @ front.reshape(2**k, -1)).reshape(front.shape)
-        u = np.moveaxis(front, range(k), gate.qubits)
-    return u.reshape(dim, dim)
+        mat = gate_matrix(gate.name, gate.angle)
+        rows = apply_on_qubits(rows, gate.qubits, lambda blocks: blocks @ mat.T)
+    return rows.T

@@ -23,8 +23,13 @@ a CPHASE do, is not diagonalised again.  No 2^N x 2^N operator is built;
 the dense ``spin.build_hamiltonian`` matrix is the reference the tests
 compare against.
 
-Ideal labels: ``("x_flip", q)``, ``("x_rot", q, angle)``, ``("z_rot", q,
-angle)`` with rotations in the exp(-i angle/2 sigma) convention.
+One gate table and one block kernel serve ideal propagation, the
+verification target (``compiler.ideal_circuit_unitary``) and the k >= 2
+drive blocks.  ``gate_matrix`` reads the read-only ``GATE_MATRICES`` or
+builds RX/RZ (exp(-i angle/2 sigma)); the ideal labels ``("x_flip", q)``,
+``("x_rot", q, angle)`` and ``("z_rot", q, angle)`` name X, RX and RZ.
+``apply_on_qubits`` gathers the blocks of k qubits, maps them and scatters
+them back; ``reduced_density_matrix`` reads the same gather.
 """
 
 from __future__ import annotations
@@ -48,11 +53,37 @@ __all__ = [
     "reduced_density_matrix",
     "trace_distance",
     "logical_process_fidelity",
+    "GATE_MATRICES",
+    "gate_matrix",
+    "apply_on_qubits",
 ]
 
 _NORM_TOL = 1e-10
 
-IDEAL_OPS = ("x_flip", "x_rot", "z_rot")
+# Read-only: ideal propagation and the verification target both use them.
+GATE_MATRICES = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
+    "CPHASE": np.diag([1, 1, 1, -1]).astype(complex),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+for _mat in GATE_MATRICES.values():
+    _mat.flags.writeable = False
+
+# Ideal-op label -> its gate in the table.
+IDEAL_OPS = {"x_flip": "X", "x_rot": "RX", "z_rot": "RZ"}
+
+
+def gate_matrix(name: str, angle: float | None = None) -> np.ndarray:
+    """A gate's matrix: RX/RZ at ``angle`` in the exp(-i angle/2 sigma)
+    convention, or the read-only ``GATE_MATRICES`` entry."""
+    if name == "RX":
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if name == "RZ":
+        return np.diag([np.exp(-1j * angle / 2.0), np.exp(1j * angle / 2.0)])
+    return GATE_MATRICES[name]
 
 
 @dataclass(frozen=True)
@@ -160,38 +191,45 @@ def evolve_segment(state: QuantumState, diag, delta_ghz, t_ns: float) -> Quantum
     if k == 1:
         q = int(driven[0])
         return QuantumState(_evolve_one_drive(state.amplitudes, diag, q, delta_ghz[q], t_ns))
-    return QuantumState(_evolve_blocks(state.amplitudes, driven, *_block_propagator(diag, delta_ghz, t_ns)))
+    return QuantumState(apply_on_qubits(state.amplitudes, driven, _block_propagator(diag, delta_ghz, t_ns)))
 
 
-def _block_propagator(diag: np.ndarray, delta_ghz: np.ndarray, t_ns: float) -> tuple:
-    """The propagators exp(-i 2 pi H_b t) of the 2^(N-k) blocks of a segment
-    driving k >= 2 qubits, as (v, phases): their eigenvectors, stacked
-    (2^(N-k), 2^k, 2^k) in block order, and exp(-i 2 pi w t) of their
-    eigenvalues w, (2^(N-k), 2^k, 1).
+def _block_propagator(diag: np.ndarray, delta_ghz: np.ndarray, t_ns: float):
+    """exp(-i 2 pi H_b t) on each of the 2^(N-k) blocks of a segment driving
+    k >= 2 qubits, as an ``apply_on_qubits`` operation on the driven qubits.
 
     Each block H_b is the k-qubit drive operator (``build_hamiltonian`` of
-    the driven qubits alone) plus its slice of D; one batched ``eigh``
-    diagonalises them all.
+    the driven qubits alone) plus its slice of D, gathered as the amplitudes
+    are; one batched ``eigh`` diagonalises them all into v exp(-i 2 pi w t)
+    v^H.
     """
-    n = delta_ghz.shape[0]
     driven = np.flatnonzero(delta_ghz)
     k = driven.size
     drive = SpinHamiltonianSpec(k, delta_ghz[driven], np.zeros(k), np.zeros((k, k)))
-    local = build_hamiltonian(drive)
-    back = list(range(n - k, n))
-    diag = np.moveaxis(diag.reshape([2] * n), driven, back).reshape(-1, 2**k)
-    w, v = np.linalg.eigh(local + diag[:, :, None] * np.eye(2**k))
-    return v, np.exp(-2j * math.pi * w * t_ns)[:, :, None]
+    w, v = np.linalg.eigh(build_hamiltonian(drive) + _gather(diag, driven)[:, :, None] * np.eye(2**k))
+    phases = np.exp(-2j * math.pi * w * t_ns)[:, :, None]
+    return lambda blocks: (v @ (phases * (v.conj().transpose(0, 2, 1) @ blocks[:, :, None])))[:, :, 0]
 
 
-def _evolve_blocks(amp: np.ndarray, driven: np.ndarray, v: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Apply the block propagators of ``_block_propagator`` to the 2^N
-    amplitudes ``amp``, the ``driven`` qubits' axes moved to the back."""
-    n = amp.shape[0].bit_length() - 1
-    back = list(range(n - driven.size, n))
-    blocks = np.moveaxis(amp.reshape([2] * n), driven, back).reshape(-1, 2**driven.size, 1)
-    blocks = v @ (phases * (v.conj().transpose(0, 2, 1) @ blocks))
-    return np.moveaxis(blocks.reshape([2] * n), back, driven).reshape(-1)
+def _gather(amps: np.ndarray, qubits) -> np.ndarray:
+    """The blocks of the k ``qubits`` in each state of an (..., 2^N) array,
+    (..., 2^(N-k), 2^k): their axes go to the back in the given order, and
+    the other qubits' blocks stay in basis order."""
+    n = amps.shape[-1].bit_length() - 1
+    k = len(qubits)
+    moved = np.moveaxis(amps.reshape(amps.shape[:-1] + (2,) * n), [q - n for q in qubits], range(-k, 0))
+    return moved.reshape(amps.shape[:-1] + (2 ** (n - k), 2**k))
+
+
+def apply_on_qubits(amps: np.ndarray, qubits, op) -> np.ndarray:
+    """Map the (..., 2^(N-k), 2^k) blocks of ``qubits`` in an (..., 2^N)
+    array of states through ``op`` and scatter them back.  A gate matrix M,
+    indexed in the order ``qubits`` are given, is ``lambda blocks: blocks @
+    M.T``."""
+    n = amps.shape[-1].bit_length() - 1
+    k = len(qubits)
+    blocks = op(_gather(amps, qubits)).reshape(amps.shape[:-1] + (2,) * n)
+    return np.moveaxis(blocks, range(-k, 0), [q - n for q in qubits]).reshape(amps.shape)
 
 
 def _evolve_one_drive(amp: np.ndarray, diag: np.ndarray, q: int, delta: float, t_ns: float) -> np.ndarray:
@@ -224,26 +262,9 @@ def _evolve_one_drive(amp: np.ndarray, diag: np.ndarray, q: int, delta: float, t
 
 
 def _apply_ideal(state: QuantumState, op: tuple) -> QuantumState:
-    n = state.n_qubits
-    amp = state.amplitudes.reshape([2] * n)
-    kind, q = op[0], op[1]
-    if kind == "x_flip":
-        amp = np.flip(amp, axis=q)
-    elif kind == "x_rot":
-        angle = op[2]
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        lo = np.take(amp, 0, axis=q)
-        hi = np.take(amp, 1, axis=q)
-        amp = np.stack((c * lo - 1j * s * hi, c * hi - 1j * s * lo), axis=q)
-    elif kind == "z_rot":
-        angle = op[2]
-        shape = [1] * n
-        shape[q] = 2
-        phases = np.array([np.exp(-1j * angle / 2.0), np.exp(1j * angle / 2.0)]).reshape(shape)
-        amp = amp * phases
-    else:  # pragma: no cover - guarded by PulseSegment validation
-        raise ValueError(f"unknown ideal op {kind!r}")
-    return QuantumState(amp.reshape(-1))
+    kind, q, *angle = op
+    mat = gate_matrix(IDEAL_OPS[kind], *angle)
+    return QuantumState(apply_on_qubits(state.amplitudes, (q,), lambda blocks: blocks @ mat.T))
 
 
 # Distinct biased diagonals one run_schedule keeps at once, 8 B per amplitude
@@ -299,7 +320,7 @@ def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
             state = evolve_segment(state, diag, delta, seg.duration_ns)
         else:
             propagator = blocks(epsilon.tobytes(), delta.tobytes(), seg.duration_ns)
-            state = QuantumState(_evolve_blocks(state.amplitudes, np.flatnonzero(delta), *propagator))
+            state = QuantumState(apply_on_qubits(state.amplitudes, np.flatnonzero(delta), propagator))
     if angle is not None:
         state = QuantumState(np.exp(angle) * state.amplitudes)
     return state
@@ -312,12 +333,7 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 
 def reduced_density_matrix(state: QuantumState, keep) -> np.ndarray:
     """Reduced density matrix over the kept qubits (in the given order)."""
-    keep = list(keep)
-    n = state.n_qubits
-    traced = [q for q in range(n) if q not in keep]
-    amp = state.amplitudes.reshape([2] * n)
-    amp = np.transpose(amp, keep + traced)
-    m = amp.reshape(2 ** len(keep), -1)
+    m = _gather(state.amplitudes, list(keep)).T
     return m @ m.conj().T
 
 

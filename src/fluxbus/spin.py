@@ -16,8 +16,9 @@ adds each distinct bias vector to one copy.  ``build_hamiltonian`` assembles
 the dense 2^N x 2^N matrix, capped at ``MAX_DENSE_QUBITS``: it is the
 reference the tests compare the block-structured propagation against, and
 ``evolve`` calls it only for the 2^k x 2^k drive operator of a segment that
-drives k >= 2 qubits (the CPHASE flips), once per distinct (drive, bias,
-duration) in a schedule; one driven qubit has a closed form.
+drives k >= 2 qubits (the CPHASE flips), once per such segment unless it
+repeats the previous one's (drive, bias, duration), as a CPHASE's second
+flip does; one driven qubit has a closed form.
 """
 
 from __future__ import annotations

@@ -44,14 +44,17 @@ def test_traced_simulate_builds_a_repeated_flip_once():
     # CNOT is a CPHASE between basis changes of its target.  The CPHASE flips
     # the same two qubits twice under the same bias for the same time, so its
     # drive block is built once; the basis changes' one-qubit drives go
-    # through evolve_segment.
-    tracer = _tracing().Tracer()
-    with tracer.active():
-        cli.cmd_simulate({"n_logical": 2}, "CNOT 0,1\n", mode="physical")
-    metrics = tracer.layer_metrics()
-    flips = 2
-    assert metrics["spin.build_hamiltonian.calls"] == 1
-    assert metrics["evolve.evolve_segment.calls"] == metrics["compiler.segments.driven"] - flips > 0
+    # through evolve_segment.  Only the last flip's block is kept: a CPHASE
+    # that repeats an earlier, not the previous, one builds its block again.
+    cases = [("CNOT 0,1\n", 2, 2, 1, 8), ("CPHASE 0,1\nCPHASE 0,2\nCPHASE 0,1\n", 3, 6, 3, 0)]
+    for text, n_logical, flips, builds, one_qubit_drives in cases:
+        tracer = _tracing().Tracer()
+        with tracer.active():
+            cli.cmd_simulate({"n_logical": n_logical}, text, mode="physical")
+        metrics = tracer.layer_metrics()
+        assert metrics["spin.build_hamiltonian.calls"] == builds, text
+        drives = metrics["compiler.segments.driven"] - flips
+        assert metrics["evolve.evolve_segment.calls"] == drives == one_qubit_drives, text
 
 
 def test_traced_calibration_reaches_the_squid_layer():

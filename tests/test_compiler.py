@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fluxbus.cli import cmd_simulate
 from fluxbus.compiler import (
     CircuitParseError,
     ControlParams,
@@ -162,6 +163,23 @@ class TestSingleQubitGates:
         target = ideal_circuit_unitary(GateCircuit((gate,)), 2)
         res = gate_fidelity(compile_single_qubit_gate(gate, 0, REG2, PHYSICAL), REG2, target)
         assert res.fidelity >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("mode", ["physical", "ideal"])
+    @pytest.mark.parametrize("turns", [1, -1, 1000, -1000])
+    def test_rz_angle_reduced_by_its_period(self, mode, turns):
+        # exp(-i theta/4 (Z_a - Z_b)) has period 4 pi on the full register,
+        # so theta + 4 pi m compiles to the pulse of theta.
+        params = ControlParams(mode=mode)
+        angles = (0.7, 0.7 + 4.0 * math.pi * turns)
+        durations = [
+            [s.duration_ns for s in compile_single_qubit_gate(Gate("RZ", (0,), theta), 0, REG2, params)]
+            for theta in angles
+        ]
+        assert durations[1] == pytest.approx(durations[0], abs=1e-9)
+        base, shifted = (cmd_simulate({"n_logical": 2}, f"H 0\nRZ 0,{theta!r}\nH 0\n", mode=mode) for theta in angles)
+        assert shifted["segments"] == base["segments"]
+        for key in ("duration_ns", "fidelity", "leakage", "spectator_trace_distance", "logical_probabilities"):
+            assert shifted[key] == pytest.approx(base[key], abs=1e-9)
 
     def test_unsupported_gate(self):
         with pytest.raises(ValueError):

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from fluxbus.evolve import (
+    GATE_MATRICES,
     ProcessFidelityResult,
     PulseSchedule,
     PulseSegment,
     QuantumState,
     evolve_segment,
     fidelity,
+    gate_matrix,
     logical_process_fidelity,
     reduced_density_matrix,
     run_schedule,
@@ -158,6 +160,13 @@ class TestIdealOps:
         seg = PulseSegment(mode="ideal", ideal_op=("z_rot", 0, angle))
         out = run_schedule(state, PulseSchedule((seg,), spec_with(1)))
         assert np.allclose(out.amplitudes, rz @ state.amplitudes, atol=1e-14)
+
+    def test_gate_table_is_read_only(self):
+        # The table defines both ideal propagation and the verification
+        # target, so no caller may edit a matrix it was handed.
+        for mat in [*GATE_MATRICES.values(), gate_matrix("H")]:
+            with pytest.raises(ValueError):
+                mat[0, 0] = 2.0
 
     def test_ideal_segment_validation(self):
         with pytest.raises(ValueError):
