@@ -121,6 +121,23 @@ def _number(cfg: dict, key: str, default=None):
     return value
 
 
+def _checked(cfg: dict, key: str, ok, rule: str, default=None):
+    """A config number that must satisfy ``ok``; the error names the key and
+    states the ``rule``, so a bad value is refused before any solve."""
+    value = _number(cfg, key, default)
+    if value is not None and not ok(value):
+        raise ConfigError(f"config key {key} must {rule}, got {value!r}")
+    return value
+
+
+def _positive(cfg: dict, key: str, default=None):
+    return _checked(cfg, key, lambda v: v > 0, "be positive", default)
+
+
+def _non_negative(cfg: dict, key: str, default=None):
+    return _checked(cfg, key, lambda v: v >= 0, "be non-negative", default)
+
+
 def _integer(cfg: dict, key: str, default=None) -> int:
     """A config number that must be a non-negative integer (an integral
     float such as 4097.0 is accepted)."""
@@ -200,15 +217,12 @@ def _grid_from_config(cfg: dict) -> FluxGrid | None:
 
 def _squid_from_config(cfg: dict) -> SquidParams:
     _require(cfg, "L_pH", "C_fF", "Ic_uA")
-    try:
-        return SquidParams(
-            l_ph=_number(cfg, "L_pH"),
-            c_ff=_number(cfg, "C_fF"),
-            ic_ua=_number(cfg, "Ic_uA"),
-            phi_x=_number(cfg, "phi_x_Phi0", 0.5),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SquidParams(
+        l_ph=_positive(cfg, "L_pH"),
+        c_ff=_positive(cfg, "C_fF"),
+        ic_ua=_non_negative(cfg, "Ic_uA"),
+        phi_x=_checked(cfg, "phi_x_Phi0", lambda v: 0.0 <= v < 1.0, "lie in [0, 1) flux quanta", 0.5),
+    )
 
 
 # Each sweep point adds two report entries; the report and its output text
@@ -238,11 +252,9 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
     calibration of Ic against a target tunneling splitting and Ic sweep."""
     params = _squid_from_config(cfg)
     grid = _grid_from_config(cfg)
-    target = _number(cfg, "target_delta_GHz")
+    target = _positive(cfg, "target_delta_GHz")
     if target is not None:
         bracket = (_number(cfg, "bracket_lo_uA", 1.5), _number(cfg, "bracket_hi_uA", 3.0))
-        if target <= 0:
-            raise ConfigError(f"config key target_delta_GHz must be positive, got {target!r}")
         if not 0 <= bracket[0] < bracket[1]:
             raise ConfigError(
                 f"config keys bracket_lo_uA = {bracket[0]!r}, bracket_hi_uA = {bracket[1]!r} "
@@ -294,10 +306,11 @@ def cmd_design(cfg: dict) -> DesignReport:
     """Bus design arithmetic: effective mutual, coupling strength, weak
     coupling ratio, geometric qubit bound, residual decay time."""
     _require(cfg, "M_pH", "L_b_nH", "N")
+    r_uohm = _positive(cfg, "R_uOhm")
     try:
         bus = BusParams(
-            l_b_nh=_number(cfg, "L_b_nH"),
-            m_ph=_number(cfg, "M_pH"),
+            l_b_nh=_positive(cfg, "L_b_nH"),
+            m_ph=_non_negative(cfg, "M_pH"),
             n_qubits=_integer(cfg, "N"),
             k_geom=_number(cfg, "k_geom", 1.0),
         )
@@ -342,7 +355,6 @@ def cmd_design(cfg: dict) -> DesignReport:
         report.derived["N_max"] = n_max
         report.flags["N_exceeds_max"] = bus.n_qubits > n_max
 
-    r_uohm = _number(cfg, "R_uOhm")
     if r_uohm is not None:
         report.derived["residual_decay_ms"] = busmod.residual_decay_time(bus.l_b_nh, r_uohm)
     return report
@@ -351,9 +363,9 @@ def cmd_design(cfg: dict) -> DesignReport:
 def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
     try:
         return ControlParams(
-            delta_ghz=_number(cfg, "delta_GHz", 2.6),
-            epsilon_ghz=_number(cfg, "epsilon_GHz", 2.7),
-            j_mhz=_number(cfg, "J_MHz", 25.0),
+            delta_ghz=_positive(cfg, "delta_GHz", 2.6),
+            epsilon_ghz=_positive(cfg, "epsilon_GHz", 2.7),
+            j_mhz=_positive(cfg, "J_MHz", 25.0),
             mode=mode or cfg.get("mode", "ideal"),
         )
     except ValueError as exc:
@@ -517,66 +529,27 @@ def cmd_reproduce_paper() -> tuple[list, bool]:
     n_max = busmod.max_qubits(bus)
     pi_pulse = 1.0 / (2.0 * tlp_suppressed.delta_ghz)
 
-    def ratio_within(computed, quoted, factor):
-        return computed > 0 and 1.0 / factor <= computed / quoted <= factor
+    def ratio_within(factor):
+        return lambda c, q: c > 0 and 1.0 / factor <= c / q <= factor
 
+    def compare(name, computed, tolerance, ok, note=""):
+        quoted = _QUOTED[name]
+        ok = ok(computed, quoted)
+        return {"name": name, "computed": computed, "quoted": quoted, "tolerance": tolerance, "ok": ok, "note": note}
+
+    floor_note = "at solver floor" if tlp_unsuppressed.at_solver_floor else ""
     rows = [
-        {
-            "name": "tunneling_unsuppressed_Hz",
-            "computed": tlp_unsuppressed.delta_ghz * 1e9,
-            "quoted": _QUOTED["tunneling_unsuppressed_Hz"],
-            "tolerance": "x/3 to x3",
-            "ok": ratio_within(tlp_unsuppressed.delta_ghz * 1e9, 30.0, 3.0),
-            "note": "at solver floor" if tlp_unsuppressed.at_solver_floor else "",
-        },
-        {
-            "name": "tunneling_suppressed_GHz",
-            "computed": tlp_suppressed.delta_ghz,
-            "quoted": _QUOTED["tunneling_suppressed_GHz"],
-            "tolerance": "+-20%",
-            "ok": abs(tlp_suppressed.delta_ghz - 2.6) <= 0.2 * 2.6,
-            "note": f"Ic = {_IC_SUPPRESSED} uA",
-        },
-        {
-            "name": "bias_splitting_GHz",
-            "computed": tlp_biased.epsilon_ghz,
-            "quoted": _QUOTED["bias_splitting_GHz"],
-            "tolerance": "x/2 to x2",
-            "ok": ratio_within(tlp_biased.epsilon_ghz, 2.7, 2.0),
-            "note": "0.15 mPhi0 offset, barrier up",
-        },
-        {
-            "name": "effective_mutual_fH",
-            "computed": m_eff,
-            "quoted": _QUOTED["effective_mutual_fH"],
-            "tolerance": "exact",
-            "ok": abs(m_eff - 2.0) <= 1e-9,
-            "note": "",
-        },
-        {
-            "name": "coupling_J_MHz",
-            "computed": j_mhz,
-            "quoted": _QUOTED["coupling_J_MHz"],
-            "tolerance": "x/2 to x2",
-            "ok": ratio_within(j_mhz, 25.0, 2.0),
-            "note": f"i_p = {tlp_unsuppressed.i_p_ua:.4g} uA",
-        },
-        {
-            "name": "N_max",
-            "computed": n_max,
-            "quoted": _QUOTED["N_max"],
-            "tolerance": "exact",
-            "ok": n_max == 1000,
-            "note": "",
-        },
-        {
-            "name": "pi_pulse_ns",
-            "computed": pi_pulse,
-            "quoted": _QUOTED["pi_pulse_ns"],
-            "tolerance": "+-25% after x2",
-            "ok": abs(2.0 * pi_pulse - 0.4) <= 0.25 * 0.4,
-            "note": "convention factor <= 2",
-        },
+        compare("tunneling_unsuppressed_Hz", tlp_unsuppressed.delta_ghz * 1e9, "x/3 to x3", ratio_within(3.0),
+                floor_note),
+        compare("tunneling_suppressed_GHz", tlp_suppressed.delta_ghz, "+-20%", lambda c, q: abs(c - q) <= 0.2 * q,
+                f"Ic = {_IC_SUPPRESSED} uA"),
+        compare("bias_splitting_GHz", tlp_biased.epsilon_ghz, "x/2 to x2", ratio_within(2.0),
+                "0.15 mPhi0 offset, barrier up"),
+        compare("effective_mutual_fH", m_eff, "exact", lambda c, q: abs(c - q) <= 1e-9),
+        compare("coupling_J_MHz", j_mhz, "x/2 to x2", ratio_within(2.0), f"i_p = {tlp_unsuppressed.i_p_ua:.4g} uA"),
+        compare("N_max", n_max, "exact", lambda c, q: c == q),
+        compare("pi_pulse_ns", pi_pulse, "+-25% after x2", lambda c, q: abs(2.0 * c - q) <= 0.25 * q,
+                "convention factor <= 2"),
     ]
     return rows, all(row["ok"] for row in rows)
 

@@ -21,9 +21,13 @@ Gates are compiled to pulse schedules over the always-coupled system:
   diagonal-phase bookkeeping;
 * CNOT(c, t) = H(t) CPHASE(c, t) H(t).
 
-Every compiled gate exists in two variants: ``physical`` (finite-duration
-drives with the coupling always on) and ``ideal`` (labeled unitaries applied
-exactly, as a verification baseline).
+Every gate is written as moments of simultaneous one-qubit ops (the
+``x_flip``/``x_rot``/``z_rot`` labels of ``evolve``'s gate table) and
+waits under the fixed couplings.  ``_moment`` is the one op-to-pulse map and
+the one place the mode is read: ``physical`` runs each moment as one
+finite-duration drive or bias segment with the coupling always on, and
+``ideal`` keeps each op as a labeled unitary applied exactly, as a
+verification baseline.
 """
 
 from __future__ import annotations
@@ -156,61 +160,35 @@ def _one_hot(n: int, entries: dict) -> np.ndarray:
     return arr
 
 
+def _moment(ops, params: ControlParams, n: int, epsilon_ghz: np.ndarray | None = None) -> list:
+    """Segments of one moment: simultaneous one-qubit ops of one kind on
+    distinct qubits and of one pulse length, written as ``evolve``'s
+    ideal-op labels.
+
+    This is the compiler's one op-to-pulse map.  Ideal mode keeps each op as
+    a labeled segment.  Physical mode runs the whole moment as one segment:
+    z_rot(theta) biases its qubit by -+epsilon for |theta|/(2 pi epsilon);
+    x ops drive the tunneling delta, a flip for 1/(2 delta) and x_rot(theta)
+    for (-theta/2 pi mod 2)/delta, since the drive -(delta/2) sigma_x
+    realizes Rx(-2 pi delta t) and positive angles are reached going the
+    long way round (global sign absorbed).  ``epsilon_ghz`` holds a bias
+    under an x moment (the initialization's counter-bias).
+    """
+    if params.mode == "ideal":
+        return [PulseSegment(mode="ideal", ideal_op=op) for op in ops]
+    name, _, *angle = ops[0]
+    if name == "z_rot":
+        bias = _one_hot(n, {op[1]: -math.copysign(params.epsilon_ghz, op[2]) for op in ops})
+        return [PulseSegment(duration_ns=abs(angle[0]) / (2.0 * math.pi * params.epsilon_ghz), epsilon_ghz=bias)]
+    turns = 0.5 if name == "x_flip" else (-angle[0] / (2.0 * math.pi)) % 2.0
+    drive = _one_hot(n, {op[1]: params.delta_ghz for op in ops})
+    return [PulseSegment(duration_ns=turns / params.delta_ghz, delta_ghz=drive, epsilon_ghz=epsilon_ghz)]
+
+
 def pi_pulse(qubit: int, delta_ghz: float, n_qubits: int, mode: str = "physical") -> PulseSegment:
     """Pi flip of one physical qubit: drive its tunneling for 1/(2 delta)."""
-    if mode == "ideal":
-        return PulseSegment(mode="ideal", ideal_op=("x_flip", qubit))
-    return PulseSegment(
-        duration_ns=1.0 / (2.0 * delta_ghz),
-        delta_ghz=_one_hot(n_qubits, {qubit: delta_ghz}),
-    )
-
-
-def _flip(qubits, params: ControlParams, n: int) -> list:
-    """Simultaneous pi flips (one segment drives every listed qubit)."""
-    if params.mode == "ideal":
-        return [PulseSegment(mode="ideal", ideal_op=("x_flip", q)) for q in qubits]
-    return [
-        PulseSegment(
-            duration_ns=1.0 / (2.0 * params.delta_ghz),
-            delta_ghz=_one_hot(n, {q: params.delta_ghz for q in qubits}),
-        )
-    ]
-
-
-def _x_rot(qubit: int, theta: float, params: ControlParams, n: int) -> list:
-    """Rx(theta) on one physical qubit, up to global phase.
-
-    The drive -(delta/2) sigma_x realizes Rx(-2 pi delta t), so positive
-    angles are reached going the long way round (global sign absorbed).
-    """
-    theta = math.remainder(theta, 4.0 * math.pi)
-    if theta == 0.0:
-        return []
-    if params.mode == "ideal":
-        return [PulseSegment(mode="ideal", ideal_op=("x_rot", qubit, theta))]
-    turns = (-theta / (2.0 * math.pi)) % 2.0
-    return [
-        PulseSegment(
-            duration_ns=turns / params.delta_ghz,
-            delta_ghz=_one_hot(n, {qubit: params.delta_ghz}),
-        )
-    ]
-
-
-def _z_rot(qubit: int, theta: float, params: ControlParams, n: int) -> list:
-    """Rz(theta) on one physical qubit via a bias pulse (diagonal, exact)."""
-    if theta == 0.0:
-        return []
-    if params.mode == "ideal":
-        return [PulseSegment(mode="ideal", ideal_op=("z_rot", qubit, theta))]
-    eps = -math.copysign(params.epsilon_ghz, theta)
-    return [
-        PulseSegment(
-            duration_ns=abs(theta) / (2.0 * math.pi * params.epsilon_ghz),
-            epsilon_ghz=_one_hot(n, {qubit: eps}),
-        )
-    ]
+    (segment,) = _moment([("x_flip", qubit)], ControlParams(delta_ghz=delta_ghz, mode=mode), n_qubits)
+    return segment
 
 
 def _logical_rz(logical: int, theta: float, reg: LogicalRegister, params: ControlParams) -> list:
@@ -225,27 +203,13 @@ def _logical_rz(logical: int, theta: float, reg: LogicalRegister, params: Contro
     if theta == 0.0:
         return []
     a, b = reg.pairs[logical]
-    if params.mode == "ideal":
-        return [
-            PulseSegment(mode="ideal", ideal_op=("z_rot", a, theta / 2.0)),
-            PulseSegment(mode="ideal", ideal_op=("z_rot", b, -theta / 2.0)),
-        ]
-    eps = -math.copysign(params.epsilon_ghz, theta)
-    return [
-        PulseSegment(
-            duration_ns=abs(theta) / (4.0 * math.pi * params.epsilon_ghz),
-            epsilon_ghz=_one_hot(reg.n_physical, {a: eps, b: -eps}),
-        )
-    ]
+    return _moment([("z_rot", a, theta / 2.0), ("z_rot", b, -theta / 2.0)], params, reg.n_physical)
 
 
 def _physical_hadamard(qubit: int, params: ControlParams, n: int) -> list:
     """Hadamard on one physical qubit: Rz(-pi/2) Rx(-pi/2) Rz(-pi/2) = -i H."""
-    return (
-        _z_rot(qubit, -math.pi / 2.0, params, n)
-        + _x_rot(qubit, -math.pi / 2.0, params, n)
-        + _z_rot(qubit, -math.pi / 2.0, params, n)
-    )
+    z, x = [("z_rot", qubit, -math.pi / 2.0)], [("x_rot", qubit, -math.pi / 2.0)]
+    return _moment(z, params, n) + _moment(x, params, n) + _moment(z, params, n)
 
 
 def _wait(duration_ns: float) -> PulseSegment:
@@ -274,7 +238,7 @@ def _logical_rx(logical: int, theta: float, reg: LogicalRegister, params: Contro
 
 def _logical_x(logical: int, reg: LogicalRegister, params: ControlParams) -> list:
     a, b = reg.pairs[logical]
-    return _flip((a, b), params, reg.n_physical)
+    return _moment([("x_flip", a), ("x_flip", b)], params, reg.n_physical)
 
 
 def _logical_h(logical: int, reg: LogicalRegister, params: ControlParams) -> list:
@@ -395,9 +359,8 @@ def compile_cphase(i: int, j: int, reg: LogicalRegister, params: ControlParams) 
             raise ValueError(f"logical qubit {q} out of range")
     b_i, b_j = reg.pairs[i][1], reg.pairs[j][1]
     t_int = 1.0 / (32.0 * params.j_ghz)
-    segments = _flip((b_i, b_j), params, reg.n_physical)
-    segments += [_wait(t_int)]
-    segments += _flip((b_i, b_j), params, reg.n_physical)
+    flips = [("x_flip", b_i), ("x_flip", b_j)]
+    segments = _moment(flips, params, reg.n_physical) + [_wait(t_int)] + _moment(flips, params, reg.n_physical)
     segments += _logical_rz(i, -math.pi / 2.0, reg, params)
     segments += _logical_rz(j, -math.pi / 2.0, reg, params)
     return segments
@@ -428,19 +391,11 @@ def init_schedule(
     n = reg.n_physical
     segments = []
     for k, (_, b) in enumerate(reg.pairs):
-        if params.mode == "ideal" or not compensate_bias:
-            segments += _flip((b,), params, reg.n_physical)
-            continue
         # Net sigma_z of the others: encoded pairs cancel, the partner is up,
         # every not-yet-touched pair contributes two ups.
         m = 1 + 2 * (reg.n_logical - 1 - k)
-        segments.append(
-            PulseSegment(
-                duration_ns=1.0 / (2.0 * params.delta_ghz),
-                delta_ghz=_one_hot(n, {b: params.delta_ghz}),
-                epsilon_ghz=_one_hot(n, {b: 2.0 * params.j_ghz * m}),
-            )
-        )
+        bias = _one_hot(n, {b: 2.0 * params.j_ghz * m}) if compensate_bias else None
+        segments += _moment([("x_flip", b)], params, n, epsilon_ghz=bias)
     return PulseSchedule(tuple(segments), _base_spec(reg, params))
 
 

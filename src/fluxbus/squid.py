@@ -394,14 +394,6 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
     return EigenSolution(energies=np.asarray(energies, dtype=float), wavefunctions=psi, grid=grid)
 
 
-def _splitting_at(params: SquidParams, phi_x: float, grid: FluxGrid | None) -> tuple[float, bool]:
-    """Gap (E1-E0) at the given bias and whether it sits at the solver floor."""
-    sol = solve_levels(replace(params, phi_x=phi_x), grid=grid, k=2)
-    gap = sol.gap
-    scale = float(np.max(np.abs(sol.energies[:2])))
-    return gap, gap < SOLVER_FLOOR_REL * max(scale, 1.0)
-
-
 def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoLevelParams:
     """Reduce the SQUID to two-level parameters.
 
@@ -435,7 +427,7 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
     if abs(params.phi_x - 0.5) < 1e-15:
         epsilon = 0.0
     else:
-        gap_biased, _ = _splitting_at(params, params.phi_x, grid)
+        gap_biased = solve_levels(params, grid=grid, k=2).gap
         epsilon = math.sqrt(max(gap_biased**2 - delta**2, 0.0))
 
     return TwoLevelParams(delta_ghz=delta, epsilon_ghz=epsilon, i_p_ua=i_p, at_solver_floor=at_floor)
@@ -465,8 +457,7 @@ def calibrate_critical_current(
         raise ValueError("bracket must satisfy 0 <= lo < hi")
 
     def delta_of(ic: float) -> float:
-        gap, _ = _splitting_at(replace(params, ic_ua=ic), 0.5, grid)
-        return gap
+        return solve_levels(replace(params, ic_ua=ic, phi_x=0.5), grid=grid, k=2).gap
 
     d_lo = delta_of(lo)
     d_hi = delta_of(hi)

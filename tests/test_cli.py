@@ -407,6 +407,16 @@ class TestMainExitCodes:
                          "phi_window_lo = 1.25, phi_window_hi = -0.25", id="phi_window-reversed"),
             pytest.param("calibrate", SQUID_CFG + "grid_points = 100\n", "config key grid_points must be at least 257",
                          id="grid_points-small"),
+            pytest.param("calibrate", SQUID_CFG.replace("L_pH = 150", "L_pH = -1"), "config key L_pH must be positive",
+                         id="L_pH-negative"),
+            pytest.param("calibrate", SQUID_CFG.replace("phi_x_Phi0 = 0.5", "phi_x_Phi0 = 1.5"),
+                         "config key phi_x_Phi0 must lie in [0, 1)", id="phi_x-outside"),
+            pytest.param("design", DESIGN_CFG.replace("M_pH = 2", "M_pH = -2"), "config key M_pH must be non-negative",
+                         id="M_pH-negative"),
+            pytest.param("design", DESIGN_CFG.replace("R_uOhm = 1.0", "R_uOhm = 0"), "config key R_uOhm must be positive",
+                         id="R_uOhm-zero"),
+            pytest.param("simulate", SIM_CFG.replace("delta_GHz = 2.6", "delta_GHz = 0"),
+                         "config key delta_GHz must be positive", id="delta_GHz-zero"),
         ],
     )
     def test_bad_config_key_named(self, cfg_file, tmp_path, capsys, monkeypatch, command, text, reason):

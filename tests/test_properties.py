@@ -41,7 +41,7 @@ _ANGLES = st.floats(-4.0 * math.pi, 4.0 * math.pi, allow_nan=False)
 
 
 @st.composite
-def circuits(draw, max_logical, max_gates):
+def circuits(draw, max_logical, max_gates, angles=_ANGLES):
     n = draw(st.integers(1, max_logical))
     names = ["RX", "RZ", "X", "Z", "H"] + (["CPHASE", "CNOT"] if n >= 2 else [])
     gates = []
@@ -51,7 +51,7 @@ def circuits(draw, max_logical, max_gates):
             qubits = tuple(draw(st.permutations(range(n)))[:2])
         else:
             qubits = (draw(st.integers(0, n - 1)),)
-        angle = draw(_ANGLES) if name in ("RX", "RZ") else None
+        angle = draw(angles) if name in ("RX", "RZ") else None
         gates.append(Gate(name, qubits, angle))
     return n, GateCircuit(tuple(gates))
 
@@ -105,6 +105,56 @@ def test_ideal_mode_schedules_reach_the_logical_unitary(case):
     result = logical_process_fidelity(schedule, ideal_circuit_unitary(circuit, n), reg)
     assert result.fidelity >= 1.0 - 1e-12
     assert result.max_leakage <= 1e-12
+
+
+# Angles at which a rotation's reduction (period 4 pi) or its wait (period
+# 2 pi) lands on zero, mixed with generic ones.
+_SPECIAL_ANGLES = (0.0, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi, -4.0 * math.pi)
+_EVERY_GATE = GateCircuit(tuple(
+    [Gate("RX", (0,), a) for a in _SPECIAL_ANGLES + (1.0, -1.0)]
+    + [Gate("RZ", (1,), a) for a in _SPECIAL_ANGLES + (1.0, -1.0)]
+    + [Gate("X", (0,)), Gate("Z", (1,)), Gate("H", (0,)), Gate("CPHASE", (0, 1)), Gate("CNOT", (1, 0))]
+))
+
+
+def _op_duration(op, params):
+    """Closed-form physical duration of one ideal op's pulse."""
+    if op[0] == "z_rot":
+        return abs(op[2]) / (2.0 * math.pi * params.epsilon_ghz)
+    turns = 0.5 if op[0] == "x_flip" else (-op[2] / (2.0 * math.pi)) % 2.0
+    return turns / params.delta_ghz
+
+
+@PROPERTY
+@given(circuits(max_logical=4, max_gates=8, angles=st.one_of(st.sampled_from(_SPECIAL_ANGLES), _ANGLES)))
+@example((2, _EVERY_GATE))
+def test_physical_and_ideal_compiles_list_the_same_moments(case):
+    n, circuit = case
+    reg = LogicalRegister.default(n)
+    physical_params = ControlParams(mode="physical")
+    physical = compile_circuit(circuit, reg, physical_params).segments
+    ideal = iter(compile_circuit(circuit, reg, ControlParams(mode="ideal")).segments)
+    for seg in physical:
+        x_qubits = set() if seg.delta_ghz is None else set(np.flatnonzero(seg.delta_ghz).tolist())
+        z_qubits = set() if seg.epsilon_ghz is None else set(np.flatnonzero(seg.epsilon_ghz).tolist())
+        if not x_qubits and not z_qubits:
+            wait = next(ideal)
+            assert wait.mode == "physical" and wait.delta_ghz is None and wait.epsilon_ghz is None
+            assert wait.duration_ns == seg.duration_ns
+            continue
+        # A drive moment is of one kind: flips and x rotations, or z rotations.
+        assert not (x_qubits and z_qubits)
+        ops = [next(ideal) for _ in x_qubits | z_qubits]
+        assert all(op.mode == "ideal" for op in ops)
+        assert {op.ideal_op[1] for op in ops} == x_qubits | z_qubits
+        kinds = {"z_rot"} if z_qubits else {"x_flip", "x_rot"}
+        for op in ops:
+            assert op.ideal_op[0] in kinds
+            assert _op_duration(op.ideal_op, physical_params) == seg.duration_ns
+            if z_qubits:
+                expected = -math.copysign(physical_params.epsilon_ghz, op.ideal_op[2])
+                assert seg.epsilon_ghz[op.ideal_op[1]] == expected
+    assert next(ideal, None) is None
 
 
 @st.composite
