@@ -374,9 +374,9 @@ def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
 
 # A simulation holds its states, the logical unitary and run_schedule's working
 # arrays, 4^n_logical amplitudes each.  Their tracemalloc peak over 200 random
-# circuits at n_logical 7 is at most 340 B per amplitude, reached while a
+# circuits at n_logical 7 is at most 302 B per amplitude, reached while a
 # two-qubit flip's blocks are diagonalised with the previous flip's still
-# kept; _BYTES_PER_AMPLITUDE adds a 50% margin for numpy's temporaries
+# kept; _BYTES_PER_AMPLITUDE adds over 50% for numpy's temporaries
 # (tests/test_cli.py checks it).  A 1 GiB budget bounds n_logical at 10.
 _BYTES_PER_AMPLITUDE = 512
 _MAX_LOGICAL = int(math.log(2**30 / _BYTES_PER_AMPLITUDE, 4))

@@ -15,8 +15,11 @@ segments (waits and bias pulses) are diagonal and commute, so
 ``run_schedule`` sums the exponents of each run of them and applies one
 phase vector.  ``evolve_segment`` propagates one segment given the diagonal
 and the drive vector as arrays: one driven qubit has a closed-form 2 x 2
-propagator, and k >= 2 driven qubits (the CPHASE flips) diagonalise all
-their blocks in one batched ``eigh``.  ``run_schedule`` sends one-qubit
+propagator, and k >= 2 driven qubits (the CPHASE flips) diagonalise their
+distinct blocks in one batched ``eigh``.  A block is the drive operator plus
+its slice of D, and on the bus, where every pair shares one J, the slices
+take few distinct values, so blocks with equal slices are grouped exactly and
+each distinct one is diagonalised once.  ``run_schedule`` sends one-qubit
 drives through it and keeps the last k >= 2 block decomposition, so a flip
 that repeats the previous one's (bias, drive, duration), as the two flips of
 a CPHASE do, is not diagonalised again.  No 2^N x 2^N operator is built;
@@ -28,8 +31,9 @@ verification target (``compiler.ideal_circuit_unitary``) and the k >= 2
 drive blocks.  ``gate_matrix`` reads the read-only ``GATE_MATRICES`` or
 builds RX/RZ (exp(-i angle/2 sigma)); the ideal labels ``("x_flip", q)``,
 ``("x_rot", q, angle)`` and ``("z_rot", q, angle)`` name X, RX and RZ.
-``apply_on_qubits`` gathers the blocks of k qubits, maps them and scatters
-them back; ``reduced_density_matrix`` reads the same gather.
+``apply_on_qubits`` gathers the blocks of k qubits with one axis
+permutation, maps them and scatters them back with its inverse;
+``reduced_density_matrix`` reads the same gather.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class QuantumState:
         dim = amp.shape[0]
         if amp.ndim != 1 or dim & (dim - 1):
             raise ValueError("amplitudes must be a length-2^N vector")
-        if abs(np.linalg.norm(amp) - 1.0) > _NORM_TOL:
+        if not abs(np.linalg.norm(amp) - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm {np.linalg.norm(amp):.12f} is not 1")
 
     @property
@@ -131,8 +135,8 @@ class PulseSegment:
     ideal_op: tuple | None = None
 
     def __post_init__(self):
-        if self.duration_ns < 0:
-            raise ValueError("duration must be non-negative")
+        if not (math.isfinite(self.duration_ns) and self.duration_ns >= 0):
+            raise ValueError(f"duration_ns must be finite and non-negative, got {self.duration_ns!r}")
         if self.mode not in ("physical", "ideal"):
             raise ValueError(f"unknown segment mode {self.mode!r}")
         if self.mode == "ideal":
@@ -145,7 +149,10 @@ class PulseSegment:
         for name in ("delta_ghz", "epsilon_ghz"):
             arr = getattr(self, name)
             if arr is not None:
-                object.__setattr__(self, name, np.asarray(arr, dtype=float))
+                arr = np.asarray(arr, dtype=float)
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+                object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -200,15 +207,43 @@ def _block_propagator(diag: np.ndarray, delta_ghz: np.ndarray, t_ns: float):
 
     Each block H_b is the k-qubit drive operator (``build_hamiltonian`` of
     the driven qubits alone) plus its slice of D, gathered as the amplitudes
-    are; one batched ``eigh`` diagonalises them all into v exp(-i 2 pi w t)
-    v^H.
+    are.  The slices take few distinct values (on a bus every pair shares one
+    J, so 13-23 of the 64 blocks of a zero-bias flip at N = 8), and blocks with
+    equal slices are equal matrices: one batched ``eigh`` diagonalises the
+    distinct ones into v exp(-i 2 pi w t) v^H, and each block takes its w and
+    v by the inverse index, so its output does not depend on the grouping.
     """
     driven = np.flatnonzero(delta_ghz)
     k = driven.size
     drive = SpinHamiltonianSpec(k, delta_ghz[driven], np.zeros(k), np.zeros((k, k)))
-    w, v = np.linalg.eigh(build_hamiltonian(drive) + _gather(diag, driven)[:, :, None] * np.eye(2**k))
+    distinct, inverse = _distinct_rows(_gather(diag, driven))
+    w, v = np.linalg.eigh(build_hamiltonian(drive) + distinct[:, :, None] * np.eye(2**k))
+    w, v = w[inverse], v[inverse]
     phases = np.exp(-2j * math.pi * w * t_ns)[:, :, None]
     return lambda blocks: (v @ (phases * (v.conj().transpose(0, 2, 1) @ blocks[:, :, None])))[:, :, 0]
+
+
+def _distinct_rows(rows: np.ndarray):
+    """The distinct rows of a 2-D array in lexicographic order, and the index
+    of each row among them (``rows == distinct[inverse]``).  Rows are compared
+    with ``!=``, so -0.0 and 0.0 group together (a drive block adds them to
+    the same +0 entries) and a row holding NaN stands alone."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
+def _permutation(n_lead: int, n: int, qubits) -> list:
+    """Axis order of an (..., 2, ..., 2) array with n qubit axes after n_lead
+    others: the ``qubits`` axes go to the back in the given order, and every
+    other axis keeps its place in order."""
+    moved = [n_lead + int(q) for q in qubits]
+    return [axis for axis in range(n_lead + n) if axis not in moved] + moved
 
 
 def _gather(amps: np.ndarray, qubits) -> np.ndarray:
@@ -217,7 +252,8 @@ def _gather(amps: np.ndarray, qubits) -> np.ndarray:
     the other qubits' blocks stay in basis order."""
     n = amps.shape[-1].bit_length() - 1
     k = len(qubits)
-    moved = np.moveaxis(amps.reshape(amps.shape[:-1] + (2,) * n), [q - n for q in qubits], range(-k, 0))
+    axes = _permutation(amps.ndim - 1, n, qubits)
+    moved = amps.reshape(amps.shape[:-1] + (2,) * n).transpose(axes)
     return moved.reshape(amps.shape[:-1] + (2 ** (n - k), 2**k))
 
 
@@ -227,9 +263,9 @@ def apply_on_qubits(amps: np.ndarray, qubits, op) -> np.ndarray:
     indexed in the order ``qubits`` are given, is ``lambda blocks: blocks @
     M.T``."""
     n = amps.shape[-1].bit_length() - 1
-    k = len(qubits)
+    axes = _permutation(amps.ndim - 1, n, qubits)
     blocks = op(_gather(amps, qubits)).reshape(amps.shape[:-1] + (2,) * n)
-    return np.moveaxis(blocks, range(-k, 0), [q - n for q in qubits]).reshape(amps.shape)
+    return blocks.transpose(np.argsort(axes)).reshape(amps.shape)
 
 
 def _evolve_one_drive(amp: np.ndarray, diag: np.ndarray, q: int, delta: float, t_ns: float) -> np.ndarray:

@@ -13,12 +13,13 @@ D = sum_{i>j} J_ij z_i z_j - (1/2) sum_q epsilon_q z_q over the basis:
 ``add_biases`` adds the non-zero bias terms in place.  The coupling is fixed
 for a whole pulse schedule, so ``evolve.run_schedule`` forms it once and
 adds each distinct bias vector to one copy.  ``build_hamiltonian`` assembles
-the dense 2^N x 2^N matrix, capped at ``MAX_DENSE_QUBITS``: it is the
-reference the tests compare the block-structured propagation against, and
-``evolve`` calls it only for the 2^k x 2^k drive operator of a segment that
-drives k >= 2 qubits (the CPHASE flips), once per such segment unless it
-repeats the previous one's (drive, bias, duration), as a CPHASE's second
-flip does; one driven qubit has a closed form.
+the dense 2^N x 2^N matrix, capped at ``MAX_DENSE_QUBITS``; each sigma_x
+term is the permutation of the identity that flips one bit of the basis
+index.  It is the reference the tests compare the block-structured
+propagation against, and ``evolve`` calls it only for the 2^k x 2^k drive
+operator of a segment that drives k >= 2 qubits (the CPHASE flips), once per
+such segment unless it repeats the previous one's (drive, bias, duration),
+as a CPHASE's second flip does; one driven qubit has a closed form.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
 
 MAX_DENSE_QUBITS = 14
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGNS = np.array([1.0, -1.0])  # sigma_z eigenvalues of |0> and |1>
 _PAIR_SIGNS = np.multiply.outer(_SIGNS, _SIGNS)[:, None, :]  # z_j z_i over (bit j, -, bit i)
 
@@ -140,10 +140,9 @@ def ising_diagonal(spec: SpinHamiltonianSpec) -> np.ndarray:
 
 
 def _sigma_x_term(n_qubits: int, qubit: int) -> np.ndarray:
-    op = np.eye(1, dtype=complex)
-    for q in range(n_qubits):
-        op = np.kron(op, _SIGMA_X if q == qubit else np.eye(2, dtype=complex))
-    return op
+    """X on ``qubit``: the permutation that flips its bit of the basis index."""
+    index = np.arange(2**n_qubits)
+    return np.eye(2**n_qubits)[index ^ (1 << (n_qubits - 1 - qubit))]
 
 
 def build_hamiltonian(spec: SpinHamiltonianSpec) -> np.ndarray:

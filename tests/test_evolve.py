@@ -178,6 +178,15 @@ class TestIdealOps:
         with pytest.raises(ValueError):
             PulseSegment(duration_ns=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["duration_ns", "delta_ghz", "epsilon_ghz"])
+    def test_non_finite_segment_values_rejected(self, field, value):
+        # A NaN duration or drive used to pass (every comparison with NaN is
+        # False) and run_schedule returned an all-NaN state.
+        kwargs = {"duration_ns": 1.0, field: value if field == "duration_ns" else np.array([2.6, value])}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PulseSegment(**kwargs)
+
 
 class TestRunSchedule:
     def test_empty_schedule_is_identity(self):
@@ -240,6 +249,20 @@ class TestRunSchedule:
         segments = (wait, one, bias, wait, flip, wait, two, one, wait, bias, two, flip, two, rebiased)
         run_schedule(QuantumState.basis(3, 0), PulseSchedule(segments, bus_all_to_all(3, 25.0)))
         assert len(kernel_calls) == 2 and blocks == [2, 2]
+
+    def test_eigh_sees_each_distinct_block_once(self, monkeypatch):
+        # Every bus pair shares one J, so the 64 block diagonals of a
+        # zero-bias flip at N = 8 take few distinct values, and eigh gets
+        # one block for each of them.
+        n, driven = 8, [3, 5]
+        diag = spin.coupling_diagonal(bus_all_to_all(n, 25.0))
+        delta = np.zeros(n)
+        delta[driven] = 2.6
+        distinct = {tuple(row) for row in evolve_mod._gather(diag, driven)}
+        sizes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        evolve_segment(QuantumState.basis(n, 0), diag, delta, 0.19)
+        assert sizes == [len(distinct)] and len(distinct) < 64 // 2
 
 
 class TestFidelity:
@@ -334,6 +357,11 @@ class TestQuantumState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             QuantumState(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("amplitudes", [[math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0]])
+    def test_non_finite_amplitudes_rejected(self, amplitudes):
+        with pytest.raises(ValueError, match="is not 1"):
+            QuantumState(np.array(amplitudes))
 
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,9 @@ from fluxbus.evolve import (
     PulseSchedule,
     PulseSegment,
     QuantumState,
+    _block_propagator,
+    _gather,
+    apply_on_qubits,
     evolve_segment,
     logical_process_fidelity,
     run_schedule,
@@ -33,6 +36,7 @@ from fluxbus.spin import SpinHamiltonianSpec, add_biases, build_hamiltonian, cou
 from fluxbus.squid import FluxGrid, SquidParams, potential, solve_levels
 
 from code_space_oracle import dense_isometry
+from hamiltonian_oracle import kron_hamiltonian
 
 # Fixed example sequence: the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -246,6 +250,52 @@ def test_evolve_segment_matches_dense_oracle(spec, t_ns, data):
     expected = v @ (np.exp(-2j * math.pi * w * t_ns) * (v.conj().T @ state.amplitudes))
     out = evolve_segment(state, ising_diagonal(spec), spec.delta_ghz, t_ns)
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+
+def _all_blocks_propagator(diag, delta_ghz, t_ns):
+    """The k >= 2 block propagator with no grouping: one ``eigh`` over all
+    2^(N-k) blocks, the drive operator from Kronecker products."""
+    driven = np.flatnonzero(delta_ghz)
+    k = driven.size
+    drive = kron_hamiltonian(SpinHamiltonianSpec(k, delta_ghz[driven], np.zeros(k), np.zeros((k, k))))
+    w, v = np.linalg.eigh(drive + _gather(diag, driven)[:, :, None] * np.eye(2**k))
+    phases = np.exp(-2j * math.pi * w * t_ns)[:, :, None]
+    return lambda blocks: (v @ (phases * (v.conj().transpose(0, 2, 1) @ blocks[:, :, None])))[:, :, 0]
+
+
+@st.composite
+def repeated_block_diagonals(draw, max_qubits):
+    """A drive on k = 2..4 of N <= max_qubits qubits and a diagonal whose
+    blocks repeat a few rows.  The rows differ from one another in one or two
+    entries, or only in the sign of a zero."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, max_qubits))
+    delta = np.zeros(n)
+    for q in draw(st.permutations(range(n)))[:k]:
+        delta[q] = draw(_DRIVES.filter(lambda d: d != 0.0))
+    values = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=3)) + [0.0, -0.0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.repeat(rng.choice(values, size=(1, 2**k)), draw(st.integers(1, 8)), axis=0)
+    for row in pool[1:]:
+        row[rng.integers(2**k)] = rng.choice(values)
+    pool = np.concatenate([pool, np.where(pool == 0.0, -pool, pool)])
+    rows = pool[rng.integers(0, len(pool), size=2 ** (n - k))]
+    diag = apply_on_qubits(np.zeros(2**n), np.flatnonzero(delta), lambda _: rows)
+    return diag, delta
+
+
+@settings(PROPERTY, max_examples=60)
+@given(repeated_block_diagonals(max_qubits=10), st.floats(0.0, 5.0, allow_nan=False), st.integers(0, 2**32 - 1))
+def test_grouped_block_propagator_equals_all_blocks_eigh(case, t_ns, seed):
+    # Equal block diagonals give equal blocks, so diagonalising each distinct
+    # one once and gathering its eigenpairs changes no bit of the output.
+    diag, delta = case
+    rng = np.random.default_rng(seed)
+    k = np.count_nonzero(delta)
+    shape = (diag.size >> k, 2**k)
+    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = _block_propagator(diag, delta, t_ns)(blocks)
+    assert np.array_equal(out, _all_blocks_propagator(diag, delta, t_ns)(blocks))
 
 
 @st.composite

@@ -12,16 +12,7 @@ from fluxbus.spin import (
     linear_chain_encoded,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-ID = np.eye(2, dtype=complex)
-
-
-def kron_chain(ops):
-    out = np.eye(1, dtype=complex)
-    for op in ops:
-        out = np.kron(out, op)
-    return out
+from hamiltonian_oracle import ID, SX, SZ, kron_chain, kron_hamiltonian
 
 
 def brute_force_hamiltonian(spec: SpinHamiltonianSpec) -> np.ndarray:
@@ -75,6 +66,18 @@ class TestBuildHamiltonian:
         spec = spec_with(n, delta=rng.normal(size=n), epsilon=rng.normal(size=n), coupling=coupling)
         h = build_hamiltonian(spec)
         assert np.max(np.abs(h - brute_force_hamiltonian(spec))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_kron_product_oracle_exactly(self, n):
+        # The sigma_x terms are permutations of the identity; the Kronecker
+        # products give the same entries, bit for bit.
+        rng = np.random.default_rng(40 + n)
+        coupling = np.triu(rng.normal(scale=30.0, size=(n, n)), 1)
+        delta = rng.normal(size=n) * (rng.random(n) < 0.8)
+        spec = spec_with(n, delta=delta, epsilon=rng.normal(size=n), coupling=coupling + coupling.T)
+        h, oracle = build_hamiltonian(spec), kron_hamiltonian(spec)
+        assert np.array_equal(h, oracle)
+        assert np.array_equal(np.signbit(h.view(float)), np.signbit(oracle.view(float)))
 
     def test_design_parameters_four_qubits(self):
         spec = spec_with(
