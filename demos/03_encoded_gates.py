@@ -14,7 +14,6 @@ import numpy as np
 import fluxbus as fb
 
 reg = fb.LogicalRegister.default(2)
-base = fb.bus_all_to_all(reg.n_physical, 25.0)
 
 print("=== initialization ===")
 sched = fb.init_schedule(reg, fb.ControlParams(mode="physical"))
@@ -31,10 +30,10 @@ print(f"  all qubits along +x:          "
       f"{fb.verify_ifs(fb.QuantumState(np.full(16, 0.25, dtype=complex)), spec):.1f}")
 
 print("\n=== a CPHASE pulse schedule ===")
+cphase = fb.parse_circuit("CPHASE 0,1")
 params = fb.ControlParams(delta_ghz=2.6, epsilon_ghz=2.7, j_mhz=25.0, mode="physical")
-segments = fb.compile_cphase(0, 1, reg, params)
 print("segment  kind            duration (ns)")
-for k, seg in enumerate(segments):
+for k, seg in enumerate(fb.compile_circuit(cphase, reg, params).segments):
     if seg.delta_ghz is not None:
         kind = f"flip qubits {np.nonzero(seg.delta_ghz)[0].tolist()}"
     elif seg.epsilon_ghz is not None:
@@ -44,8 +43,8 @@ for k, seg in enumerate(segments):
     print(f"{k:7d}  {kind:<22} {seg.duration_ns:8.4f}")
 cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 for mode in ("ideal", "physical"):
-    segs = fb.compile_cphase(0, 1, reg, fb.ControlParams(mode=mode))
-    res = fb.logical_process_fidelity(fb.PulseSchedule(tuple(segs), base), cz, reg)
+    sched = fb.compile_circuit(cphase, reg, fb.ControlParams(mode=mode))
+    res = fb.logical_process_fidelity(sched, cz, reg)
     print(f"{mode:>8} mode: process fidelity {res.fidelity:.6f}, leakage {res.max_leakage:.2e}")
 
 print("\n=== Bell state circuit ===")
@@ -65,8 +64,7 @@ logical = np.kron(np.kron([1, 0], [0, 1]), [1 / math.sqrt(2), 1j / math.sqrt(2)]
 amp = np.zeros(2**reg3.n_physical, dtype=complex)
 amp[reg3.code_indices()] = logical
 psi0 = fb.QuantumState(amp)
-segs = fb.compile_cphase(0, 1, reg3, fb.ControlParams(mode="physical"))
-out = fb.run_schedule(psi0, fb.PulseSchedule(tuple(segs), fb.bus_all_to_all(6, 25.0)))
+out = fb.run_schedule(psi0, fb.compile_circuit(cphase, reg3, fb.ControlParams(mode="physical")))
 td = fb.trace_distance(
     fb.reduced_density_matrix(psi0, list(reg3.pairs[2])),
     fb.reduced_density_matrix(out, list(reg3.pairs[2])),
@@ -75,7 +73,6 @@ print(f"CPHASE(0,1) with pair 2 as spectator: trace distance = {td:.2e}")
 
 print("\n=== the same gates on an encoded linear chain ===")
 chain = fb.linear_chain_encoded(2, 40.0, 25.0)
-chain_params = fb.ControlParams(j_mhz=25.0, j_intra_mhz=40.0, mode="ideal")
-sched = fb.compile_circuit(circuit, reg, chain_params, base=chain)
+sched = fb.compile_circuit(circuit, reg, fb.ControlParams(mode="ideal"), base=chain)
 res = fb.logical_process_fidelity(sched, fb.ideal_circuit_unitary(circuit, 2), reg)
 print(f"Bell circuit on the chain (J_Q = 40 MHz, J' = 25 MHz): fidelity {res.fidelity:.9f}")

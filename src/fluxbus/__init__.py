@@ -26,13 +26,10 @@ from .compiler import (
     GateCircuit,
     LogicalRegister,
     compile_circuit,
-    compile_cphase,
-    compile_single_qubit_gate,
     encode,
     ideal_circuit_unitary,
     init_schedule,
     parse_circuit,
-    pi_pulse,
     verify_ifs,
 )
 from .evolve import (

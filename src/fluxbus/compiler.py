@@ -21,6 +21,11 @@ Gates are compiled to pulse schedules over the always-coupled system:
   diagonal-phase bookkeeping;
 * CNOT(c, t) = H(t) CPHASE(c, t) H(t).
 
+``compile_circuit`` is the one gate entry point.  Every wait is timed from
+the coupling graph the schedule runs on, its ``base`` spec: Rx from the
+pair's own coupling, CPHASE from the four cross couplings of its two pairs,
+so the same circuit compiles for the bus or the encoded linear chain.
+
 Every gate is written as moments of simultaneous one-qubit ops (the
 ``x_flip``/``x_rot``/``z_rot`` labels of ``evolve``'s gate table) and
 waits under the fixed couplings.  ``_moment`` is the one op-to-pulse map and
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import GATE_MATRICES, PulseSchedule, PulseSegment, QuantumState, apply_on_qubits, gate_matrix
+from .evolve import PulseSchedule, PulseSegment, QuantumState, apply_on_qubits, gate_matrix
 from .spin import SpinHamiltonianSpec, bus_all_to_all, coupling_diagonal, inter_pair_mask
 
 __all__ = [
@@ -49,15 +54,11 @@ __all__ = [
     "CircuitParseError",
     "UnsupportedGateError",
     "encode",
-    "pi_pulse",
     "init_schedule",
-    "compile_single_qubit_gate",
-    "compile_cphase",
     "compile_circuit",
     "verify_ifs",
     "parse_circuit",
     "ideal_circuit_unitary",
-    "GATE_MATRICES",
 ]
 
 
@@ -123,34 +124,26 @@ class ControlParams:
     """Drive strengths available to the compiler.
 
     ``delta_ghz`` is the tunneling reached with the barrier lowered (x
-    drives), ``epsilon_ghz`` the bias splitting used for z rotations, and
-    ``j_mhz`` the fixed inter-pair coupling.  On the bus every pair of
-    physical qubits shares the same strength; on the encoded linear chain the
-    intra-pair coupling differs and is given separately (``j_intra_mhz``
-    defaults to ``j_mhz``).
+    drives) and ``epsilon_ghz`` the bias splitting used for z rotations.
+    ``j_mhz`` is only the common coupling of the all-to-all bus that
+    ``compile_circuit`` (when given no coupling graph) and ``init_schedule``
+    build; the compiler times every coupling wait from the graph itself.
     """
 
     delta_ghz: float = 2.6
     epsilon_ghz: float = 2.7
     j_mhz: float = 25.0
-    j_intra_mhz: float | None = None
     mode: str = "physical"
 
     def __post_init__(self):
         if self.delta_ghz <= 0 or self.epsilon_ghz <= 0 or self.j_mhz <= 0:
             raise ValueError("control strengths must be positive")
-        if self.j_intra_mhz is not None and self.j_intra_mhz <= 0:
-            raise ValueError("intra-pair coupling must be positive")
         if self.mode not in ("physical", "ideal"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def j_ghz(self) -> float:
         return self.j_mhz * 1e-3
-
-    @property
-    def j_intra_ghz(self) -> float:
-        return (self.j_mhz if self.j_intra_mhz is None else self.j_intra_mhz) * 1e-3
 
 
 def _one_hot(n: int, entries: dict) -> np.ndarray:
@@ -185,12 +178,6 @@ def _moment(ops, params: ControlParams, n: int, epsilon_ghz: np.ndarray | None =
     return [PulseSegment(duration_ns=turns / params.delta_ghz, delta_ghz=drive, epsilon_ghz=epsilon_ghz)]
 
 
-def pi_pulse(qubit: int, delta_ghz: float, n_qubits: int, mode: str = "physical") -> PulseSegment:
-    """Pi flip of one physical qubit: drive its tunneling for 1/(2 delta)."""
-    (segment,) = _moment([("x_flip", qubit)], ControlParams(delta_ghz=delta_ghz, mode=mode), n_qubits)
-    return segment
-
-
 def _logical_rz(logical: int, theta: float, reg: LogicalRegister, params: ControlParams) -> list:
     """exp(-i theta/2 Z_L): differential bias on the pair.
 
@@ -217,21 +204,30 @@ def _wait(duration_ns: float) -> PulseSegment:
     return PulseSegment(duration_ns=duration_ns)
 
 
-def _logical_rx(logical: int, theta: float, reg: LogicalRegister, params: ControlParams) -> list:
+def _logical_rx(
+    logical: int, theta: float, reg: LogicalRegister, params: ControlParams, base: SpinHamiltonianSpec
+) -> list:
     """exp(-i theta/2 X_L) via the always-on intra-pair coupling.
 
     Conjugating the pair's sigma_z sigma_z term with Hadamards on a and b
     turns the wait exp(-i theta/2 Z_a Z_b) into exp(-i theta/2 X_a X_b), which
     restricts to Rx(theta) on the code space without leaking out of the pair
-    blocks.  Spectator pairs are untouched: their collective sigma_z
-    annihilates every coupling term that reaches into the active pair.
+    blocks.  The wait is timed from the pair's own coupling in ``base``.
+    Spectator pairs are untouched: their collective sigma_z annihilates every
+    coupling term that reaches into the active pair.
     """
+    a, b = reg.pairs[logical]
+    j_mhz = float(base.coupling_mhz[a, b])
+    if not j_mhz > 0.0:
+        raise ValueError(
+            f"logical qubit {logical}: pair {(a, b)} has intra-pair coupling {j_mhz} MHz, "
+            "but RX and H are timed from a positive one"
+        )
     theta = theta % (4.0 * math.pi)
     if theta == 0.0:
         return []
-    a, b = reg.pairs[logical]
     n = reg.n_physical
-    wait = _wait((theta % (2.0 * math.pi)) / (4.0 * math.pi * params.j_intra_ghz))
+    wait = _wait((theta % (2.0 * math.pi)) / (4.0 * math.pi * (j_mhz * 1e-3)))
     basis_change = _physical_hadamard(a, params, n) + _physical_hadamard(b, params, n)
     return basis_change + [wait] + basis_change
 
@@ -241,13 +237,34 @@ def _logical_x(logical: int, reg: LogicalRegister, params: ControlParams) -> lis
     return _moment([("x_flip", a), ("x_flip", b)], params, reg.n_physical)
 
 
-def _logical_h(logical: int, reg: LogicalRegister, params: ControlParams) -> list:
+def _logical_h(logical: int, reg: LogicalRegister, params: ControlParams, base: SpinHamiltonianSpec) -> list:
     """H = e^{i pi/2} Rz(pi/2) Rx(pi/2) Rz(pi/2) on the logical qubit."""
-    return (
-        _logical_rz(logical, math.pi / 2.0, reg, params)
-        + _logical_rx(logical, math.pi / 2.0, reg, params)
-        + _logical_rz(logical, math.pi / 2.0, reg, params)
-    )
+    rz = _logical_rz(logical, math.pi / 2.0, reg, params)
+    return rz + _logical_rx(logical, math.pi / 2.0, reg, params, base) + rz
+
+
+def _cphase(i: int, j: int, reg: LogicalRegister, params: ControlParams, base: SpinHamiltonianSpec) -> list:
+    """Flip / evolve / flip realization of CPHASE between logical i and j.
+
+    Both b qubits are flipped out of the code space together, the inter-pair
+    coupling (4J Z_L Z_L on the flipped subspace) runs for 1/(32 J) to pick up
+    a ZZ phase of pi/4, the flips are undone, and Rz(-pi/2) corrections on
+    each logical qubit finish the diagonal-phase bookkeeping.  J is the
+    pairs' cross coupling in ``base``; all four must be equal and positive.
+    In physical mode the flips keep J on, which is the architecture's
+    intrinsic error.
+    """
+    cross = base.coupling_mhz[np.ix_(reg.pairs[i], reg.pairs[j])]
+    j_mhz = float(cross[1, 1])
+    if not (j_mhz > 0.0 and np.all(cross == j_mhz)):
+        raise ValueError(
+            f"CPHASE {i},{j}: pairs {reg.pairs[i]} and {reg.pairs[j]} need four equal positive cross "
+            f"couplings, got {cross.ravel().tolist()} MHz"
+        )
+    b_i, b_j = reg.pairs[i][1], reg.pairs[j][1]
+    flips = _moment([("x_flip", b_i), ("x_flip", b_j)], params, reg.n_physical)
+    segments = flips + [_wait(1.0 / (32.0 * (j_mhz * 1e-3)))] + flips
+    return segments + _logical_rz(i, -math.pi / 2.0, reg, params) + _logical_rz(j, -math.pi / 2.0, reg, params)
 
 
 @dataclass(frozen=True)
@@ -270,6 +287,8 @@ class Gate:
             raise ValueError(f"{self.name} takes {self._ARITY[self.name]} operand(s)")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.name} operands must be distinct")
+        if min(self.qubits) < 0:
+            raise ValueError(f"{self.name} operands must be non-negative, got {self.qubits}")
         if (self.angle is None) == (self.name in self._ANGLED):
             raise ValueError(f"{self.name} {'needs' if self.name in self._ANGLED else 'takes no'} angle")
         if self.angle is not None and not math.isfinite(self.angle):
@@ -320,50 +339,28 @@ def parse_circuit(text: str) -> GateCircuit:
     return GateCircuit(tuple(gates))
 
 
-def compile_single_qubit_gate(
-    gate: Gate, logical: int, reg: LogicalRegister, params: ControlParams
-) -> list:
-    """Pulse segments for one logical single-qubit gate.
+def _gate_segments(gate: Gate, reg: LogicalRegister, params: ControlParams, base: SpinHamiltonianSpec) -> list:
+    """Pulse segments of one logical gate on the coupling graph ``base``.
 
-    Precondition (not checkable here): every other pair sits in its code
-    space, so the fixed couplings to the rest of the machine act trivially.
+    Precondition: every other pair sits in its code space, so the fixed
+    couplings to the rest of the machine act trivially.
     """
-    if not 0 <= logical < reg.n_logical:
-        raise ValueError(f"logical qubit {logical} out of range")
+    q = gate.qubits[0]
     if gate.name == "RZ":
-        return _logical_rz(logical, gate.angle, reg, params)
-    if gate.name == "RX":
-        return _logical_rx(logical, gate.angle, reg, params)
-    if gate.name == "X":
-        return _logical_x(logical, reg, params)
+        return _logical_rz(q, gate.angle, reg, params)
     if gate.name == "Z":
-        return _logical_rz(logical, math.pi, reg, params)
+        return _logical_rz(q, math.pi, reg, params)
+    if gate.name == "X":
+        return _logical_x(q, reg, params)
+    if gate.name == "RX":
+        return _logical_rx(q, gate.angle, reg, params, base)
     if gate.name == "H":
-        return _logical_h(logical, reg, params)
-    raise UnsupportedGateError(f"{gate.name} is not a single-qubit gate")
-
-
-def compile_cphase(i: int, j: int, reg: LogicalRegister, params: ControlParams) -> list:
-    """Flip / evolve / flip realization of CPHASE between logical i and j.
-
-    Both b qubits are flipped out of the code space together, the inter-pair
-    coupling (4J Z_L Z_L on the flipped subspace) runs for 1/(32 J) to pick up
-    a ZZ phase of pi/4, the flips are undone, and Rz(-pi/2) corrections on
-    each logical qubit finish the diagonal-phase bookkeeping.  In physical
-    mode the flips keep J on, which is the architecture's intrinsic error.
-    """
-    if i == j:
-        raise ValueError("CPHASE operands must be distinct")
-    for q in (i, j):
-        if not 0 <= q < reg.n_logical:
-            raise ValueError(f"logical qubit {q} out of range")
-    b_i, b_j = reg.pairs[i][1], reg.pairs[j][1]
-    t_int = 1.0 / (32.0 * params.j_ghz)
-    flips = [("x_flip", b_i), ("x_flip", b_j)]
-    segments = _moment(flips, params, reg.n_physical) + [_wait(t_int)] + _moment(flips, params, reg.n_physical)
-    segments += _logical_rz(i, -math.pi / 2.0, reg, params)
-    segments += _logical_rz(j, -math.pi / 2.0, reg, params)
-    return segments
+        return _logical_h(q, reg, params, base)
+    if gate.name == "CPHASE":
+        return _cphase(*gate.qubits, reg, params, base)
+    # CNOT(c, t) = H(t) CPHASE(c, t) H(t)
+    h = _gate_segments(Gate("H", gate.qubits[1:]), reg, params, base)
+    return h + _gate_segments(Gate("CPHASE", gate.qubits), reg, params, base) + h
 
 
 def _base_spec(reg: LogicalRegister, params: ControlParams) -> SpinHamiltonianSpec:
@@ -405,31 +402,29 @@ def compile_circuit(
     params: ControlParams | None = None,
     base: SpinHamiltonianSpec | None = None,
 ) -> PulseSchedule:
-    """Concatenate compiled gates over the always-coupled register.
+    """Compile a logical circuit to one pulse schedule; the compiler's one
+    gate entry point.
 
-    Gates run one at a time: only the active pair (or pair of pairs) may
-    leave the code space.  ``base`` defaults to the all-to-all bus at
-    ``params.j_mhz``; pass the encoded-chain coupling graph (with matching
-    ``j_intra_mhz``) to compile against that topology instead.  CPHASE
-    operands must share an inter-pair coupling equal to ``params.j_mhz``.
+    ``base`` is the coupling graph the schedule runs on, by default the
+    all-to-all bus at ``params.j_mhz``; pass the encoded-chain graph to
+    compile against that topology instead.  Every coupling-timed wait reads
+    its J from ``base``: RX and H need a positive coupling within their
+    pair, CPHASE and CNOT four equal positive cross couplings between their
+    pairs.  ``base`` carries no drives or biases, since a segment's ``None``
+    keeps the base value on through every wait.  Gates run one at a time:
+    only the active pair (or pair of pairs) may leave the code space.
     """
     params = params or ControlParams()
+    base = base if base is not None else _base_spec(reg, params)
     if circuit.max_qubit() >= reg.n_logical:
         raise ValueError("circuit addresses a logical qubit outside the register")
-    if base is not None and base.n_qubits != reg.n_physical:
+    if base.n_qubits != reg.n_physical:
         raise ValueError("base spec size does not match the register")
-    segments = []
-    for gate in circuit.gates:
-        if gate.name == "CPHASE":
-            segments += compile_cphase(gate.qubits[0], gate.qubits[1], reg, params)
-        elif gate.name == "CNOT":
-            control, target = gate.qubits
-            segments += compile_single_qubit_gate(Gate("H", (target,)), target, reg, params)
-            segments += compile_cphase(control, target, reg, params)
-            segments += compile_single_qubit_gate(Gate("H", (target,)), target, reg, params)
-        else:
-            segments += compile_single_qubit_gate(gate, gate.qubits[0], reg, params)
-    return PulseSchedule(tuple(segments), base if base is not None else _base_spec(reg, params))
+    for field in ("delta_ghz", "epsilon_ghz"):
+        if np.any(getattr(base, field)):
+            raise ValueError(f"base spec {field} must be zero: the compiler's segments would keep it on")
+    segments = [seg for gate in circuit.gates for seg in _gate_segments(gate, reg, params, base)]
+    return PulseSchedule(tuple(segments), base)
 
 
 def verify_ifs(state: QuantumState, spec: SpinHamiltonianSpec, reg: LogicalRegister | None = None) -> float:

@@ -113,11 +113,10 @@ def test_criterion_6_ifs_annihilation_exact():
 def test_criterion_7_ideal_gates_and_spectator():
     start = time.perf_counter()
     reg = fb.LogicalRegister.default(2)
-    base = fb.bus_all_to_all(4, 25.0)
     params = fb.ControlParams(mode="ideal")
+    cphase = fb.parse_circuit("CPHASE 0,1")
 
-    segs = fb.compile_cphase(0, 1, reg, params)
-    res_cz = fb.logical_process_fidelity(fb.PulseSchedule(tuple(segs), base), CZ, reg)
+    res_cz = fb.logical_process_fidelity(fb.compile_circuit(cphase, reg, params), CZ, reg)
     assert res_cz.fidelity >= 1.0 - 1e-9
 
     circuit = fb.GateCircuit((fb.Gate("CNOT", (0, 1)),))
@@ -129,8 +128,7 @@ def test_criterion_7_ideal_gates_and_spectator():
     iso = dense_isometry(reg3)
     logical = np.kron(np.kron([1, 0], [0, 1]), [1 / math.sqrt(2), 1j / math.sqrt(2)])
     psi0 = fb.QuantumState(iso @ logical.astype(complex))
-    segs = fb.compile_cphase(0, 1, reg3, params)
-    out = fb.run_schedule(psi0, fb.PulseSchedule(tuple(segs), fb.bus_all_to_all(6, 25.0)))
+    out = fb.run_schedule(psi0, fb.compile_circuit(cphase, reg3, params))
     td = fb.trace_distance(
         fb.reduced_density_matrix(psi0, list(reg3.pairs[2])),
         fb.reduced_density_matrix(out, list(reg3.pairs[2])),
@@ -148,18 +146,15 @@ def test_criterion_7_ideal_gates_and_spectator():
 def test_criterion_8_physical_cphase():
     reg = fb.LogicalRegister.default(2)
     params = fb.ControlParams(delta_ghz=2.6, epsilon_ghz=2.7, j_mhz=25.0, mode="physical")
-    segs = fb.compile_cphase(0, 1, reg, params)
-    res = fb.logical_process_fidelity(
-        fb.PulseSchedule(tuple(segs), fb.bus_all_to_all(4, 25.0)), CZ, reg
-    )
+    cphase = fb.parse_circuit("CPHASE 0,1")
+    res = fb.logical_process_fidelity(fb.compile_circuit(cphase, reg, params), CZ, reg)
     assert res.fidelity >= 0.99
 
     reg3 = fb.LogicalRegister.default(3)
     iso = dense_isometry(reg3)
     logical = np.kron(np.kron([1, 0], [0, 1]), [1 / math.sqrt(2), 1 / math.sqrt(2)])
     psi0 = fb.QuantumState(iso @ logical.astype(complex))
-    segs = fb.compile_cphase(0, 1, reg3, params)
-    out = fb.run_schedule(psi0, fb.PulseSchedule(tuple(segs), fb.bus_all_to_all(6, 25.0)))
+    out = fb.run_schedule(psi0, fb.compile_circuit(cphase, reg3, params))
     td = fb.trace_distance(
         fb.reduced_density_matrix(psi0, list(reg3.pairs[2])),
         fb.reduced_density_matrix(out, list(reg3.pairs[2])),

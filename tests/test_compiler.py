@@ -12,14 +12,12 @@ from fluxbus.compiler import (
     Gate,
     GateCircuit,
     LogicalRegister,
+    _moment,
     compile_circuit,
-    compile_cphase,
-    compile_single_qubit_gate,
     encode,
     ideal_circuit_unitary,
     init_schedule,
     parse_circuit,
-    pi_pulse,
     verify_ifs,
 )
 from fluxbus.evolve import (
@@ -31,7 +29,7 @@ from fluxbus.evolve import (
     run_schedule,
     trace_distance,
 )
-from fluxbus.spin import SpinHamiltonianSpec, bus_all_to_all
+from fluxbus.spin import SpinHamiltonianSpec, bus_all_to_all, linear_chain_encoded
 
 from code_space_oracle import dense_isometry
 
@@ -41,12 +39,17 @@ REG2 = LogicalRegister.default(2)
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
-def schedule_for(segments, reg, j_mhz=25.0):
-    return PulseSchedule(tuple(segments), bus_all_to_all(reg.n_physical, j_mhz))
+def compile_gate(gate, params, reg=REG2, base=None):
+    return compile_circuit(GateCircuit((gate,)), reg, params, base=base)
 
 
-def gate_fidelity(segments, reg, target, j_mhz=25.0):
-    return logical_process_fidelity(schedule_for(segments, reg, j_mhz), target, reg)
+def gate_fidelity(gate, params, target, reg=REG2, base=None):
+    return logical_process_fidelity(compile_gate(gate, params, reg, base), target, reg)
+
+
+def pi_flip(qubit, delta_ghz, n_qubits, mode="physical"):
+    (segment,) = _moment([("x_flip", qubit)], ControlParams(delta_ghz=delta_ghz, mode=mode), n_qubits)
+    return segment
 
 
 class TestEncoding:
@@ -86,48 +89,44 @@ class TestEncoding:
 
 class TestPiPulse:
     def test_duration_at_design_tunneling(self):
-        seg = pi_pulse(0, 2.6, n_qubits=2)
+        seg = pi_flip(0, 2.6, n_qubits=2)
         assert seg.duration_ns == pytest.approx(0.1923, abs=1e-4)
         assert seg.delta_ghz[0] == 2.6 and seg.delta_ghz[1] == 0.0
 
     def test_duration_vanishes_for_fast_tunneling(self):
-        assert pi_pulse(0, 1e6, n_qubits=1).duration_ns == pytest.approx(0.0, abs=1e-6)
+        assert pi_flip(0, 1e6, n_qubits=1).duration_ns == pytest.approx(0.0, abs=1e-6)
 
     def test_double_flip_is_identity_up_to_phase(self):
         spec = bus_all_to_all(2, 25.0)
-        seg = pi_pulse(0, 2.6, n_qubits=2)
+        seg = pi_flip(0, 2.6, n_qubits=2)
         sched = PulseSchedule((seg, seg), spec)
         state = QuantumState(np.array([0.6, 0.0, 0.8j, 0.0]))
         out = run_schedule(state, sched)
         assert fidelity(state, out) == pytest.approx(1.0, abs=1e-3)
 
     def test_ideal_variant(self):
-        seg = pi_pulse(1, 2.6, n_qubits=2, mode="ideal")
+        seg = pi_flip(1, 2.6, n_qubits=2, mode="ideal")
         assert seg.ideal_op == ("x_flip", 1)
 
 
 class TestSingleQubitGates:
     def test_rz_zero_is_empty(self):
-        assert compile_single_qubit_gate(Gate("RZ", (0,), 0.0), 0, REG2, IDEAL) == []
+        assert compile_gate(Gate("RZ", (0,), 0.0), IDEAL).segments == ()
 
     @pytest.mark.parametrize("mode,tol", [("ideal", 1e-6), ("physical", 2e-2)])
     def test_logical_x_maps_code_words(self, mode, tol):
         params = ControlParams(mode=mode)
-        segs = compile_single_qubit_gate(Gate("X", (0,)), 0, REG2, params)
-        out = run_schedule(encode("00", REG2), schedule_for(segs, REG2))
+        out = run_schedule(encode("00", REG2), compile_gate(Gate("X", (0,)), params))
         assert fidelity(encode("10", REG2), out) >= 1.0 - tol
 
     def test_logical_x_ideal_process_fidelity(self):
         x = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)).astype(complex)
-        res = gate_fidelity(
-            compile_single_qubit_gate(Gate("X", (0,)), 0, REG2, IDEAL), REG2, x
-        )
+        res = gate_fidelity(Gate("X", (0,)), IDEAL, x)
         assert res.fidelity >= 1.0 - 1e-6
 
     def test_rz_phases_one_state(self):
         # Rz(pi/2) phases |1_L> by e^{i pi/2} relative to |0_L>.
-        segs = compile_single_qubit_gate(Gate("RZ", (0,), math.pi / 2), 0, REG2, IDEAL)
-        sched = schedule_for(segs, REG2)
+        sched = compile_gate(Gate("RZ", (0,), math.pi / 2), IDEAL)
         plus = QuantumState(
             (encode("00", REG2).amplitudes + encode("10", REG2).amplitudes) / math.sqrt(2)
         )
@@ -140,7 +139,7 @@ class TestSingleQubitGates:
     def test_ideal_gates_exact(self, name, angle):
         gate = Gate(name, (0,), angle)
         target = ideal_circuit_unitary(GateCircuit((gate,)), 2)
-        res = gate_fidelity(compile_single_qubit_gate(gate, 0, REG2, IDEAL), REG2, target)
+        res = gate_fidelity(gate, IDEAL, target)
         assert res.fidelity >= 1.0 - 1e-9
         assert res.max_leakage < 1e-9
 
@@ -154,14 +153,14 @@ class TestSingleQubitGates:
     def test_physical_gates_fidelity_and_leakage(self, name, angle, leak_tol):
         gate = Gate(name, (0,), angle)
         target = ideal_circuit_unitary(GateCircuit((gate,)), 2)
-        res = gate_fidelity(compile_single_qubit_gate(gate, 0, REG2, PHYSICAL), REG2, target)
+        res = gate_fidelity(gate, PHYSICAL, target)
         assert res.fidelity >= 0.98
         assert res.max_leakage < leak_tol
 
     def test_physical_rz_is_exact(self):
         gate = Gate("RZ", (0,), 1.1)
         target = ideal_circuit_unitary(GateCircuit((gate,)), 2)
-        res = gate_fidelity(compile_single_qubit_gate(gate, 0, REG2, PHYSICAL), REG2, target)
+        res = gate_fidelity(gate, PHYSICAL, target)
         assert res.fidelity >= 1.0 - 1e-9
 
     @pytest.mark.parametrize("mode", ["physical", "ideal"])
@@ -172,7 +171,7 @@ class TestSingleQubitGates:
         params = ControlParams(mode=mode)
         angles = (0.7, 0.7 + 4.0 * math.pi * turns)
         durations = [
-            [s.duration_ns for s in compile_single_qubit_gate(Gate("RZ", (0,), theta), 0, REG2, params)]
+            [s.duration_ns for s in compile_gate(Gate("RZ", (0,), theta), params).segments]
             for theta in angles
         ]
         assert durations[1] == pytest.approx(durations[0], abs=1e-9)
@@ -187,24 +186,25 @@ class TestSingleQubitGates:
 
     def test_out_of_range_operand(self):
         with pytest.raises(ValueError):
-            compile_single_qubit_gate(Gate("X", (0,)), 5, REG2, IDEAL)
+            compile_gate(Gate("X", (5,)), IDEAL)
+        with pytest.raises(ValueError, match="non-negative"):
+            Gate("X", (-1,))
 
 
 class TestCphase:
     def test_interaction_wait_duration(self):
-        segs = compile_cphase(0, 1, REG2, IDEAL)
+        segs = compile_gate(Gate("CPHASE", (0, 1)), IDEAL).segments
         waits = [s for s in segs if s.mode == "physical" and s.delta_ghz is None and s.epsilon_ghz is None]
         assert len(waits) == 1
         assert waits[0].duration_ns == pytest.approx(1.25, rel=1e-12)  # 1/(32 J)
 
     def test_ideal_logical_action(self):
-        res = gate_fidelity(compile_cphase(0, 1, REG2, IDEAL), REG2, CZ)
+        res = gate_fidelity(Gate("CPHASE", (0, 1)), IDEAL, CZ)
         assert res.fidelity >= 1.0 - 1e-9
         assert res.max_leakage < 1e-9
 
     def test_phases_basis_states(self):
-        segs = compile_cphase(0, 1, REG2, IDEAL)
-        sched = schedule_for(segs, REG2)
+        sched = compile_gate(Gate("CPHASE", (0, 1)), IDEAL)
         iso = dense_isometry(REG2)
         logical = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
         out = run_schedule(QuantumState(iso @ logical), sched)
@@ -213,7 +213,7 @@ class TestCphase:
         assert np.allclose(ratios, [1.0, 1.0, 1.0, -1.0], atol=1e-12)
 
     def test_physical_mode_meets_design_fidelity(self):
-        res = gate_fidelity(compile_cphase(0, 1, REG2, PHYSICAL), REG2, CZ)
+        res = gate_fidelity(Gate("CPHASE", (0, 1)), PHYSICAL, CZ)
         assert res.fidelity >= 0.99
         assert res.max_leakage < 1e-2
 
@@ -223,15 +223,13 @@ class TestCphase:
         logical = np.kron(np.kron([1, 0], [0, 1]), [1 / math.sqrt(2), 1j / math.sqrt(2)])
         psi0 = QuantumState(iso @ logical.astype(complex))
         for mode, tol in (("ideal", 1e-10), ("physical", 1e-3)):
-            segs = compile_cphase(0, 1, reg, ControlParams(mode=mode))
-            out = run_schedule(psi0, schedule_for(segs, reg))
+            out = run_schedule(psi0, compile_gate(Gate("CPHASE", (0, 1)), ControlParams(mode=mode), reg))
             rho0 = reduced_density_matrix(psi0, list(reg.pairs[2]))
             rho1 = reduced_density_matrix(out, list(reg.pairs[2]))
             assert trace_distance(rho0, rho1) <= tol
 
     def test_compiled_cphase_is_diagonal_on_code_space(self):
-        segs = compile_cphase(0, 1, REG2, IDEAL)
-        sched = schedule_for(segs, REG2)
+        sched = compile_gate(Gate("CPHASE", (0, 1)), IDEAL)
         iso = dense_isometry(REG2)
         action = np.zeros((4, 4), dtype=complex)
         for col in range(4):
@@ -243,13 +241,13 @@ class TestCphase:
         assert np.max(np.abs(action @ zz - zz @ action)) < 1e-9
 
     def test_overlapping_operands_rejected(self):
-        with pytest.raises(ValueError):
-            compile_cphase(0, 0, REG2, IDEAL)
+        with pytest.raises(ValueError, match="distinct"):
+            Gate("CPHASE", (0, 0))
 
     def test_pairing_arbitrariness(self):
         for pairs in (((0, 1), (2, 3)), ((1, 0), (3, 2)), ((0, 2), (1, 3))):
             reg = LogicalRegister(pairs)
-            res = gate_fidelity(compile_cphase(0, 1, reg, IDEAL), reg, CZ)
+            res = gate_fidelity(Gate("CPHASE", (0, 1)), IDEAL, CZ, reg)
             assert res.fidelity >= 1.0 - 1e-9
 
 
@@ -309,21 +307,53 @@ class TestCompileCircuit:
 class TestChainTopology:
     def test_gates_on_encoded_linear_chain(self):
         # Alternate coupling graph: intra-pair J_Q = 40 MHz, cross links 25 MHz.
-        from fluxbus.spin import linear_chain_encoded
-
+        # Every wait is timed from the graph, so no control parameter names J_Q.
         base = linear_chain_encoded(2, 40.0, 25.0)
-        params = ControlParams(j_mhz=25.0, j_intra_mhz=40.0, mode="ideal")
         circuit = parse_circuit("H 0\nCNOT 0,1\n")
-        sched = compile_circuit(circuit, REG2, params, base=base)
+        sched = compile_circuit(circuit, REG2, IDEAL, base=base)
         res = logical_process_fidelity(sched, ideal_circuit_unitary(circuit, 2), REG2)
         assert res.fidelity >= 1.0 - 1e-9
         assert res.max_leakage < 1e-9
 
     def test_base_size_mismatch_rejected(self):
-        from fluxbus.spin import linear_chain_encoded
-
         with pytest.raises(ValueError):
             compile_circuit(GateCircuit(()), REG2, IDEAL, base=linear_chain_encoded(3, 40.0, 25.0))
+
+    def test_cphase_between_uncoupled_pairs_rejected(self):
+        # Pairs 0 and 2 of the chain share no coupling, so no wait makes a CPHASE.
+        reg = LogicalRegister.default(3)
+        with pytest.raises(ValueError, match=r"\(0, 1\) and \(4, 5\)"):
+            compile_gate(Gate("CPHASE", (0, 2)), IDEAL, reg, linear_chain_encoded(3, 40.0, 25.0))
+
+    def test_unequal_cross_couplings_rejected(self):
+        coupling = bus_all_to_all(4, 25.0).coupling_mhz.copy()
+        coupling[0, 3] = coupling[3, 0] = 30.0
+        base = SpinHamiltonianSpec(4, np.zeros(4), np.zeros(4), coupling)
+        with pytest.raises(ValueError, match=r"CPHASE 0,1"):
+            compile_gate(Gate("CPHASE", (0, 1)), IDEAL, base=base)
+
+    @pytest.mark.parametrize("gate", [Gate("RX", (0,), 0.7), Gate("H", (0,)), Gate("CNOT", (1, 0))])
+    def test_zero_intra_pair_coupling_rejected(self, gate):
+        with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
+            compile_gate(gate, IDEAL, base=linear_chain_encoded(2, 0.0, 25.0))
+
+    @pytest.mark.parametrize("text", ["CPHASE 0,1", "RX 0,0.7"])
+    def test_bus_coupling_read_from_base(self, text):
+        # A 40 MHz bus compiled with the default 25 MHz controls: J comes from the base.
+        circuit = parse_circuit(text)
+        sched = compile_circuit(circuit, REG2, IDEAL, base=bus_all_to_all(4, 40.0))
+        res = logical_process_fidelity(sched, ideal_circuit_unitary(circuit, 2), REG2)
+        assert abs(res.fidelity - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("field", ["delta_ghz", "epsilon_ghz"])
+    def test_base_with_drive_or_bias_rejected(self, field):
+        # A segment's None keeps the base value, so a base drive would act in every wait.
+        bus = bus_all_to_all(4, 25.0)
+        fields = {"delta_ghz": bus.delta_ghz, "epsilon_ghz": bus.epsilon_ghz}
+        fields[field] = np.array([0.5, 0.0, 0.0, 0.0])
+        base = SpinHamiltonianSpec(4, coupling_mhz=bus.coupling_mhz, **fields)
+        with pytest.raises(ValueError, match=field):
+            compile_gate(Gate("CPHASE", (0, 1)), IDEAL, base=base)
 
 
 class TestInitSchedule:
