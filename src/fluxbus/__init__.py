@@ -60,7 +60,6 @@ from .squid import (
     WindowTooSmallError,
     beta_l,
     calibrate_critical_current,
-    default_grid,
     extract_two_level,
     potential,
     solve_levels,

@@ -207,10 +207,9 @@ def coupling_strength(tlp: TwoLevelParams, bus: BusParams) -> float:
     return m_eff_ph * tlp.i_p_ua**2 * ENERGY_GHZ_PER_PH_UA2 * 1e3
 
 
-def weak_coupling_ratio(squid: SquidParams, bus: BusParams, n_qubits: int | None = None) -> float:
+def weak_coupling_ratio(squid: SquidParams, bus: BusParams) -> float:
     """N M^2 / (L L_b); warns when the design leaves the weak-coupling regime."""
-    n = bus.n_qubits if n_qubits is None else n_qubits
-    ratio = n * bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
+    ratio = bus.n_qubits * bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
     if ratio >= WEAK_COUPLING_WARN_AT:
         warnings.warn(
             f"weak-coupling ratio N M^2/(L L_b) = {ratio:.3g} >= {WEAK_COUPLING_WARN_AT}",

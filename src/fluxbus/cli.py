@@ -26,7 +26,6 @@ from . import bus as busmod
 from . import squid as squidmod
 from .bus import BusParams, WeakCouplingWarning
 from .compiler import (
-    CircuitParseError,
     ControlParams,
     LogicalRegister,
     compile_circuit,
@@ -121,21 +120,27 @@ def _number(cfg: dict, key: str, default=None):
     return value
 
 
-def _checked(cfg: dict, key: str, ok, rule: str, default=None):
+def _checked(cfg: dict, key: str, ok, rule: str):
     """A config number that must satisfy ``ok``; the error names the key and
     states the ``rule``, so a bad value is refused before any solve."""
-    value = _number(cfg, key, default)
+    value = _number(cfg, key)
     if value is not None and not ok(value):
         raise ConfigError(f"config key {key} must {rule}, got {value!r}")
     return value
 
 
-def _positive(cfg: dict, key: str, default=None):
-    return _checked(cfg, key, lambda v: v > 0, "be positive", default)
+def _positive(cfg: dict, key: str):
+    return _checked(cfg, key, lambda v: v > 0, "be positive")
 
 
-def _non_negative(cfg: dict, key: str, default=None):
-    return _checked(cfg, key, lambda v: v >= 0, "be non-negative", default)
+def _non_negative(cfg: dict, key: str):
+    return _checked(cfg, key, lambda v: v >= 0, "be non-negative")
+
+
+def _set(**values) -> dict:
+    """The keyword arguments whose config key is set (read as not None); the
+    others are left out, so they keep the library's defaults."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _integer(cfg: dict, key: str, default=None) -> int:
@@ -195,18 +200,17 @@ def _format_value(value) -> str:
 _MAX_GRID_POINTS = 2**30 // (16 * 8)
 
 
-def _grid_from_config(cfg: dict) -> FluxGrid | None:
-    if not any(key in cfg for key in ("grid_points", "phi_window_lo", "phi_window_hi")):
-        return None
-    n_points = _integer(cfg, "grid_points", 4097)
+def _grid_from_config(cfg: dict) -> FluxGrid:
+    default = FluxGrid()
+    n_points = _integer(cfg, "grid_points", default.n_points)
     if n_points > _MAX_GRID_POINTS:
         raise ConfigError(
             f"grid_points = {n_points} exceeds {_MAX_GRID_POINTS}: the flux solver's ~16 float64 arrays "
             "of grid_points entries must fit in 1 GiB"
         )
-    if n_points < 257:  # FluxGrid's minimum
-        raise ConfigError(f"config key grid_points must be at least 257, got {n_points}")
-    lo, hi = _number(cfg, "phi_window_lo", -0.25), _number(cfg, "phi_window_hi", 1.25)
+    if n_points < squidmod.MIN_GRID_POINTS:
+        raise ConfigError(f"config key grid_points must be at least {squidmod.MIN_GRID_POINTS}, got {n_points}")
+    lo, hi = _number(cfg, "phi_window_lo", default.phi_min), _number(cfg, "phi_window_hi", default.phi_max)
     if not lo < hi:
         raise ConfigError(
             f"config keys phi_window_lo = {lo!r}, phi_window_hi = {hi!r} "
@@ -221,7 +225,7 @@ def _squid_from_config(cfg: dict) -> SquidParams:
         l_ph=_positive(cfg, "L_pH"),
         c_ff=_positive(cfg, "C_fF"),
         ic_ua=_non_negative(cfg, "Ic_uA"),
-        phi_x=_checked(cfg, "phi_x_Phi0", lambda v: 0.0 <= v < 1.0, "lie in [0, 1) flux quanta", 0.5),
+        **_set(phi_x=_checked(cfg, "phi_x_Phi0", lambda v: 0.0 <= v < 1.0, "lie in [0, 1) flux quanta")),
     )
 
 
@@ -254,7 +258,8 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
     grid = _grid_from_config(cfg)
     target = _positive(cfg, "target_delta_GHz")
     if target is not None:
-        bracket = (_number(cfg, "bracket_lo_uA", 1.5), _number(cfg, "bracket_hi_uA", 3.0))
+        lo, hi = squidmod.IC_BRACKET_UA
+        bracket = (_number(cfg, "bracket_lo_uA", lo), _number(cfg, "bracket_hi_uA", hi))
         if not 0 <= bracket[0] < bracket[1]:
             raise ConfigError(
                 f"config keys bracket_lo_uA = {bracket[0]!r}, bracket_hi_uA = {bracket[1]!r} "
@@ -274,7 +279,7 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
 
     if beta <= 1.0:
         harmonic = 1.0 / (2.0 * math.pi * math.sqrt(params.l_ph * 1e-12 * params.c_ff * 1e-15)) / 1e9
-        sol = squidmod.solve_levels(params, grid=grid, k=2)
+        sol = squidmod.solve_levels(params, grid=grid)
         report.derived["harmonic_spacing_GHz"] = harmonic
         report.derived["level_gap_GHz"] = sol.gap
         report.notes.append("no double well (beta_L <= 1): harmonic-limit report")
@@ -296,7 +301,7 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
 
     if sweep is not None:
         for idx, ic in enumerate(sweep):
-            sol = squidmod.solve_levels(replace(params, ic_ua=float(ic), phi_x=0.5), grid=grid, k=2)
+            sol = squidmod.solve_levels(replace(params, ic_ua=float(ic), phi_x=0.5), grid=grid)
             report.derived[f"sweep[{idx}].Ic_uA"] = float(ic)
             report.derived[f"sweep[{idx}].delta_GHz"] = sol.gap
     return report
@@ -312,7 +317,7 @@ def cmd_design(cfg: dict) -> DesignReport:
             l_b_nh=_positive(cfg, "L_b_nH"),
             m_ph=_non_negative(cfg, "M_pH"),
             n_qubits=_integer(cfg, "N"),
-            k_geom=_number(cfg, "k_geom", 1.0),
+            **_set(k_geom=_number(cfg, "k_geom")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -363,9 +368,11 @@ def cmd_design(cfg: dict) -> DesignReport:
 def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
     try:
         return ControlParams(
-            delta_ghz=_positive(cfg, "delta_GHz", 2.6),
-            epsilon_ghz=_positive(cfg, "epsilon_GHz", 2.7),
-            j_mhz=_positive(cfg, "J_MHz", 25.0),
+            **_set(
+                delta_ghz=_positive(cfg, "delta_GHz"),
+                epsilon_ghz=_positive(cfg, "epsilon_GHz"),
+                j_mhz=_positive(cfg, "J_MHz"),
+            ),
             mode=mode or cfg.get("mode", "ideal"),
         )
     except ValueError as exc:
@@ -511,12 +518,8 @@ def cmd_reproduce_paper() -> tuple[list, bool]:
     2 x (1/(2 delta)) against the quoted 0.4 ns: the quoted time corresponds
     to 1/delta, a factor-2 convention gap that is flagged, not hidden.
     """
-    squid = SquidParams(**{
-        "l_ph": _DESIGN_SQUID["L_pH"],
-        "c_ff": _DESIGN_SQUID["C_fF"],
-        "ic_ua": _DESIGN_SQUID["Ic_uA"],
-    })
-    bus = BusParams(l_b_nh=2.0, m_ph=2.0, n_qubits=1000, k_geom=1.0)
+    squid = SquidParams(_DESIGN_SQUID["L_pH"], _DESIGN_SQUID["C_fF"], _DESIGN_SQUID["Ic_uA"])
+    bus = BusParams(l_b_nh=2.0, m_ph=2.0, n_qubits=1000)
 
     tlp_unsuppressed = squidmod.extract_two_level(squid)
     suppressed = replace(squid, ic_ua=_IC_SUPPRESSED)
@@ -631,9 +634,6 @@ def main(argv=None) -> int:
             if not overall:
                 sys.stderr.write("error[acceptance]: reproduction table has failing rows\n")
                 return EXIT_ACCEPTANCE
-    except (ConfigError, CircuitParseError) as exc:
-        sys.stderr.write(f"error[config]: {exc}\n")
-        return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"error[numerical]: {exc}\n")
         return EXIT_NUMERICAL

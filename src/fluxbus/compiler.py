@@ -23,8 +23,8 @@ Gates are compiled to pulse schedules over the always-coupled system:
 
 ``compile_circuit`` is the one gate entry point.  Every wait is timed from
 the coupling graph the schedule runs on, its ``base`` spec: Rx from the
-pair's own coupling, CPHASE from the four cross couplings of its two pairs,
-so the same circuit compiles for the bus or the encoded linear chain.
+pair's own coupling, CPHASE from the cross coupling of its two pairs, so the
+same circuit compiles for the bus or the encoded linear chain.
 
 Every gate is written as moments of simultaneous one-qubit ops (the
 ``x_flip``/``x_rot``/``z_rot`` labels of ``evolve``'s gate table) and
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -250,18 +250,17 @@ def _cphase(i: int, j: int, reg: LogicalRegister, params: ControlParams, base: S
     coupling (4J Z_L Z_L on the flipped subspace) runs for 1/(32 J) to pick up
     a ZZ phase of pi/4, the flips are undone, and Rz(-pi/2) corrections on
     each logical qubit finish the diagonal-phase bookkeeping.  J is the
-    pairs' cross coupling in ``base``; all four must be equal and positive.
-    In physical mode the flips keep J on, which is the architecture's
-    intrinsic error.
+    pairs' cross coupling in ``base``, which must be positive; the four are
+    equal on every base ``compile_circuit`` accepts.  In physical mode the
+    flips keep J on, which is the architecture's intrinsic error.
     """
-    cross = base.coupling_mhz[np.ix_(reg.pairs[i], reg.pairs[j])]
-    j_mhz = float(cross[1, 1])
-    if not (j_mhz > 0.0 and np.all(cross == j_mhz)):
-        raise ValueError(
-            f"CPHASE {i},{j}: pairs {reg.pairs[i]} and {reg.pairs[j]} need four equal positive cross "
-            f"couplings, got {cross.ravel().tolist()} MHz"
-        )
     b_i, b_j = reg.pairs[i][1], reg.pairs[j][1]
+    j_mhz = float(base.coupling_mhz[b_i, b_j])
+    if not j_mhz > 0.0:
+        raise ValueError(
+            f"CPHASE {i},{j}: pairs {reg.pairs[i]} and {reg.pairs[j]} need a positive cross coupling, "
+            f"got {j_mhz} MHz"
+        )
     flips = _moment([("x_flip", b_i), ("x_flip", b_j)], params, reg.n_physical)
     segments = flips + [_wait(1.0 / (32.0 * (j_mhz * 1e-3)))] + flips
     return segments + _logical_rz(i, -math.pi / 2.0, reg, params) + _logical_rz(j, -math.pi / 2.0, reg, params)
@@ -369,17 +368,15 @@ def _base_spec(reg: LogicalRegister, params: ControlParams) -> SpinHamiltonianSp
     return bus_all_to_all(reg.n_physical, params.j_mhz)
 
 
-def init_schedule(
-    reg: LogicalRegister, params: ControlParams | None = None, compensate_bias: bool = True
-) -> PulseSchedule:
+def init_schedule(reg: LogicalRegister, params: ControlParams | None = None) -> PulseSchedule:
     """Initialization: from all physical qubits frozen in the left well,
     sequential pi flips on each pair's b qubit drive every pair into |0_L>.
 
     During initialization every undriven qubit sits in a definite flux state,
     so the coupling shifts the driven qubit by the known amount
-    J * sum(sigma_z of the others); with ``compensate_bias`` each flip carries
-    the counter-bias that keeps it exactly on resonance (deterministic
-    calibration, distinct from echoing out state-dependent gate errors).
+    J * sum(sigma_z of the others); each flip carries the counter-bias that
+    keeps it exactly on resonance (deterministic calibration, distinct from
+    echoing out state-dependent gate errors).
 
     The finished register applies zero net flux to the bus: each encoded
     pair's circulating currents cancel.
@@ -391,7 +388,7 @@ def init_schedule(
         # Net sigma_z of the others: encoded pairs cancel, the partner is up,
         # every not-yet-touched pair contributes two ups.
         m = 1 + 2 * (reg.n_logical - 1 - k)
-        bias = _one_hot(n, {b: 2.0 * params.j_ghz * m}) if compensate_bias else None
+        bias = _one_hot(n, {b: 2.0 * params.j_ghz * m})
         segments += _moment([("x_flip", b)], params, n, epsilon_ghz=bias)
     return PulseSchedule(tuple(segments), _base_spec(reg, params))
 
@@ -409,10 +406,12 @@ def compile_circuit(
     all-to-all bus at ``params.j_mhz``; pass the encoded-chain graph to
     compile against that topology instead.  Every coupling-timed wait reads
     its J from ``base``: RX and H need a positive coupling within their
-    pair, CPHASE and CNOT four equal positive cross couplings between their
-    pairs.  ``base`` carries no drives or biases, since a segment's ``None``
-    keeps the base value on through every wait.  Gates run one at a time:
-    only the active pair (or pair of pairs) may leave the code space.
+    pair, CPHASE and CNOT a positive cross coupling between their pairs.
+    Every qubit must couple equally to both qubits of each other pair, which
+    hides a code-space pair from it and makes CPHASE's cross couplings equal.
+    ``base`` carries no drives or biases, since a segment's ``None`` keeps
+    the base value on through every wait.  Gates run one at a time: only the
+    active pair (or pair of pairs) may leave the code space.
     """
     params = params or ControlParams()
     base = base if base is not None else _base_spec(reg, params)
@@ -423,6 +422,15 @@ def compile_circuit(
     for field in ("delta_ghz", "epsilon_ghz"):
         if np.any(getattr(base, field)):
             raise ValueError(f"base spec {field} must be zero: the compiler's segments would keep it on")
+    a, b = np.array(reg.pairs, dtype=int).reshape(-1, 2).T
+    c = base.coupling_mhz
+    visible = (c[:, a] != c[:, b]) & inter_pair_mask(reg.n_physical, reg.pairs)[:, a]
+    if visible.any():
+        q, p = np.argwhere(visible)[0]
+        raise ValueError(
+            f"base spec: qubit {q} couples unequally to pair {reg.pairs[p]} ({c[q, a[p]]} and "
+            f"{c[q, b[p]]} MHz), so the pair is visible to it in its code space"
+        )
     segments = [seg for gate in circuit.gates for seg in _gate_segments(gate, reg, params, base)]
     return PulseSchedule(tuple(segments), base)
 
@@ -437,9 +445,9 @@ def verify_ifs(state: QuantumState, spec: SpinHamiltonianSpec, reg: LogicalRegis
         if spec.n_qubits % 2:
             raise ValueError("default pairing needs an even qubit count")
         reg = LogicalRegister.default(spec.n_qubits // 2)
-    diag = coupling_diagonal(spec, pairs=reg.pairs, inter_pair_only=True)
-    inter = np.tril(inter_pair_mask(spec.n_qubits, reg.pairs))
-    j_scale = float(np.max(np.abs(spec.coupling_mhz[inter]) * 1e-3, initial=0.0))
+    inter = inter_pair_mask(spec.n_qubits, reg.pairs)
+    diag = coupling_diagonal(replace(spec, coupling_mhz=np.where(inter, spec.coupling_mhz, 0.0)))
+    j_scale = float(np.max(np.abs(spec.coupling_mhz[np.tril(inter)]) * 1e-3, initial=0.0))
     if j_scale == 0.0:
         return 0.0
     amp = state.amplitudes

@@ -39,7 +39,7 @@ permutation, maps them and scatters them back with its inverse;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -110,10 +110,8 @@ class QuantumState:
         return self.amplitudes.shape[0].bit_length() - 1
 
     @classmethod
-    def basis(cls, n_qubits: int, index) -> "QuantumState":
-        """Computational basis state; ``index`` is an int or a 0/1 string."""
-        if isinstance(index, str):
-            index = int(index, 2) if index else 0
+    def basis(cls, n_qubits: int, index: int) -> "QuantumState":
+        """Computational basis state number ``index``."""
         amp = np.zeros(2**n_qubits, dtype=complex)
         amp[index] = 1.0
         return cls(amp)
@@ -384,12 +382,11 @@ _SINGLE_QUBIT_INPUTS = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0j]]) /
 
 @dataclass(frozen=True)
 class ProcessFidelityResult:
-    """Averaged logical fidelity plus the worst code-space leakage seen."""
+    """Average state fidelity over the 4^n logical {0, 1, +, +i} product
+    inputs, plus the worst code-space leakage seen."""
 
     fidelity: float
     max_leakage: float
-    method: str = "average state fidelity over 4^n logical {0,1,+,+i} product inputs"
-    per_input: tuple = field(default=(), repr=False)
 
 
 def logical_process_fidelity(
@@ -433,8 +430,4 @@ def logical_process_fidelity(
     fidelities = np.abs(np.sum(ideal.conj() * code, axis=0)) ** 2
     leakages = np.maximum(0.0, 1.0 - np.linalg.norm(code, axis=0) ** 2)
 
-    return ProcessFidelityResult(
-        fidelity=float(np.mean(fidelities)),
-        max_leakage=float(np.max(leakages)),
-        per_input=tuple(fidelities.tolist()),
-    )
+    return ProcessFidelityResult(fidelity=float(np.mean(fidelities)), max_leakage=float(np.max(leakages)))

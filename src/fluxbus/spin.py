@@ -81,13 +81,13 @@ class SpinHamiltonianSpec:
         return 2**self.n_qubits
 
 
-def inter_pair_mask(n_qubits: int, pairs=None) -> np.ndarray:
+def inter_pair_mask(n_qubits: int, pairs) -> np.ndarray:
     """N x N boolean mask, True where qubits i and j sit in different pairs.
 
     A qubit outside every pair of ``pairs`` forms a pair of its own.
     """
     label = np.arange(n_qubits) + n_qubits  # never equal to a pair index
-    for p, (a, b) in enumerate(() if pairs is None else pairs):
+    for p, (a, b) in enumerate(pairs):
         label[a] = label[b] = p
     return label[:, None] != label[None, :]
 
@@ -112,17 +112,10 @@ def _coupling_sum(coupling_ghz: np.ndarray) -> np.ndarray:
     return diag
 
 
-def coupling_diagonal(spec: SpinHamiltonianSpec, pairs=None, inter_pair_only: bool = False) -> np.ndarray:
-    """Diagonal (GHz) of the sigma_z sigma_z coupling terms over the basis.
-
-    With ``inter_pair_only`` the terms internal to each (a, b) pair of
-    ``pairs`` are dropped, leaving the operator whose kernel is the code
-    space.
-    """
-    coupling = spec.coupling_mhz * 1e-3
-    if inter_pair_only:
-        coupling = np.where(inter_pair_mask(spec.n_qubits, pairs), coupling, 0.0)
-    return _coupling_sum(coupling)
+def coupling_diagonal(spec: SpinHamiltonianSpec) -> np.ndarray:
+    """Diagonal (GHz) of the sigma_z sigma_z coupling terms over the basis;
+    the spec's drives and biases are ignored."""
+    return _coupling_sum(spec.coupling_mhz * 1e-3)
 
 
 def add_biases(diag: np.ndarray, epsilon_ghz: np.ndarray) -> np.ndarray:

@@ -65,7 +65,8 @@ __all__ = [
     "extract_two_level",
     "calibrate_critical_current",
     "beta_l",
-    "default_grid",
+    "MIN_GRID_POINTS",
+    "IC_BRACKET_UA",
 ]
 
 # Splittings smaller than this, relative to the absolute level energies, sit
@@ -84,6 +85,13 @@ _RESIDUAL_PER_NORM = 1.3e-14
 # SQUIDs (L 100-400 pH, C 20-500 fF, Ic 0-3.5 uA, 257-4098 points) a sector
 # took 12-32 steps.
 _INVERSE_ITERATIONS = 100
+
+# Fewest points of a FluxGrid; the Ic calibration's default bracket (uA),
+# relative tolerance on delta and bisection step limit.
+MIN_GRID_POINTS = 257
+IC_BRACKET_UA = (1.5, 3.0)
+_CALIBRATION_REL_TOL = 1e-3
+_CALIBRATION_STEPS = 200
 
 
 class WindowTooSmallError(RuntimeError):
@@ -138,17 +146,19 @@ def beta_l(params: SquidParams) -> float:
 
 @dataclass(frozen=True)
 class FluxGrid:
-    """Uniform flux grid (units of Phi0) for the discretized Hamiltonian."""
+    """Uniform flux grid (units of Phi0) for the discretized Hamiltonian.  The
+    default window [-0.25, 1.25] Phi0 holds both wells at the symmetric point,
+    and 4097 points resolve near-degenerate splittings."""
 
-    phi_min: float
-    phi_max: float
+    phi_min: float = -0.25
+    phi_max: float = 1.25
     n_points: int = 4097
 
     def __post_init__(self):
         if not self.phi_min < self.phi_max:
             raise ValueError("phi_min must be below phi_max")
-        if self.n_points < 257:
-            raise ValueError("n_points must be at least 257")
+        if self.n_points < MIN_GRID_POINTS:
+            raise ValueError(f"n_points must be at least {MIN_GRID_POINTS}")
 
     @property
     def points(self) -> np.ndarray:
@@ -161,12 +171,6 @@ class FluxGrid:
     @property
     def center(self) -> float:
         return 0.5 * (self.phi_min + self.phi_max)
-
-
-def default_grid() -> FluxGrid:
-    """Default window [-0.25, 1.25] Phi0: wide enough for both wells at the
-    symmetric point, fine enough to resolve near-degenerate splittings."""
-    return FluxGrid(-0.25, 1.25, 4097)
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,14 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int) -> tuple[np.ndarray, 
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
+def _tridiagonal_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for the symmetric tridiagonal T with ``diag`` and bonds ``off``."""
+    tx = diag * x
+    tx[:-1] += off * x[1:]
+    tx[1:] += off * x[:-1]
+    return tx
+
+
 def _ground_state(diag: np.ndarray, off: np.ndarray, shift: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenpair of a tridiagonal block with negative bonds, by inverse
     iteration with a fixed ``shift`` below its spectrum.
@@ -243,9 +255,7 @@ def _ground_state(diag: np.ndarray, off: np.ndarray, shift: float, tol: float) -
     for _ in range(_INVERSE_ITERATIONS):
         y, _ = dpttrs(factor_d, factor_e, x)
         x = y / np.linalg.norm(y)
-        hx = diag * x
-        hx[:-1] += off * x[1:]
-        hx[1:] += off * x[:-1]
+        hx = _tridiagonal_matvec(diag, off, x)
         energy = float(x @ hx)
         if np.linalg.norm(hx - energy * x) <= tol:
             return np.array([energy]), x[:, None]
@@ -334,7 +344,7 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
     if k < 2:
         raise ValueError("k must be at least 2")
     if grid is None:
-        grid = default_grid()
+        grid = FluxGrid()
 
     phi = grid.points
     dphi = grid.spacing
@@ -376,10 +386,7 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
     # Residual check against the full n-point operator.
     for j in range(k):
         v = vectors[:, j]
-        hv = diag * v
-        hv[:-1] += off * v[1:]
-        hv[1:] += off * v[:-1]
-        residual = np.linalg.norm(hv - energies[j] * v)
+        residual = np.linalg.norm(_tridiagonal_matvec(diag, off, v) - energies[j] * v)
         if residual > tol:
             raise ConvergenceError(f"eigen-residual {residual:.2e} exceeds {tol:.2e} for level {j}")
 
@@ -410,7 +417,7 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
             f"beta_L = {beta_l(params):.3f} <= 1: potential has a single well"
         )
 
-    sym = solve_levels(replace(params, phi_x=0.5), grid=grid, k=2)
+    sym = solve_levels(replace(params, phi_x=0.5), grid=grid)
     delta = sym.gap
     scale = float(np.max(np.abs(sym.energies[:2])))
     at_floor = delta < SOLVER_FLOOR_REL * max(scale, 1.0)
@@ -427,7 +434,7 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
     if abs(params.phi_x - 0.5) < 1e-15:
         epsilon = 0.0
     else:
-        gap_biased = solve_levels(params, grid=grid, k=2).gap
+        gap_biased = solve_levels(params, grid=grid).gap
         epsilon = math.sqrt(max(gap_biased**2 - delta**2, 0.0))
 
     return TwoLevelParams(delta_ghz=delta, epsilon_ghz=epsilon, i_p_ua=i_p, at_solver_floor=at_floor)
@@ -436,17 +443,17 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
 def calibrate_critical_current(
     params: SquidParams,
     target_delta_ghz: float,
-    bracket: tuple[float, float] = (1.5, 3.0),
-    rel_tol: float = 1e-3,
+    bracket: tuple[float, float] = IC_BRACKET_UA,
     grid: FluxGrid | None = None,
-    max_iter: int = 200,
 ) -> float:
     """Critical current achieving a target tunneling splitting, by bisection.
 
     delta(Ic) is monotone decreasing on the bistable branch, so a sign-safe
-    bisection suffices.  Stops at |delta - target| <= rel_tol * target or when
-    the Ic bracket narrows below 1e-6 uA (targets near the solver floor never
-    satisfy the delta test; the bracket width bound keeps Ic well determined).
+    bisection over ``bracket`` (uA) suffices.  Stops at |delta - target| <=
+    ``_CALIBRATION_REL_TOL`` * target, when the Ic bracket narrows below 1e-6
+    uA (targets near the solver floor never satisfy the delta test; the
+    bracket width bound keeps Ic well determined), or after
+    ``_CALIBRATION_STEPS`` steps.
 
     Raises ``BracketError`` if the target is not enclosed by the bracket.
     """
@@ -457,7 +464,7 @@ def calibrate_critical_current(
         raise ValueError("bracket must satisfy 0 <= lo < hi")
 
     def delta_of(ic: float) -> float:
-        return solve_levels(replace(params, ic_ua=ic, phi_x=0.5), grid=grid, k=2).gap
+        return solve_levels(replace(params, ic_ua=ic, phi_x=0.5), grid=grid).gap
 
     d_lo = delta_of(lo)
     d_hi = delta_of(hi)
@@ -467,11 +474,10 @@ def calibrate_critical_current(
             f"reachable on Ic bracket [{lo}, {hi}] uA"
         )
 
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_CALIBRATION_STEPS):
         mid = 0.5 * (lo + hi)
         d_mid = delta_of(mid)
-        if abs(d_mid - target_delta_ghz) <= rel_tol * target_delta_ghz:
+        if abs(d_mid - target_delta_ghz) <= _CALIBRATION_REL_TOL * target_delta_ghz:
             return mid
         if d_mid > target_delta_ghz:
             lo = mid

@@ -1,6 +1,7 @@
 """Bus circuit algebra: current solve, inductive energy, design formulas."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,13 +210,10 @@ class TestDesignFormulas:
         ratio = weak_coupling_ratio(SQUID, BusParams(2.0, 2.0, 1000))
         assert ratio == pytest.approx(0.013333333, rel=1e-6)
 
-    def test_weak_coupling_ratio_zero_qubits(self):
-        assert weak_coupling_ratio(SQUID, BUS4, n_qubits=0) == 0.0
-
     def test_weak_coupling_boundary_warns(self):
         n_boundary = int(150.0 * 2000.0 / 4.0)
         with pytest.warns(WeakCouplingWarning):
-            ratio = weak_coupling_ratio(SQUID, BUS4, n_qubits=n_boundary)
+            ratio = weak_coupling_ratio(SQUID, replace(BUS4, n_qubits=n_boundary))
         assert ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_max_qubits_design_point(self):

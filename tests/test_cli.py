@@ -1,5 +1,6 @@
 """Command-line harness: configs, reports, exit codes, determinism."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -16,8 +17,9 @@ from fluxbus.cli import (
     main,
     parse_config,
 )
-from fluxbus.compiler import LogicalRegister
-from fluxbus.squid import TwoLevelParams
+from fluxbus.bus import BusParams
+from fluxbus.compiler import ControlParams, LogicalRegister
+from fluxbus.squid import FluxGrid, SquidParams, TwoLevelParams
 
 SQUID_CFG = """
 # design-point rf-SQUID
@@ -437,6 +439,49 @@ class TestMainExitCodes:
         assert main(["calibrate", "--config", cfg_file(SQUID_CFG)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error[numerical]:") and "inverse iteration did not converge" in err
+
+
+def _field_default(cls, name):
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
+_SQUID = {"L_pH": 150, "C_fF": 80, "Ic_uA": 2.375}
+_GRID = FluxGrid()
+_CONTROL = ControlParams()
+
+
+class TestLibraryDefaults:
+    """A config that omits an optional key reads the library's default."""
+
+    @pytest.mark.parametrize(
+        "command, cfg, defaults",
+        [
+            (
+                cmd_calibrate,
+                _SQUID,
+                {"grid_points": _GRID.n_points, "phi_window_lo": _GRID.phi_min, "phi_window_hi": _GRID.phi_max},
+            ),
+            (
+                cmd_calibrate,
+                {**_SQUID, "target_delta_GHz": 2.6},
+                dict(zip(("bracket_lo_uA", "bracket_hi_uA"), squidmod.IC_BRACKET_UA)),
+            ),
+            (cmd_calibrate, _SQUID, {"phi_x_Phi0": _field_default(SquidParams, "phi_x")}),
+            (cmd_design, {**_SQUID, "M_pH": 2, "L_b_nH": 2, "N": 1000}, {"k_geom": _field_default(BusParams, "k_geom")}),
+            (
+                lambda cfg: cmd_simulate(cfg, BELL_CIRCUIT, mode="physical"),
+                {"n_logical": 2},
+                {"delta_GHz": _CONTROL.delta_ghz, "epsilon_GHz": _CONTROL.epsilon_ghz, "J_MHz": _CONTROL.j_mhz},
+            ),
+        ],
+        ids=["grid", "bracket", "phi_x", "k_geom", "controls"],
+    )
+    def test_omitted_key_gives_the_default_output(self, command, cfg, defaults):
+        def output(config):
+            result = command(config)
+            return result.to_records() if isinstance(result, cli.DesignReport) else json.dumps(result, sort_keys=True)
+
+        assert output(cfg) == output({**cfg, **defaults})
 
 
 class TestReproducePaper:

@@ -1,6 +1,7 @@
 """Encoding, gate compilation, and schedule-level gate verification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,8 +330,19 @@ class TestChainTopology:
         coupling = bus_all_to_all(4, 25.0).coupling_mhz.copy()
         coupling[0, 3] = coupling[3, 0] = 30.0
         base = SpinHamiltonianSpec(4, np.zeros(4), np.zeros(4), coupling)
-        with pytest.raises(ValueError, match=r"CPHASE 0,1"):
+        with pytest.raises(ValueError, match=r"qubit 0 couples unequally to pair \(2, 3\)"):
             compile_gate(Gate("CPHASE", (0, 1)), IDEAL, base=base)
+
+    @pytest.mark.parametrize("gate", [Gate("CPHASE", (0, 1)), Gate("RX", (0,), 0.7)])
+    def test_spectator_seeing_a_pair_unequally_rejected(self, gate):
+        # Qubit 0 couples to spectator pair (4, 5) with 30 and 25 MHz, so that
+        # pair is not hidden in its code space: ideal CPHASE 0,1 would reach
+        # only F = 0.99884 and RX 0,0.7 F = 0.99511 with 4.9e-3 leakage.
+        coupling = bus_all_to_all(6, 25.0).coupling_mhz.copy()
+        coupling[0, 4] = coupling[4, 0] = 30.0
+        base = SpinHamiltonianSpec(6, np.zeros(6), np.zeros(6), coupling)
+        with pytest.raises(ValueError, match=r"qubit 0 couples unequally to pair \(4, 5\) \(30.0 and 25.0 MHz\)"):
+            compile_gate(gate, IDEAL, LogicalRegister.default(3), base)
 
     @pytest.mark.parametrize("gate", [Gate("RX", (0,), 0.7), Gate("H", (0,)), Gate("CNOT", (1, 0))])
     def test_zero_intra_pair_coupling_rejected(self, gate):
@@ -377,9 +389,11 @@ class TestInitSchedule:
         assert fidelity(encode("0" * n_pairs, reg), out) >= 0.999
 
     def test_uncompensated_initialization_degrades(self):
+        # The same flips without their counter-biases drift off resonance.
         reg = LogicalRegister.default(3)
-        sched = init_schedule(reg, PHYSICAL, compensate_bias=False)
-        out = run_schedule(QuantumState.basis(reg.n_physical, 0), sched)
+        sched = init_schedule(reg, PHYSICAL)
+        uncompensated = PulseSchedule(tuple(replace(seg, epsilon_ghz=None) for seg in sched.segments), sched.base)
+        out = run_schedule(QuantumState.basis(reg.n_physical, 0), uncompensated)
         f = fidelity(encode("000", reg), out)
         assert 0.95 < f < 0.999
 

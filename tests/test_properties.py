@@ -32,7 +32,14 @@ from fluxbus.evolve import (
     run_schedule,
 )
 from fluxbus.constants import ENERGY_GHZ_PER_PH_UA2, KINETIC_GHZ_FF, PHI0_PH_UA
-from fluxbus.spin import SpinHamiltonianSpec, add_biases, build_hamiltonian, coupling_diagonal, ising_diagonal
+from fluxbus.spin import (
+    SpinHamiltonianSpec,
+    add_biases,
+    build_hamiltonian,
+    coupling_diagonal,
+    inter_pair_mask,
+    ising_diagonal,
+)
 from fluxbus.squid import FluxGrid, SquidParams, potential, solve_levels
 
 from code_space_oracle import dense_isometry
@@ -510,7 +517,8 @@ def test_diagonal_matches_pauli_kron_sum(spec, data):
     bias = sum((-0.5 * spec.epsilon_ghz[q] * _z_product(n, (q,)) for q in range(n)), np.zeros(2**n))
     assert np.max(np.abs(ising_diagonal(spec) - (coupling + bias))) <= 1e-12
     assert np.max(np.abs(coupling_diagonal(spec) - coupling)) <= 1e-12
-    inter = coupling_diagonal(spec, pairs=pairs, inter_pair_only=True)
+    masked = np.where(inter_pair_mask(n, pairs), spec.coupling_mhz, 0.0)
+    inter = coupling_diagonal(replace(spec, coupling_mhz=masked))
     assert np.max(np.abs(inter - inter_pair)) <= 1e-12
 
 

@@ -1,5 +1,7 @@
 """Dense spin Hamiltonian assembly and coupling topologies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fluxbus.spin import (
     build_hamiltonian,
     bus_all_to_all,
     coupling_diagonal,
+    inter_pair_mask,
     linear_chain_encoded,
 )
 
@@ -158,6 +161,12 @@ class TestTopologies:
             linear_chain_encoded(0, 25.0, 25.0)
 
 
+def inter_pair_diagonal(spec, pairs):
+    """``coupling_diagonal`` with each pair's own coupling masked out."""
+    inter = inter_pair_mask(spec.n_qubits, pairs)
+    return coupling_diagonal(replace(spec, coupling_mhz=np.where(inter, spec.coupling_mhz, 0.0)))
+
+
 class TestInteractionOnly:
     def test_zero_coupling_gives_zero_operator(self):
         assert np.max(np.abs(coupling_diagonal(spec_with(3)))) == 0.0
@@ -175,7 +184,7 @@ class TestInteractionOnly:
     def test_inter_pair_annihilates_code_states(self):
         spec = bus_all_to_all(4, 25.0)
         pairs = ((0, 1), (2, 3))
-        diag = coupling_diagonal(spec, pairs=pairs, inter_pair_only=True)
+        diag = inter_pair_diagonal(spec, pairs)
         # code words: each pair in 01 or 10
         for pair0 in (0b01, 0b10):
             for pair1 in (0b01, 0b10):
@@ -187,7 +196,7 @@ class TestInteractionOnly:
     def test_inter_pair_excludes_intra_terms(self):
         spec = bus_all_to_all(4, 25.0)
         pairs = ((0, 1), (2, 3))
-        inter = coupling_diagonal(spec, pairs=pairs, inter_pair_only=True)
+        inter = inter_pair_diagonal(spec, pairs)
         full = coupling_diagonal(spec)
         intra = full - inter
         # intra part: two ZZ terms, J (z0 z1 + z2 z3)

@@ -19,7 +19,6 @@ from fluxbus.squid import (
     _ground_state,
     beta_l,
     calibrate_critical_current,
-    default_grid,
     extract_two_level,
     potential,
     solve_levels,
@@ -302,7 +301,7 @@ class TestValidation:
             FluxGrid(0.0, 1.0, 128)
 
     def test_default_grid(self):
-        g = default_grid()
+        g = FluxGrid()
         assert (g.phi_min, g.phi_max, g.n_points) == (-0.25, 1.25, 4097)
 
     def test_two_level_params_fields(self):
