@@ -366,24 +366,23 @@ def cmd_design(cfg: dict) -> DesignReport:
 
 
 def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
-    try:
-        return ControlParams(
-            **_set(
-                delta_ghz=_positive(cfg, "delta_GHz"),
-                epsilon_ghz=_positive(cfg, "epsilon_GHz"),
-                j_mhz=_positive(cfg, "J_MHz"),
-            ),
-            mode=mode or cfg.get("mode", "ideal"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    strengths = _set(
+        delta_ghz=_positive(cfg, "delta_GHz"),
+        epsilon_ghz=_positive(cfg, "epsilon_GHz"),
+        j_mhz=_positive(cfg, "J_MHz"),
+    )
+    if not mode:
+        mode = cfg.get("mode", "ideal")
+        if mode not in ("ideal", "physical"):
+            raise ConfigError(f"config key mode must be ideal or physical, got {mode!r}")
+    return ControlParams(**strengths, mode=mode)
 
 
 # A simulation holds its states, the logical unitary and run_schedule's working
 # arrays, 4^n_logical amplitudes each.  Their tracemalloc peak over 200 random
-# circuits at n_logical 7 is at most 302 B per amplitude, reached while a
+# circuits at n_logical 7 is at most 228 B per amplitude, reached while a
 # two-qubit flip's blocks are diagonalised with the previous flip's still
-# kept; _BYTES_PER_AMPLITUDE adds over 50% for numpy's temporaries
+# kept; _BYTES_PER_AMPLITUDE allows over twice that for numpy's temporaries
 # (tests/test_cli.py checks it).  A 1 GiB budget bounds n_logical at 10.
 _BYTES_PER_AMPLITUDE = 512
 _MAX_LOGICAL = int(math.log(2**30 / _BYTES_PER_AMPLITUDE, 4))

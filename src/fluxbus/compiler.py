@@ -168,7 +168,7 @@ def _moment(ops, params: ControlParams, n: int, epsilon_ghz: np.ndarray | None =
     under an x moment (the initialization's counter-bias).
     """
     if params.mode == "ideal":
-        return [PulseSegment(mode="ideal", ideal_op=op) for op in ops]
+        return [PulseSegment(ideal_op=op) for op in ops]
     name, _, *angle = ops[0]
     if name == "z_rot":
         bias = _one_hot(n, {op[1]: -math.copysign(params.epsilon_ghz, op[2]) for op in ops})
@@ -409,8 +409,8 @@ def compile_circuit(
     pair, CPHASE and CNOT a positive cross coupling between their pairs.
     Every qubit must couple equally to both qubits of each other pair, which
     hides a code-space pair from it and makes CPHASE's cross couplings equal.
-    ``base`` carries no drives or biases, since a segment's ``None`` keeps
-    the base value on through every wait.  Gates run one at a time: only the
+    ``base`` carries no drives or biases (``PulseSchedule`` refuses them):
+    every pulse is its segment's own.  Gates run one at a time: only the
     active pair (or pair of pairs) may leave the code space.
     """
     params = params or ControlParams()
@@ -419,9 +419,6 @@ def compile_circuit(
         raise ValueError("circuit addresses a logical qubit outside the register")
     if base.n_qubits != reg.n_physical:
         raise ValueError("base spec size does not match the register")
-    for field in ("delta_ghz", "epsilon_ghz"):
-        if np.any(getattr(base, field)):
-            raise ValueError(f"base spec {field} must be zero: the compiler's segments would keep it on")
     a, b = np.array(reg.pairs, dtype=int).reshape(-1, 2).T
     c = base.coupling_mhz
     visible = (c[:, a] != c[:, b]) & inter_pair_mask(reg.n_physical, reg.pairs)[:, a]

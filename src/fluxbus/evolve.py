@@ -5,26 +5,26 @@ Each pulse segment either holds the drive values constant for a duration
 suspended (ideal mode: the verification baseline that separates protocol
 errors from always-on-coupling errors).
 
-Physical propagation is block-structured and exact at machine precision.
-The coupling and the biases are diagonal in the computational basis, so a
-segment that drives k qubits splits into 2^(N-k) independent 2^k x 2^k
-blocks.  The coupling is fixed for a whole schedule: ``run_schedule`` forms
-its diagonal once, and each distinct bias vector adds its non-zero biases to
-one copy of it (an all-zero bias uses the coupling itself).  Undriven
-segments (waits and bias pulses) are diagonal and commute, so
-``run_schedule`` sums the exponents of each run of them and applies one
-phase vector.  ``evolve_segment`` propagates one segment given the diagonal
-and the drive vector as arrays: one driven qubit has a closed-form 2 x 2
-propagator, and k >= 2 driven qubits (the CPHASE flips) diagonalise their
-distinct blocks in one batched ``eigh``.  A block is the drive operator plus
-its slice of D, and on the bus, where every pair shares one J, the slices
-take few distinct values, so blocks with equal slices are grouped exactly and
-each distinct one is diagonalised once.  ``run_schedule`` sends one-qubit
-drives through it and keeps the last k >= 2 block decomposition, so a flip
-that repeats the previous one's (bias, drive, duration), as the two flips of
-a CPHASE do, is not diagonalised again.  No 2^N x 2^N operator is built;
-the dense ``spin.build_hamiltonian`` matrix is the reference the tests
-compare against.
+Physical propagation is block-structured and exact at machine precision.  A
+schedule's base spec holds only the couplings: every drive and bias is a
+segment's, and ``None`` is off.  The coupling and the biases are diagonal in
+the computational basis, so a segment that drives k qubits splits into
+2^(N-k) independent 2^k x 2^k blocks.  Undriven segments (waits and bias
+pulses) commute: with C the coupling diagonal, which ``run_schedule`` forms
+once, a run of them sums to C T + bias(sum of eps_s t_s), one time and one
+length-N bias vector, and takes one exponential.  ``evolve_segment``
+propagates one segment given the diagonal and the drive vector as arrays:
+one driven qubit has a closed-form 2 x 2 propagator, and k >= 2 driven
+qubits (the CPHASE flips) diagonalise their distinct blocks in one batched
+``eigh``.  A block is the drive operator plus its slice of D, and on the
+bus, where every pair shares one J, the slices take few distinct values, so
+blocks with equal slices are grouped exactly and each distinct one is
+diagonalised once.  ``run_schedule`` sends one-qubit drives through it and
+keeps the last k >= 2 block decomposition, so a flip that repeats the
+previous one's (bias, drive, duration), as the two flips of a CPHASE do, is
+not diagonalised again.  No 2^N x 2^N operator is built; the dense
+``spin.build_hamiltonian`` matrix is the reference the tests compare
+against.
 
 One gate table and one block kernel serve ideal propagation, the
 verification target (``compiler.ideal_circuit_unitary``) and the k >= 2
@@ -121,29 +121,25 @@ class QuantumState:
 class PulseSegment:
     """One piecewise-constant control interval.
 
-    Physical mode holds ``delta_ghz``/``epsilon_ghz`` (None keeps the base
-    value) for ``duration_ns``.  Ideal mode instead applies ``ideal_op``
-    exactly and takes no time.
+    A physical segment holds ``delta_ghz``/``epsilon_ghz`` for
+    ``duration_ns``; ``None`` is all zeros.  A segment with an ``ideal_op``
+    instead applies that labeled unitary exactly and takes no time; its
+    ``mode`` is ``"ideal"``.
     """
 
     duration_ns: float = 0.0
     delta_ghz: np.ndarray | None = None
     epsilon_ghz: np.ndarray | None = None
-    mode: str = "physical"
     ideal_op: tuple | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.duration_ns) and self.duration_ns >= 0):
             raise ValueError(f"duration_ns must be finite and non-negative, got {self.duration_ns!r}")
-        if self.mode not in ("physical", "ideal"):
-            raise ValueError(f"unknown segment mode {self.mode!r}")
-        if self.mode == "ideal":
-            if self.ideal_op is None or self.ideal_op[0] not in IDEAL_OPS:
-                raise ValueError("ideal segments need a labeled unitary")
+        if self.ideal_op is not None:
+            if self.ideal_op[0] not in IDEAL_OPS:
+                raise ValueError(f"unknown ideal op {self.ideal_op[0]!r}")
             if self.duration_ns != 0.0 or self.delta_ghz is not None or self.epsilon_ghz is not None:
                 raise ValueError("ideal segments are instantaneous and carry no drives")
-        elif self.ideal_op is not None:
-            raise ValueError("physical segments cannot carry a labeled unitary")
         for name in ("delta_ghz", "epsilon_ghz"):
             arr = getattr(self, name)
             if arr is not None:
@@ -152,16 +148,23 @@ class PulseSegment:
                     raise ValueError(f"{name} must be finite, got {arr.tolist()}")
                 object.__setattr__(self, name, arr)
 
+    @property
+    def mode(self) -> str:
+        return "physical" if self.ideal_op is None else "ideal"
+
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Ordered control segments over a fixed coupled-qubit system."""
+    """Ordered control segments over a fixed coupled-qubit system, ``base``."""
 
     segments: tuple
     base: SpinHamiltonianSpec
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
+        for name in ("delta_ghz", "epsilon_ghz"):
+            if np.any(getattr(self.base, name)):
+                raise ValueError(f"base spec {name} must be zero: every drive and bias belongs to a segment")
         for seg in self.segments:
             for arr in (seg.delta_ghz, seg.epsilon_ghz):
                 if arr is not None and arr.shape != (self.base.n_qubits,):
@@ -301,23 +304,17 @@ def _apply_ideal(state: QuantumState, op: tuple) -> QuantumState:
     return QuantumState(apply_on_qubits(state.amplitudes, (q,), lambda blocks: blocks @ mat.T))
 
 
-# Distinct biased diagonals one run_schedule keeps at once, 8 B per amplitude
-# each, so its memory does not grow with the schedule's length.
-_KEPT_DIAGONALS = 8
-
-
 def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
     """Left-fold of the schedule's segments over the state.
 
-    The coupling diagonal is formed once; each distinct bias vector adds its
-    biases to a copy of it, and an all-zero bias uses it as is.  Undriven
-    segments are diagonal and commute, so each run of them sums its
-    exponents -i 2 pi D_s t_s and applies one phase vector when the run ends
-    (at a driven segment, an ideal op or the end of the schedule).  One-qubit
-    drives go through ``evolve_segment``.  A segment driving k >= 2 qubits
-    reuses the block decomposition of the last such segment when its bias,
-    drive and duration are the same (the two flips of a CPHASE), and forms
-    it otherwise.
+    The coupling diagonal C is formed once.  A run of undriven segments sums
+    its time T and its eps_s t_s, and applies exp(-i 2 pi (C T + bias(sum)))
+    when it ends (at a driven segment, an ideal op or the end).  A driven
+    segment uses C itself when it has no bias, one biased copy otherwise;
+    one-qubit drives go through ``evolve_segment``.  A segment driving k >= 2
+    qubits reuses the block decomposition of the last such segment when its
+    bias, drive and duration are the same (the two flips of a CPHASE), and
+    forms it otherwise.
     """
     base = schedule.base
     if state.n_qubits != base.n_qubits:
@@ -325,39 +322,36 @@ def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
     coupling = coupling_diagonal(base)
     coupling.flags.writeable = False
 
-    # Keyed by the vectors' bytes; np.frombuffer gives the vector back.
-    @lru_cache(maxsize=_KEPT_DIAGONALS)
-    def biased(epsilon_key):
-        epsilon = np.frombuffer(epsilon_key)
+    def biased(epsilon):
         return add_biases(coupling.copy(), epsilon) if epsilon.any() else coupling
 
+    # Keyed by the vectors' bytes; np.frombuffer gives the vector back.
     @lru_cache(maxsize=1)
     def blocks(epsilon_key, delta_key, t_ns):
-        return _block_propagator(biased(epsilon_key), np.frombuffer(delta_key), t_ns)
+        return _block_propagator(biased(np.frombuffer(epsilon_key)), np.frombuffer(delta_key), t_ns)
 
-    angle = None  # summed exponent of the pending undriven run
+    def end_run(state, time, bias):
+        if not time:
+            return state
+        return QuantumState(np.exp(-2j * math.pi * add_biases(coupling * time, bias)) * state.amplitudes)
+
+    off = np.zeros(base.n_qubits)
+    time, bias = 0.0, off  # the pending undriven run: total time and summed eps * t
     for seg in schedule.segments:
-        if seg.mode == "physical":
-            epsilon = base.epsilon_ghz if seg.epsilon_ghz is None else seg.epsilon_ghz
-            delta = base.delta_ghz if seg.delta_ghz is None else seg.delta_ghz
-            diag = biased(epsilon.tobytes())
-            if not delta.any():
-                term = -2j * math.pi * diag * seg.duration_ns
-                angle = term if angle is None else angle + term
-                continue
-        if angle is not None:
-            state = QuantumState(np.exp(angle) * state.amplitudes)
-            angle = None
-        if seg.mode == "ideal":
+        epsilon = off if seg.epsilon_ghz is None else seg.epsilon_ghz
+        delta = off if seg.delta_ghz is None else seg.delta_ghz
+        if seg.ideal_op is None and not delta.any():
+            time, bias = time + seg.duration_ns, bias + epsilon * seg.duration_ns
+            continue
+        state, time, bias = end_run(state, time, bias), 0.0, off
+        if seg.ideal_op is not None:
             state = _apply_ideal(state, seg.ideal_op)
         elif np.count_nonzero(delta) == 1:
-            state = evolve_segment(state, diag, delta, seg.duration_ns)
+            state = evolve_segment(state, biased(epsilon), delta, seg.duration_ns)
         else:
             propagator = blocks(epsilon.tobytes(), delta.tobytes(), seg.duration_ns)
             state = QuantumState(apply_on_qubits(state.amplitudes, np.flatnonzero(delta), propagator))
-    if angle is not None:
-        state = QuantumState(np.exp(angle) * state.amplitudes)
-    return state
+    return end_run(state, time, bias)
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:

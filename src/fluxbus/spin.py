@@ -11,8 +11,9 @@ state (sigma_z eigenvalue +1).  ``ising_diagonal`` gives the diagonal part
 D = sum_{i>j} J_ij z_i z_j - (1/2) sum_q epsilon_q z_q over the basis:
 ``coupling_diagonal`` forms the coupling terms in O(2^N) memory and
 ``add_biases`` adds the non-zero bias terms in place.  The coupling is fixed
-for a whole pulse schedule, so ``evolve.run_schedule`` forms it once and
-adds each distinct bias vector to one copy.  ``build_hamiltonian`` assembles
+for a whole pulse schedule, so ``evolve.run_schedule`` forms it once; it
+adds a driven segment's biases to one copy, and an undriven run's summed
+eps * t to the coupling times the run's time.  ``build_hamiltonian`` assembles
 the dense 2^N x 2^N matrix, capped at ``MAX_DENSE_QUBITS``; each sigma_x
 term is the permutation of the identity that flips one bit of the basis
 index.  It is the reference the tests compare the block-structured

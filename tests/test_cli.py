@@ -289,6 +289,15 @@ class TestMainExitCodes:
         assert err.startswith("error[config]: line 2:") and "finite" in err
 
     @pytest.mark.parametrize("command", ["simulate", "compile"])
+    @pytest.mark.parametrize("value, shown", [("Physical", "'Physical'"), ("3", "3")])
+    def test_bad_mode_names_the_key(self, cfg_file, tmp_path, capsys, command, value, shown):
+        circuit = tmp_path / "x.circuit"
+        circuit.write_text("X 0\n")
+        cfg = cfg_file(SIM_CFG.replace("mode = ideal", f"mode = {value}"))
+        assert main([command, "--config", cfg, "--circuit", str(circuit)]) == 2
+        assert capsys.readouterr().err == f"error[config]: config key mode must be ideal or physical, got {shown}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "compile"])
     def test_negative_n_logical(self, cfg_file, tmp_path, capsys, command):
         circuit = tmp_path / "empty.circuit"
         circuit.write_text("")

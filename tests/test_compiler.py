@@ -359,7 +359,7 @@ class TestChainTopology:
 
     @pytest.mark.parametrize("field", ["delta_ghz", "epsilon_ghz"])
     def test_base_with_drive_or_bias_rejected(self, field):
-        # A segment's None keeps the base value, so a base drive would act in every wait.
+        # Every drive and bias is a segment's: the schedule refuses a base one.
         bus = bus_all_to_all(4, 25.0)
         fields = {"delta_ghz": bus.delta_ghz, "epsilon_ghz": bus.epsilon_ghz}
         fields[field] = np.array([0.5, 0.0, 0.0, 0.0])

@@ -138,7 +138,7 @@ class TestIdealOps:
     def test_x_flip_matches_sigma_x(self):
         rng = np.random.default_rng(4)
         state = random_state(rng, 3)
-        seg = PulseSegment(mode="ideal", ideal_op=("x_flip", 1))
+        seg = PulseSegment(ideal_op=("x_flip", 1))
         sched = PulseSchedule((seg,), spec_with(3))
         out = run_schedule(state, sched)
         expect = state.amplitudes.reshape(2, 2, 2)[:, ::-1, :].reshape(-1)
@@ -149,7 +149,7 @@ class TestIdealOps:
         c, s = math.cos(angle / 2), math.sin(angle / 2)
         rx = np.array([[c, -1j * s], [-1j * s, c]])
         state = QuantumState(np.array([0.6, 0.8j]))
-        seg = PulseSegment(mode="ideal", ideal_op=("x_rot", 0, angle))
+        seg = PulseSegment(ideal_op=("x_rot", 0, angle))
         out = run_schedule(state, PulseSchedule((seg,), spec_with(1)))
         assert np.allclose(out.amplitudes, rx @ state.amplitudes, atol=1e-14)
 
@@ -157,7 +157,7 @@ class TestIdealOps:
     def test_z_rot_matches_matrix(self, angle):
         rz = np.diag([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)])
         state = QuantumState(np.array([0.6, 0.8j]))
-        seg = PulseSegment(mode="ideal", ideal_op=("z_rot", 0, angle))
+        seg = PulseSegment(ideal_op=("z_rot", 0, angle))
         out = run_schedule(state, PulseSchedule((seg,), spec_with(1)))
         assert np.allclose(out.amplitudes, rz @ state.amplitudes, atol=1e-14)
 
@@ -169,14 +169,18 @@ class TestIdealOps:
                 mat[0, 0] = 2.0
 
     def test_ideal_segment_validation(self):
+        with pytest.raises(ValueError, match="unknown ideal op"):
+            PulseSegment(ideal_op=("y_flip", 0))
         with pytest.raises(ValueError):
-            PulseSegment(mode="ideal")  # no label
+            PulseSegment(ideal_op=("x_flip", 0), duration_ns=1.0)
         with pytest.raises(ValueError):
-            PulseSegment(mode="ideal", ideal_op=("x_flip", 0), duration_ns=1.0)
-        with pytest.raises(ValueError):
-            PulseSegment(mode="physical", ideal_op=("x_flip", 0))
+            PulseSegment(ideal_op=("x_flip", 0), delta_ghz=np.zeros(1))
         with pytest.raises(ValueError):
             PulseSegment(duration_ns=-1.0)
+
+    def test_mode_is_read_from_the_op(self):
+        assert PulseSegment(ideal_op=("x_flip", 0)).mode == "ideal"
+        assert PulseSegment(1.0, delta_ghz=np.array([2.6])).mode == "physical"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["duration_ns", "delta_ghz", "epsilon_ghz"])
@@ -204,12 +208,13 @@ class TestRunSchedule:
         direct = evolve_spec(state, replace(spec, delta_ghz=np.array([2.6, 0.0])), 0.4)
         assert np.allclose(run_schedule(state, sched).amplitudes, direct.amplitudes, atol=1e-14)
 
-    def test_override_none_keeps_base(self):
-        spec = spec_with(1, delta=[2.6])
-        state = QuantumState.basis(1, 0)
-        seg = PulseSegment(duration_ns=1.0 / (2 * 2.6))
-        out = run_schedule(state, PulseSchedule((seg,), spec))
-        assert abs(out.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("field", ["delta_ghz", "epsilon_ghz"])
+    def test_base_with_drive_or_bias_rejected(self, field):
+        # Every drive and bias is a segment's: a base one would act in every
+        # wait, so a segment's None could not mean off.
+        base = replace(bus_all_to_all(2, 25.0), **{field: np.array([0.0, 2.6])})
+        with pytest.raises(ValueError, match=f"base spec {field} must be zero"):
+            PulseSchedule((PulseSegment(duration_ns=1.0),), base)
 
     def test_override_length_checked(self):
         with pytest.raises(ValueError):
@@ -245,10 +250,30 @@ class TestRunSchedule:
         two = PulseSegment(0.2, delta_ghz=np.array([1.0, 0.0, 2.0]), epsilon_ghz=np.array([0.5, 0.0, 0.0]))
         rebiased = replace(two, epsilon_ghz=np.array([0.0, 0.0, 0.5]))
         wait, bias = PulseSegment(0.5), PulseSegment(0.4, epsilon_ghz=np.array([0.0, 2.7, 0.0]))
-        flip = PulseSegment(mode="ideal", ideal_op=("x_flip", 2))
+        flip = PulseSegment(ideal_op=("x_flip", 2))
         segments = (wait, one, bias, wait, flip, wait, two, one, wait, bias, two, flip, two, rebiased)
         run_schedule(QuantumState.basis(3, 0), PulseSchedule(segments, bus_all_to_all(3, 25.0)))
         assert len(kernel_calls) == 2 and blocks == [2, 2]
+
+    def test_undriven_run_adds_its_biases_once(self, monkeypatch):
+        # Three waits under three distinct biases between two zero-bias
+        # flips sum to one bias vector, added to C T once; the flips use the
+        # coupling diagonal itself.
+        added, add = [], evolve_mod.add_biases
+        monkeypatch.setattr(evolve_mod, "add_biases", lambda d, e: added.append(e.copy()) or add(d, e))
+        base = bus_all_to_all(4, 25.0)
+        flip = PulseSegment(0.19, delta_ghz=np.array([0.0, 2.6, 0.0, 2.6]))
+        biases = np.array([[2.7, 0.0, 0.0, 0.0], [0.0, -2.7, 0.0, 0.0], [1.0, 0.0, 0.0, 2.7]])
+        times = np.array([0.3, 0.5, 0.2])
+        waits = [PulseSegment(t, epsilon_ghz=e) for t, e in zip(times, biases)]
+        state = random_state(np.random.default_rng(9), 4)
+        out = run_schedule(state, PulseSchedule((flip, *waits, flip), base))
+        assert len(added) == 1 and np.allclose(added[0], times @ biases, rtol=0, atol=1e-15)
+        expected = evolve_spec(state, replace(base, delta_ghz=flip.delta_ghz), 0.19)
+        for t, e in zip(times, biases):
+            expected = evolve_spec(expected, replace(base, epsilon_ghz=e), t)
+        expected = evolve_spec(expected, replace(base, delta_ghz=flip.delta_ghz), 0.19)
+        assert np.max(np.abs(out.amplitudes - expected.amplitudes)) <= 1e-12
 
     def test_eigh_sees_each_distinct_block_once(self, monkeypatch):
         # Every bus pair shares one J, so the 64 block diagonals of a
@@ -322,14 +347,14 @@ class TestLogicalProcessFidelity:
         assert res.max_leakage == pytest.approx(0.0, abs=1e-14)
 
     def test_detects_relative_phase_error(self):
-        seg = PulseSegment(mode="ideal", ideal_op=("z_rot", 0, 0.3))
+        seg = PulseSegment(ideal_op=("z_rot", 0, 0.3))
         sched = PulseSchedule((seg,), spec_with(1))
         res = logical_process_fidelity(sched, np.eye(2), _TrivialEncoding())
         assert res.fidelity < 1.0 - 1e-3
 
     def test_global_phase_ignored(self):
         # Rz on both the schedule and the target only differ by global phase
-        seg = PulseSegment(mode="ideal", ideal_op=("z_rot", 0, 0.4))
+        seg = PulseSegment(ideal_op=("z_rot", 0, 0.4))
         sched = PulseSchedule((seg,), spec_with(1))
         target = np.exp(1j * 1.234) * np.diag(
             [np.exp(-1j * 0.2), np.exp(1j * 0.2)]

@@ -225,21 +225,39 @@ def test_code_indices_match_dense_isometry(reg):
 _DRIVES = st.floats(-5.0, 5.0, allow_nan=False)
 
 
+def _drives(draw, n):
+    """Non-zero drives on any subset (k = 0..n) of n qubits."""
+    delta = np.zeros(n)
+    for q in draw(st.permutations(range(n)))[: draw(st.integers(0, n))]:
+        delta[q] = draw(_DRIVES.filter(lambda d: d != 0.0))
+    return delta
+
+
+def _couplings(draw, n):
+    """Random symmetric couplings (MHz) with zero diagonal."""
+    lower = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i):
+            lower[i, j] = draw(st.floats(-100.0, 100.0, allow_nan=False))
+    return lower + lower.T
+
+
 @st.composite
 def segment_specs(draw, max_qubits):
     """Any driven subset (k = 0..N), random biases, random symmetric
     couplings (MHz)."""
     n = draw(st.integers(1, max_qubits))
-    driven = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
-    delta = np.zeros(n)
-    for q in driven:
-        delta[q] = draw(_DRIVES.filter(lambda d: d != 0.0))
+    delta = _drives(draw, n)
     epsilon = np.array([draw(_DRIVES) for _ in range(n)])
-    lower = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i):
-            lower[i, j] = draw(st.floats(-100.0, 100.0, allow_nan=False))
-    return SpinHamiltonianSpec(n, delta, epsilon, lower + lower.T)
+    return SpinHamiltonianSpec(n, delta, epsilon, _couplings(draw, n))
+
+
+@st.composite
+def coupling_specs(draw, max_qubits):
+    """A schedule's base: random symmetric couplings (MHz), no drives or
+    biases."""
+    n = draw(st.integers(1, max_qubits))
+    return SpinHamiltonianSpec(n, np.zeros(n), np.zeros(n), _couplings(draw, n))
 
 
 def _random_state(data, n):
@@ -307,19 +325,15 @@ def test_grouped_block_propagator_equals_all_blocks_eigh(case, t_ns, seed):
 
 @st.composite
 def physical_schedules(draw, max_qubits, max_segments):
-    """Physical segments over a random base: each keeps or overrides the
-    drives, as the compiler's pulses and waits do."""
-    base = draw(segment_specs(max_qubits))
+    """Physical segments over a random coupling-only base: each carries its
+    own drives (any subset) and biases, or None for off, as the compiler's
+    pulses and waits do."""
+    base = draw(coupling_specs(max_qubits))
     n = base.n_qubits
     segments = []
     for _ in range(draw(st.integers(0, max_segments))):
-        delta = epsilon = None
-        if draw(st.booleans()):
-            delta = np.zeros(n)
-            for q in draw(st.sets(st.integers(0, n - 1), max_size=2)):
-                delta[q] = draw(_DRIVES)
-        if draw(st.booleans()):
-            epsilon = np.array([draw(_DRIVES) for _ in range(n)])
+        delta = _drives(draw, n) if draw(st.booleans()) else None
+        epsilon = np.array([draw(_DRIVES) for _ in range(n)]) if draw(st.booleans()) else None
         duration = draw(st.floats(0.0, 5.0, allow_nan=False))
         segments.append(PulseSegment(duration, delta, epsilon))
     return PulseSchedule(tuple(segments), base)
@@ -337,11 +351,13 @@ def test_physical_schedules_are_unitary(schedule, data):
 
 
 def _segment_spec(base, seg):
-    """The base spec with a physical segment's drives (None keeps the base value)."""
+    """The coupling-only base spec with a physical segment's drives and
+    biases (None is zero)."""
+    off = np.zeros(base.n_qubits)
     return replace(
         base,
-        delta_ghz=base.delta_ghz if seg.delta_ghz is None else seg.delta_ghz,
-        epsilon_ghz=base.epsilon_ghz if seg.epsilon_ghz is None else seg.epsilon_ghz,
+        delta_ghz=off if seg.delta_ghz is None else seg.delta_ghz,
+        epsilon_ghz=off if seg.epsilon_ghz is None else seg.epsilon_ghz,
     )
 
 
@@ -364,11 +380,11 @@ _IDEAL_GATES = {"x_flip": "X", "x_rot": "RX", "z_rot": "RZ"}
 @st.composite
 def mixed_schedules(draw, max_qubits, max_runs):
     """Runs of two or more undriven segments (waits and bias pulses, biases
-    random or None) separated by ideal ops and driven segments, over an
-    undriven base; the schedule ends on an undriven run."""
-    base = draw(segment_specs(max_qubits))
+    random or None) separated by ideal ops and driven segments (biased or
+    not), over a coupling-only base; the schedule ends on an undriven run."""
+    base = draw(coupling_specs(max_qubits))
     n = base.n_qubits
-    base = replace(base, delta_ghz=np.zeros(n))
+    biases = st.lists(_DRIVES, min_size=n, max_size=n).map(np.array)
     segments = []
     for _ in range(draw(st.integers(1, max_runs))):
         for _ in range(draw(st.integers(1, 2))):
@@ -378,14 +394,14 @@ def mixed_schedules(draw, max_qubits, max_runs):
                 delta = np.zeros(n)
                 for p in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2)):
                     delta[p] = draw(_DRIVES.filter(lambda d: d != 0.0))
-                segments.append(PulseSegment(draw(st.floats(0.0, 5.0)), delta))
+                segments.append(PulseSegment(draw(st.floats(0.0, 5.0)), delta, draw(st.none() | biases)))
             elif kind == "x_flip":
-                segments.append(PulseSegment(mode="ideal", ideal_op=(kind, q)))
+                segments.append(PulseSegment(ideal_op=(kind, q)))
             else:
-                segments.append(PulseSegment(mode="ideal", ideal_op=(kind, q, draw(_ANGLES))))
+                segments.append(PulseSegment(ideal_op=(kind, q, draw(_ANGLES))))
         for _ in range(draw(st.integers(2, 4))):
             delta = draw(st.sampled_from((None, np.zeros(n))))
-            epsilon = draw(st.none() | st.lists(_DRIVES, min_size=n, max_size=n).map(np.array))
+            epsilon = draw(st.none() | biases)
             segments.append(PulseSegment(draw(st.floats(0.0, 5.0)), delta, epsilon))
     return PulseSchedule(tuple(segments), base)
 
@@ -412,10 +428,10 @@ def repeating_schedules(draw, max_qubits, max_segments):
     """Schedules drawn from a pool of at most four segments, so (drive, bias,
     duration) keys repeat: a k = 2 flip that appears at least twice (and
     maybe the same flip under another bias), other physical segments whose
-    biases mix zero and non-zero entries (or keep the base's), and ideal ops
-    between them.  Returns the schedule and the pool index of each
-    segment."""
-    base = draw(segment_specs(max_qubits))
+    biases mix zero and non-zero entries (or are None), and ideal ops
+    between them, over a coupling-only base.  Returns the schedule and the
+    pool index of each segment."""
+    base = draw(coupling_specs(max_qubits))
     n = base.n_qubits
     biases = st.lists(st.sampled_from((0.0, 2.7, -1.3)) | _DRIVES, min_size=n, max_size=n).map(np.array)
     pool = []
@@ -436,9 +452,9 @@ def repeating_schedules(draw, max_qubits, max_segments):
                     delta[p] = draw(_DRIVES.filter(lambda d: d != 0.0))
             pool.append(PulseSegment(draw(st.floats(0.0, 5.0)), delta, draw(st.none() | biases)))
         elif kind == "x_flip":
-            pool.append(PulseSegment(mode="ideal", ideal_op=(kind, q)))
+            pool.append(PulseSegment(ideal_op=(kind, q)))
         else:
-            pool.append(PulseSegment(mode="ideal", ideal_op=(kind, q, draw(_ANGLES))))
+            pool.append(PulseSegment(ideal_op=(kind, q, draw(_ANGLES))))
     order = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_segments - 2)) + [0, 0]
     order = draw(st.permutations(order))
     return PulseSchedule(tuple(pool[i] for i in order), base), order
