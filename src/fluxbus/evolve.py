@@ -13,18 +13,19 @@ the computational basis, so a segment that drives k qubits splits into
 pulses) commute: with C the coupling diagonal, which ``run_schedule`` forms
 once, a run of them sums to C T + bias(sum of eps_s t_s), one time and one
 length-N bias vector, and takes one exponential.  ``evolve_segment``
-propagates one segment given the diagonal and the drive vector as arrays:
-one driven qubit has a closed-form 2 x 2 propagator, and k >= 2 driven
-qubits (the CPHASE flips) diagonalise their distinct blocks in one batched
-``eigh``.  A block is the drive operator plus its slice of D, and on the
-bus, where every pair shares one J, the slices take few distinct values, so
-blocks with equal slices are grouped exactly and each distinct one is
-diagonalised once.  ``run_schedule`` sends one-qubit drives through it and
-keeps the last k >= 2 block decomposition, so a flip that repeats the
-previous one's (bias, drive, duration), as the two flips of a CPHASE do, is
-not diagonalised again.  No 2^N x 2^N operator is built; the dense
-``spin.build_hamiltonian`` matrix is the reference the tests compare
-against.
+propagates one amplitude array through one segment given the diagonal and
+the drive vector: one driven qubit has a closed-form 2 x 2 propagator, and
+k >= 2 driven qubits (the CPHASE flips) diagonalise their distinct blocks
+in one batched ``eigh``.  A block is the drive operator plus its slice of D,
+and on the bus, where every pair shares one J, the slices take few distinct
+values, so blocks with equal slices are grouped exactly and each distinct
+one is diagonalised once.  ``run_schedule`` folds one amplitude array over
+the schedule and checks its norm once, at the end.  It sends one-qubit
+drives through the kernel and keeps the last k >= 2 block decomposition, so
+a flip that repeats the previous one's (bias, drive, duration), as the two
+flips of a CPHASE do, is not diagonalised again.  No 2^N x 2^N operator is
+built; the dense ``spin.build_hamiltonian`` matrix is the reference the
+tests compare against.
 
 One gate table and one block kernel serve ideal propagation, the
 verification target (``compiler.ideal_circuit_unitary``) and the k >= 2
@@ -40,7 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -99,8 +101,7 @@ class QuantumState:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amp)
-        dim = amp.shape[0]
-        if amp.ndim != 1 or dim & (dim - 1):
+        if amp.ndim != 1 or amp.size & (amp.size - 1):
             raise ValueError("amplitudes must be a length-2^N vector")
         if not abs(np.linalg.norm(amp) - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm {np.linalg.norm(amp):.12f} is not 1")
@@ -112,6 +113,8 @@ class QuantumState:
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "QuantumState":
         """Computational basis state number ``index``."""
+        if not 0 <= index < 2**n_qubits:
+            raise ValueError(f"basis index {index} is outside 0..{2**n_qubits - 1}")
         amp = np.zeros(2**n_qubits, dtype=complex)
         amp[index] = 1.0
         return cls(amp)
@@ -136,8 +139,7 @@ class PulseSegment:
         if not (math.isfinite(self.duration_ns) and self.duration_ns >= 0):
             raise ValueError(f"duration_ns must be finite and non-negative, got {self.duration_ns!r}")
         if self.ideal_op is not None:
-            if self.ideal_op[0] not in IDEAL_OPS:
-                raise ValueError(f"unknown ideal op {self.ideal_op[0]!r}")
+            _check_ideal_op(self.ideal_op)
             if self.duration_ns != 0.0 or self.delta_ghz is not None or self.epsilon_ghz is not None:
                 raise ValueError("ideal segments are instantaneous and carry no drives")
         for name in ("delta_ghz", "epsilon_ghz"):
@@ -153,6 +155,20 @@ class PulseSegment:
         return "physical" if self.ideal_op is None else "ideal"
 
 
+def _check_ideal_op(op) -> None:
+    """Raise ValueError unless ``op`` is ("x_flip", q), ("x_rot", q, angle)
+    or ("z_rot", q, angle) with q a non-negative int and angle finite."""
+    if not op or op[0] not in IDEAL_OPS:
+        raise ValueError(f"unknown ideal op {op!r}")
+    if len(op) != (2 if op[0] == "x_flip" else 3):
+        raise ValueError(f"ideal op {op!r}: x_flip takes a qubit, x_rot and z_rot a qubit and an angle")
+    q = op[1]
+    if not isinstance(q, Integral) or isinstance(q, bool) or q < 0:
+        raise ValueError(f"ideal op {op!r}: qubit must be a non-negative integer")
+    if len(op) == 3 and not (isinstance(op[2], Real) and math.isfinite(op[2])):
+        raise ValueError(f"ideal op {op!r}: angle must be a finite real")
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """Ordered control segments over a fixed coupled-qubit system, ``base``."""
@@ -166,6 +182,8 @@ class PulseSchedule:
             if np.any(getattr(self.base, name)):
                 raise ValueError(f"base spec {name} must be zero: every drive and bias belongs to a segment")
         for seg in self.segments:
+            if seg.ideal_op is not None and seg.ideal_op[1] >= self.base.n_qubits:
+                raise ValueError(f"ideal op {seg.ideal_op!r} acts outside the base's {self.base.n_qubits} qubits")
             for arr in (seg.delta_ghz, seg.epsilon_ghz):
                 if arr is not None and arr.shape != (self.base.n_qubits,):
                     raise ValueError("segment override length must match the qubit count")
@@ -175,8 +193,9 @@ class PulseSchedule:
         return sum(seg.duration_ns for seg in self.segments)
 
 
-def evolve_segment(state: QuantumState, diag, delta_ghz, t_ns: float) -> QuantumState:
-    """Apply exp(-i 2 pi (H/h) t) exactly; norm-preserving.
+def evolve_segment(amps, diag, delta_ghz, t_ns: float) -> np.ndarray:
+    """Apply exp(-i 2 pi (H/h) t) exactly to a 2^N amplitude array, as a new
+    array; norm-preserving.  It checks shapes, not values.
 
     H/h = diag(D) - sum over driven q of (delta_q/2) X_q, with D (GHz, one
     entry per basis state, e.g. ``spin.ising_diagonal``) and the drives
@@ -187,19 +206,20 @@ def evolve_segment(state: QuantumState, diag, delta_ghz, t_ns: float) -> Quantum
     (``_evolve_one_drive``); k >= 2 propagates every block through one
     batched eigendecomposition.
     """
-    n = state.n_qubits
+    amps = np.asarray(amps, dtype=complex)
     diag = np.asarray(diag, dtype=float)
     delta_ghz = np.asarray(delta_ghz, dtype=float)
-    if diag.shape != (2**n,) or delta_ghz.shape != (n,):
-        raise ValueError(f"need a length-{2**n} diagonal and {n} drives for a {n}-qubit state")
+    n = amps.size.bit_length() - 1
+    if amps.shape != (2**n,) or diag.shape != (2**n,) or delta_ghz.shape != (n,):
+        raise ValueError(f"need a length-2^N amplitude vector and diagonal and N drives, got {amps.shape} amplitudes")
     driven = np.flatnonzero(delta_ghz)
     k = driven.size
     if k == 0:
-        return QuantumState(np.exp(-2j * math.pi * diag * t_ns) * state.amplitudes)
+        return np.exp(-2j * math.pi * diag * t_ns) * amps
     if k == 1:
         q = int(driven[0])
-        return QuantumState(_evolve_one_drive(state.amplitudes, diag, q, delta_ghz[q], t_ns))
-    return QuantumState(apply_on_qubits(state.amplitudes, driven, _block_propagator(diag, delta_ghz, t_ns)))
+        return _evolve_one_drive(amps, diag, q, delta_ghz[q], t_ns)
+    return apply_on_qubits(amps, driven, _block_propagator(diag, delta_ghz, t_ns))
 
 
 def _block_propagator(diag: np.ndarray, delta_ghz: np.ndarray, t_ns: float):
@@ -298,14 +318,9 @@ def _evolve_one_drive(amp: np.ndarray, diag: np.ndarray, q: int, delta: float, t
     return out.reshape(-1)
 
 
-def _apply_ideal(state: QuantumState, op: tuple) -> QuantumState:
-    kind, q, *angle = op
-    mat = gate_matrix(IDEAL_OPS[kind], *angle)
-    return QuantumState(apply_on_qubits(state.amplitudes, (q,), lambda blocks: blocks @ mat.T))
-
-
 def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
-    """Left-fold of the schedule's segments over the state.
+    """Left-fold of the schedule's segments over the state's amplitudes; the
+    ``QuantumState`` built at the end is the run's one norm check.
 
     The coupling diagonal C is formed once.  A run of undriven segments sums
     its time T and its eps_s t_s, and applies exp(-i 2 pi (C T + bias(sum)))
@@ -325,33 +340,32 @@ def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
     def biased(epsilon):
         return add_biases(coupling.copy(), epsilon) if epsilon.any() else coupling
 
-    # Keyed by the vectors' bytes; np.frombuffer gives the vector back.
-    @lru_cache(maxsize=1)
-    def blocks(epsilon_key, delta_key, t_ns):
-        return _block_propagator(biased(np.frombuffer(epsilon_key)), np.frombuffer(delta_key), t_ns)
-
-    def end_run(state, time, bias):
-        if not time:
-            return state
-        return QuantumState(np.exp(-2j * math.pi * add_biases(coupling * time, bias)) * state.amplitudes)
+    def end_run(amps, time, bias):
+        return np.exp(-2j * math.pi * add_biases(coupling * time, bias)) * amps if time else amps
 
     off = np.zeros(base.n_qubits)
+    amps = state.amplitudes
     time, bias = 0.0, off  # the pending undriven run: total time and summed eps * t
+    last = None, None  # the last k >= 2 segment's (bias, drive, duration) and its propagator
     for seg in schedule.segments:
         epsilon = off if seg.epsilon_ghz is None else seg.epsilon_ghz
         delta = off if seg.delta_ghz is None else seg.delta_ghz
         if seg.ideal_op is None and not delta.any():
             time, bias = time + seg.duration_ns, bias + epsilon * seg.duration_ns
             continue
-        state, time, bias = end_run(state, time, bias), 0.0, off
+        amps, time, bias = end_run(amps, time, bias), 0.0, off
         if seg.ideal_op is not None:
-            state = _apply_ideal(state, seg.ideal_op)
+            kind, q, *angle = seg.ideal_op
+            mat = gate_matrix(IDEAL_OPS[kind], *angle)
+            amps = apply_on_qubits(amps, (q,), lambda blocks: blocks @ mat.T)
         elif np.count_nonzero(delta) == 1:
-            state = evolve_segment(state, biased(epsilon), delta, seg.duration_ns)
+            amps = evolve_segment(amps, biased(epsilon), delta, seg.duration_ns)
         else:
-            propagator = blocks(epsilon.tobytes(), delta.tobytes(), seg.duration_ns)
-            state = QuantumState(apply_on_qubits(state.amplitudes, np.flatnonzero(delta), propagator))
-    return end_run(state, time, bias)
+            key = (epsilon.tobytes(), delta.tobytes(), seg.duration_ns)
+            if last[0] != key:
+                last = key, _block_propagator(biased(epsilon), delta, seg.duration_ns)
+            amps = apply_on_qubits(amps, np.flatnonzero(delta), last[1])
+    return QuantumState(end_run(amps, time, bias))
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:

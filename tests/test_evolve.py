@@ -35,8 +35,8 @@ def spec_with(n, delta=None, epsilon=None, coupling=None):
 
 
 def evolve_spec(state, spec, t_ns):
-    """evolve_segment under the spec's full Hamiltonian."""
-    return evolve_segment(state, ising_diagonal(spec), spec.delta_ghz, t_ns)
+    """evolve_segment under the spec's full Hamiltonian, norm-checked."""
+    return QuantumState(evolve_segment(state.amplitudes, ising_diagonal(spec), spec.delta_ghz, t_ns))
 
 
 def random_spec(rng, n):
@@ -98,11 +98,21 @@ class TestEvolveSegment:
         assert np.max(np.abs(once.amplitudes - twice.amplitudes)) < 1e-10
 
     def test_shapes_checked(self):
-        state = QuantumState.basis(2, 0)
-        with pytest.raises(ValueError):
-            evolve_segment(state, np.zeros(8), np.zeros(2), 1.0)
-        with pytest.raises(ValueError):
-            evolve_segment(state, np.zeros(4), np.zeros(3), 1.0)
+        # (amplitudes, diagonal, drives) shapes, each case wrong in one.
+        for shapes in [(4, 8, 2), (4, 4, 3), (3, 4, 2), (6, 4, 2), ((2, 2), 4, 2), ((), 4, 2), (0, 4, 2)]:
+            amps, diag, delta = (np.zeros(shape) for shape in shapes)
+            with pytest.raises(ValueError, match="amplitude vector and diagonal and N drives"):
+                evolve_segment(amps, diag, delta, 1.0)
+
+    @pytest.mark.parametrize("delta", [[0.0, 0.0], [2.6, 0.0], [2.6, 1.0]])
+    def test_returns_an_array(self, delta):
+        # k = 0, 1 and 2 driven qubits: each branch returns a new amplitude
+        # array and leaves its input alone.
+        amps = random_state(np.random.default_rng(12), 2).amplitudes
+        before = amps.copy()
+        out = evolve_segment(amps, np.arange(4.0), np.array(delta), 0.3)
+        assert type(out) is np.ndarray and out.shape == (4,) and out is not amps
+        assert np.array_equal(amps, before)
 
     @pytest.mark.parametrize("t_ns", [0.0, 5.0])
     @pytest.mark.parametrize("delta", [5e-324, 9.49e-301, 3.0])
@@ -177,6 +187,31 @@ class TestIdealOps:
             PulseSegment(ideal_op=("x_flip", 0), delta_ghz=np.zeros(1))
         with pytest.raises(ValueError):
             PulseSegment(duration_ns=-1.0)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            (),
+            ("x_rot", 0),
+            ("z_rot", 0),
+            ("x_flip", 0, 0.3),
+            ("z_rot", 0, 0.3, 0.3),
+            ("x_flip", -1),
+            ("x_flip", 5),
+            ("x_flip", 2),
+            ("x_flip", True),
+            ("x_flip", 1.0),
+            ("z_rot", 1, "a"),
+            ("z_rot", 0, math.nan),
+            ("x_rot", 1, math.inf),
+        ],
+        ids=repr,
+    )
+    def test_ideal_op_checked_where_it_enters(self, op):
+        # A malformed op, or one on a qubit the base does not have, is
+        # refused when the segment or the schedule is built, not mid-run.
+        with pytest.raises(ValueError, match="ideal op"):
+            PulseSchedule((PulseSegment(ideal_op=op),), bus_all_to_all(2, 25.0))
 
     def test_mode_is_read_from_the_op(self):
         assert PulseSegment(ideal_op=("x_flip", 0)).mode == "ideal"
@@ -275,6 +310,27 @@ class TestRunSchedule:
         expected = evolve_spec(expected, replace(base, delta_ghz=flip.delta_ghz), 0.19)
         assert np.max(np.abs(out.amplitudes - expected.amplitudes)) <= 1e-12
 
+    def test_run_checks_its_state_once(self, monkeypatch):
+        # A wait, an ideal op, a one-qubit drive, a bias and the same flip
+        # twice fold over one array: only the result is a QuantumState, and
+        # the caller's amplitudes are left as they were.
+        state = random_state(np.random.default_rng(13), 3)
+        before = state.amplitudes.copy()
+        flip = PulseSegment(0.19, delta_ghz=np.array([2.6, 0.0, 2.6]))
+        segments = (
+            PulseSegment(0.5),
+            PulseSegment(ideal_op=("z_rot", 1, 0.7)),
+            PulseSegment(0.3, delta_ghz=np.array([0.0, 2.6, 0.0])),
+            PulseSegment(0.4, epsilon_ghz=np.array([0.0, 2.7, 0.0])),
+            flip,
+            flip,
+        )
+        built, post_init = [], QuantumState.__post_init__
+        monkeypatch.setattr(QuantumState, "__post_init__", lambda self: built.append(1) or post_init(self))
+        out = run_schedule(state, PulseSchedule(segments, bus_all_to_all(3, 25.0)))
+        assert len(built) == 1 and isinstance(out, QuantumState)
+        assert np.array_equal(state.amplitudes, before)
+
     def test_eigh_sees_each_distinct_block_once(self, monkeypatch):
         # Every bus pair shares one J, so the 64 block diagonals of a
         # zero-bias flip at N = 8 take few distinct values, and eigh gets
@@ -286,7 +342,7 @@ class TestRunSchedule:
         distinct = {tuple(row) for row in evolve_mod._gather(diag, driven)}
         sizes, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-        evolve_segment(QuantumState.basis(n, 0), diag, delta, 0.19)
+        evolve_segment(QuantumState.basis(n, 0).amplitudes, diag, delta, 0.19)
         assert sizes == [len(distinct)] and len(distinct) < 64 // 2
 
 
@@ -390,6 +446,13 @@ class TestQuantumState:
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):
             QuantumState(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            QuantumState(np.array(1.0))
+
+    @pytest.mark.parametrize("index", [-1, 4, 7])
+    def test_basis_index_checked(self, index):
+        with pytest.raises(ValueError, match="basis index"):
+            QuantumState.basis(2, index)
 
     def test_basis_from_bits(self):
         s = QuantumState.basis(3, 0b101)

@@ -1,8 +1,11 @@
 """The package's public names: every ``__all__`` entry exists, and the
-package root re-exports only names its modules declare public."""
+package root re-exports only names its modules declare public, and the
+public options are counted."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -40,3 +43,25 @@ def test_root_imports_are_declared_public():
         if name not in getattr(importlib.import_module(f"fluxbus.{module}"), "__all__", ())
     ]
     assert undeclared == []
+
+
+def option_defaults():
+    """Whether each parameter of a public function and each field of a
+    public dataclass, over every module's ``__all__``, has a default."""
+    missing = dataclasses.MISSING
+    defaults = []
+    for name in MODULES:
+        module = importlib.import_module(f"fluxbus.{name}")
+        for obj in (getattr(module, n) for n in getattr(module, "__all__", ())):
+            if dataclasses.is_dataclass(obj):
+                defaults += [(f.default, f.default_factory) != (missing, missing) for f in dataclasses.fields(obj)]
+            elif inspect.isfunction(obj):
+                defaults += [p.default is not p.empty for p in inspect.signature(obj).parameters.values()]
+    return defaults
+
+
+def test_public_option_count():
+    # Every public parameter and field is a knob a caller can turn.  A change
+    # that adds or removes one changes these numbers on purpose.
+    defaults = option_defaults()
+    assert (len(defaults), sum(defaults)) == (142, 36)
