@@ -66,6 +66,9 @@ class BusParams:
     k_geom: float = 1.0
 
     def __post_init__(self):
+        for name in ("l_b_nh", "m_ph", "phi_bx"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.l_b_nh <= 0:
             raise ValueError("L_b must be positive")
         if self.m_ph < 0:

@@ -68,13 +68,14 @@ class ConfigError(ValueError):
 
 
 def parse_config(path: str | Path) -> dict:
-    """Read a flat `key = value` config file (# starts a comment)."""
+    """Read a flat `key = value` config file (# starts a comment); a key set
+    on two lines is refused."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = {}
+    cfg, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,7 +86,9 @@ def parse_config(path: str | Path) -> dict:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
-        cfg[key] = _parse_value(value)
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: config key {key} is already set on line {lines[key]}")
+        cfg[key], lines[key] = _parse_value(value), lineno
     return cfg
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,6 +136,9 @@ class ControlParams:
     mode: str = "physical"
 
     def __post_init__(self):
+        for name in ("delta_ghz", "epsilon_ghz", "j_mhz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.delta_ghz <= 0 or self.epsilon_ghz <= 0 or self.j_mhz <= 0:
             raise ValueError("control strengths must be positive")
         if self.mode not in ("physical", "ideal"):
@@ -364,7 +367,7 @@ def _gate_segments(gate: Gate, reg: LogicalRegister, params: ControlParams, base
 
 def _base_spec(reg: LogicalRegister, params: ControlParams) -> SpinHamiltonianSpec:
     if reg.n_logical == 0:
-        return SpinHamiltonianSpec(0, np.zeros(0), np.zeros(0), np.zeros((0, 0)))
+        return SpinHamiltonianSpec(np.zeros((0, 0)))
     return bus_all_to_all(reg.n_physical, params.j_mhz)
 
 
@@ -409,9 +412,9 @@ def compile_circuit(
     pair, CPHASE and CNOT a positive cross coupling between their pairs.
     Every qubit must couple equally to both qubits of each other pair, which
     hides a code-space pair from it and makes CPHASE's cross couplings equal.
-    ``base`` carries no drives or biases (``PulseSchedule`` refuses them):
-    every pulse is its segment's own.  Gates run one at a time: only the
-    active pair (or pair of pairs) may leave the code space.
+    ``base`` is the coupling graph alone (``SpinHamiltonianSpec`` holds no
+    drive or bias): every pulse is its segment's own.  Gates run one at a
+    time: only the active pair (or pair of pairs) may leave the code space.
     """
     params = params or ControlParams()
     base = base if base is not None else _base_spec(reg, params)
@@ -443,7 +446,7 @@ def verify_ifs(state: QuantumState, spec: SpinHamiltonianSpec, reg: LogicalRegis
             raise ValueError("default pairing needs an even qubit count")
         reg = LogicalRegister.default(spec.n_qubits // 2)
     inter = inter_pair_mask(spec.n_qubits, reg.pairs)
-    diag = coupling_diagonal(replace(spec, coupling_mhz=np.where(inter, spec.coupling_mhz, 0.0)))
+    diag = coupling_diagonal(SpinHamiltonianSpec(np.where(inter, spec.coupling_mhz, 0.0)))
     j_scale = float(np.max(np.abs(spec.coupling_mhz[np.tril(inter)]) * 1e-3, initial=0.0))
     if j_scale == 0.0:
         return 0.0

@@ -6,10 +6,11 @@ suspended (ideal mode: the verification baseline that separates protocol
 errors from always-on-coupling errors).
 
 Physical propagation is block-structured and exact at machine precision.  A
-schedule's base spec holds only the couplings: every drive and bias is a
-segment's, and ``None`` is off.  The coupling and the biases are diagonal in
-the computational basis, so a segment that drives k qubits splits into
-2^(N-k) independent 2^k x 2^k blocks.  Undriven segments (waits and bias
+schedule's base is the coupling graph (``spin.SpinHamiltonianSpec`` holds
+nothing else): every drive and bias is a segment's, and ``None`` is off.
+The coupling and the biases are diagonal in the computational basis, so a
+segment that drives k qubits splits into 2^(N-k) independent 2^k x 2^k
+blocks.  Undriven segments (waits and bias
 pulses) commute: with C the coupling diagonal, which ``run_schedule`` forms
 once, a run of them sums to C T + bias(sum of eps_s t_s), one time and one
 length-N bias vector, and takes one exponential.  ``evolve_segment``
@@ -94,12 +95,16 @@ def gate_matrix(name: str, angle: float | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Normalized 2^N complex amplitude vector; qubit 0 is the leading bit."""
+    """Normalized 2^N complex amplitude vector; qubit 0 is the leading bit.
+
+    The state keeps a read-only copy of the amplitudes it is given, so a
+    later write to the caller's array cannot change it."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex)
+        amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
         if amp.ndim != 1 or amp.size & (amp.size - 1):
             raise ValueError("amplitudes must be a length-2^N vector")
@@ -178,9 +183,6 @@ class PulseSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        for name in ("delta_ghz", "epsilon_ghz"):
-            if np.any(getattr(self.base, name)):
-                raise ValueError(f"base spec {name} must be zero: every drive and bias belongs to a segment")
         for seg in self.segments:
             if seg.ideal_op is not None and seg.ideal_op[1] >= self.base.n_qubits:
                 raise ValueError(f"ideal op {seg.ideal_op!r} acts outside the base's {self.base.n_qubits} qubits")
@@ -198,10 +200,11 @@ def evolve_segment(amps, diag, delta_ghz, t_ns: float) -> np.ndarray:
     array; norm-preserving.  It checks shapes, not values.
 
     H/h = diag(D) - sum over driven q of (delta_q/2) X_q, with D (GHz, one
-    entry per basis state, e.g. ``spin.ising_diagonal``) and the drives
-    ``delta_ghz`` (GHz, one per qubit).  With the k driven axes moved to the
-    back, H is block diagonal in 2^(N-k) blocks of size 2^k: the k-qubit
-    drive operator plus that block's slice of D.  k = 0 is the phases
+    entry per basis state: ``spin.add_biases`` of ``spin.coupling_diagonal``
+    and the segment's biases) and the drives ``delta_ghz`` (GHz, one per
+    qubit).  With the k driven axes moved to the back, H is block diagonal
+    in 2^(N-k) blocks of size 2^k: the k-qubit drive operator plus that
+    block's slice of D.  k = 0 is the phases
     exp(-i 2 pi D t); k = 1 is the closed-form 2 x 2 propagator
     (``_evolve_one_drive``); k >= 2 propagates every block through one
     batched eigendecomposition.
@@ -227,18 +230,19 @@ def _block_propagator(diag: np.ndarray, delta_ghz: np.ndarray, t_ns: float):
     k >= 2 qubits, as an ``apply_on_qubits`` operation on the driven qubits.
 
     Each block H_b is the k-qubit drive operator (``build_hamiltonian`` of
-    the driven qubits alone) plus its slice of D, gathered as the amplitudes
-    are.  The slices take few distinct values (on a bus every pair shares one
-    J, so 13-23 of the 64 blocks of a zero-bias flip at N = 8), and blocks with
-    equal slices are equal matrices: one batched ``eigh`` diagonalises the
-    distinct ones into v exp(-i 2 pi w t) v^H, and each block takes its w and
-    v by the inverse index, so its output does not depend on the grouping.
+    the driven qubits alone, uncoupled and unbiased) plus its slice of D,
+    gathered as the amplitudes are.  The slices take few distinct values (on
+    a bus every pair shares one J, so 13-23 of the 64 blocks of a zero-bias
+    flip at N = 8), and blocks with equal slices are equal matrices: one
+    batched ``eigh`` diagonalises the distinct ones into v exp(-i 2 pi w t)
+    v^H, and each block takes its w and v by the inverse index, so its
+    output does not depend on the grouping.
     """
     driven = np.flatnonzero(delta_ghz)
     k = driven.size
-    drive = SpinHamiltonianSpec(k, delta_ghz[driven], np.zeros(k), np.zeros((k, k)))
+    drive = build_hamiltonian(SpinHamiltonianSpec(np.zeros((k, k))), delta_ghz[driven], np.zeros(k))
     distinct, inverse = _distinct_rows(_gather(diag, driven))
-    w, v = np.linalg.eigh(build_hamiltonian(drive) + distinct[:, :, None] * np.eye(2**k))
+    w, v = np.linalg.eigh(drive + distinct[:, :, None] * np.eye(2**k))
     w, v = w[inverse], v[inverse]
     phases = np.exp(-2j * math.pi * w * t_ns)[:, :, None]
     return lambda blocks: (v @ (phases * (v.conj().transpose(0, 2, 1) @ blocks[:, :, None])))[:, :, 0]

@@ -7,20 +7,23 @@ The two-level reduction of the coupled-SQUID system is
 
 with delta, epsilon in GHz and couplings stored in MHz.  Qubit 0 is the most
 significant bit of the computational basis index, and spin-up is the |0>
-state (sigma_z eigenvalue +1).  ``ising_diagonal`` gives the diagonal part
-D = sum_{i>j} J_ij z_i z_j - (1/2) sum_q epsilon_q z_q over the basis:
-``coupling_diagonal`` forms the coupling terms in O(2^N) memory and
+state (sigma_z eigenvalue +1).  The machine is one fixed coupling graph, so
+``SpinHamiltonianSpec`` holds the couplings J alone; every drive delta and
+bias epsilon is a control pulse, passed where it acts.  The diagonal part
+D = sum_{i>j} J_ij z_i z_j - (1/2) sum_q epsilon_q z_q over the basis has one
+recipe: ``coupling_diagonal`` forms the coupling terms in O(2^N) memory and
 ``add_biases`` adds the non-zero bias terms in place.  The coupling is fixed
 for a whole pulse schedule, so ``evolve.run_schedule`` forms it once; it
 adds a driven segment's biases to one copy, and an undriven run's summed
-eps * t to the coupling times the run's time.  ``build_hamiltonian`` assembles
-the dense 2^N x 2^N matrix, capped at ``MAX_DENSE_QUBITS``; each sigma_x
-term is the permutation of the identity that flips one bit of the basis
-index.  It is the reference the tests compare the block-structured
-propagation against, and ``evolve`` calls it only for the 2^k x 2^k drive
-operator of a segment that drives k >= 2 qubits (the CPHASE flips), once per
-such segment unless it repeats the previous one's (drive, bias, duration),
-as a CPHASE's second flip does; one driven qubit has a closed form.
+eps * t to the coupling times the run's time.  ``build_hamiltonian(spec,
+delta, epsilon)`` assembles the dense 2^N x 2^N matrix, capped at
+``MAX_DENSE_QUBITS``; each sigma_x term is the permutation of the identity
+that flips one bit of the basis index.  It is the reference the tests compare
+the block-structured propagation against, and ``evolve`` calls it only for
+the 2^k x 2^k drive operator of a segment that drives k >= 2 qubits (the
+CPHASE flips), once per such segment unless it repeats the previous one's
+(drive, bias, duration), as a CPHASE's second flip does; one driven qubit
+has a closed form.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "linear_chain_encoded",
     "coupling_diagonal",
     "add_biases",
-    "ising_diagonal",
     "inter_pair_mask",
 ]
 
@@ -49,37 +51,25 @@ _PAIR_SIGNS = np.multiply.outer(_SIGNS, _SIGNS)[:, None, :]  # z_j z_i over (bit
 
 @dataclass(frozen=True)
 class SpinHamiltonianSpec:
-    """Per-qubit splittings plus a symmetric coupling matrix.
+    """The fixed coupling graph: ``coupling_mhz`` is symmetric with zero
+    diagonal (MHz), one row and column per qubit."""
 
-    ``delta_ghz`` and ``epsilon_ghz`` are per-qubit arrays (GHz);
-    ``coupling_mhz`` is symmetric with zero diagonal (MHz).
-    """
-
-    n_qubits: int
-    delta_ghz: np.ndarray
-    epsilon_ghz: np.ndarray
     coupling_mhz: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 0:
-            raise ValueError("n_qubits must be non-negative")
-        object.__setattr__(self, "delta_ghz", np.asarray(self.delta_ghz, dtype=float))
-        object.__setattr__(self, "epsilon_ghz", np.asarray(self.epsilon_ghz, dtype=float))
-        object.__setattr__(self, "coupling_mhz", np.asarray(self.coupling_mhz, dtype=float))
-        n = self.n_qubits
-        if self.delta_ghz.shape != (n,) or self.epsilon_ghz.shape != (n,):
-            raise ValueError("delta and epsilon must be length-N arrays")
-        if self.coupling_mhz.shape != (n, n):
-            raise ValueError("coupling matrix must be N x N")
-        scale = max(float(np.max(np.abs(self.coupling_mhz)) if n else 0.0), 1.0)
-        if n and float(np.max(np.abs(self.coupling_mhz - self.coupling_mhz.T))) > 1e-12 * scale:
+        c = np.asarray(self.coupling_mhz, dtype=float)
+        object.__setattr__(self, "coupling_mhz", c)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError(f"coupling matrix must be square, got shape {c.shape}")
+        scale = max(float(np.max(np.abs(c), initial=0.0)), 1.0)
+        if float(np.max(np.abs(c - c.T), initial=0.0)) > 1e-12 * scale:
             raise ValueError("coupling matrix must be symmetric")
-        if n and float(np.max(np.abs(np.diag(self.coupling_mhz)))) != 0.0:
+        if float(np.max(np.abs(np.diag(c)), initial=0.0)) != 0.0:
             raise ValueError("coupling matrix must have zero diagonal")
 
     @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
+    def n_qubits(self) -> int:
+        return self.coupling_mhz.shape[0]
 
 
 def inter_pair_mask(n_qubits: int, pairs) -> np.ndarray:
@@ -114,8 +104,7 @@ def _coupling_sum(coupling_ghz: np.ndarray) -> np.ndarray:
 
 
 def coupling_diagonal(spec: SpinHamiltonianSpec) -> np.ndarray:
-    """Diagonal (GHz) of the sigma_z sigma_z coupling terms over the basis;
-    the spec's drives and biases are ignored."""
+    """Diagonal (GHz) of the sigma_z sigma_z coupling terms over the basis."""
     return _coupling_sum(spec.coupling_mhz * 1e-3)
 
 
@@ -128,26 +117,27 @@ def add_biases(diag: np.ndarray, epsilon_ghz: np.ndarray) -> np.ndarray:
     return diag
 
 
-def ising_diagonal(spec: SpinHamiltonianSpec) -> np.ndarray:
-    """Diagonal D (GHz) of H/h: sum_{i>j} J_ij z_i z_j - (1/2) sum_q eps_q z_q."""
-    return add_biases(coupling_diagonal(spec), spec.epsilon_ghz)
-
-
 def _sigma_x_term(n_qubits: int, qubit: int) -> np.ndarray:
     """X on ``qubit``: the permutation that flips its bit of the basis index."""
     index = np.arange(2**n_qubits)
     return np.eye(2**n_qubits)[index ^ (1 << (n_qubits - 1 - qubit))]
 
 
-def build_hamiltonian(spec: SpinHamiltonianSpec) -> np.ndarray:
-    """Assemble the dense 2^N x 2^N Hamiltonian H/h in GHz, N <= MAX_DENSE_QUBITS."""
-    if spec.n_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(f"a dense Hamiltonian is limited to {MAX_DENSE_QUBITS} qubits, got {spec.n_qubits}")
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    np.fill_diagonal(h, ising_diagonal(spec))
-    for q in range(spec.n_qubits):
-        if spec.delta_ghz[q] != 0.0:
-            h -= 0.5 * spec.delta_ghz[q] * _sigma_x_term(spec.n_qubits, q)
+def build_hamiltonian(spec: SpinHamiltonianSpec, delta_ghz, epsilon_ghz) -> np.ndarray:
+    """Assemble the dense 2^N x 2^N Hamiltonian H/h in GHz of the coupling
+    graph ``spec`` under the drives ``delta_ghz`` and biases ``epsilon_ghz``
+    (GHz, one per qubit), N <= MAX_DENSE_QUBITS."""
+    n = spec.n_qubits
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"a dense Hamiltonian is limited to {MAX_DENSE_QUBITS} qubits, got {n}")
+    delta_ghz = np.asarray(delta_ghz, dtype=float)
+    epsilon_ghz = np.asarray(epsilon_ghz, dtype=float)
+    if delta_ghz.shape != (n,) or epsilon_ghz.shape != (n,):
+        raise ValueError(f"need {n} drives and {n} biases, got shapes {delta_ghz.shape} and {epsilon_ghz.shape}")
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    np.fill_diagonal(h, add_biases(coupling_diagonal(spec), epsilon_ghz))
+    for q in np.flatnonzero(delta_ghz):
+        h -= 0.5 * delta_ghz[q] * _sigma_x_term(n, q)
     return h
 
 
@@ -156,13 +146,7 @@ def bus_all_to_all(n: int, j_mhz: float) -> SpinHamiltonianSpec:
     bus with the same mutual inductance, so every pair shares the same J."""
     if n < 2:
         raise ValueError("bus coupling needs at least 2 qubits")
-    coupling = j_mhz * (np.ones((n, n)) - np.eye(n))
-    return SpinHamiltonianSpec(
-        n_qubits=n,
-        delta_ghz=np.zeros(n),
-        epsilon_ghz=np.zeros(n),
-        coupling_mhz=coupling,
-    )
+    return SpinHamiltonianSpec(j_mhz * (np.ones((n, n)) - np.eye(n)))
 
 
 def linear_chain_encoded(n_logical: int, j_q_mhz: float, j_prime_mhz: float) -> SpinHamiltonianSpec:
@@ -180,9 +164,4 @@ def linear_chain_encoded(n_logical: int, j_q_mhz: float, j_prime_mhz: float) -> 
             for u in (a, b):
                 for v in (a + 2, b + 2):
                     coupling[u, v] = coupling[v, u] = j_prime_mhz
-    return SpinHamiltonianSpec(
-        n_qubits=n,
-        delta_ghz=np.zeros(n),
-        epsilon_ghz=np.zeros(n),
-        coupling_mhz=coupling,
-    )
+    return SpinHamiltonianSpec(coupling)

@@ -125,6 +125,9 @@ class SquidParams:
     l_renorm_factor: float = 1.0
 
     def __post_init__(self):
+        for name in ("l_ph", "c_ff", "ic_ua", "l_renorm_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.l_ph <= 0 or self.c_ff <= 0:
             raise ValueError("L and C must be positive")
         if self.ic_ua < 0:

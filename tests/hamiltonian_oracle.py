@@ -5,7 +5,7 @@ from functools import reduce
 
 import numpy as np
 
-from fluxbus.spin import ising_diagonal
+from fluxbus.spin import add_biases, coupling_diagonal
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -22,11 +22,13 @@ def kron_sigma_x(n_qubits: int, qubit: int) -> np.ndarray:
     return kron_chain([SX if q == qubit else ID for q in range(n_qubits)])
 
 
-def kron_hamiltonian(spec) -> np.ndarray:
-    """H/h with the Ising diagonal of ``spin.ising_diagonal`` and each
-    -(delta_q/2) sigma_x_q term as a Kronecker product, in the same order as
-    ``build_hamiltonian``, so the two agree exactly."""
-    h = np.diag(ising_diagonal(spec)).astype(complex)
-    for q in np.flatnonzero(spec.delta_ghz):
-        h -= 0.5 * spec.delta_ghz[q] * kron_sigma_x(spec.n_qubits, q)
+def kron_hamiltonian(spec, delta_ghz, epsilon_ghz) -> np.ndarray:
+    """H/h of the coupling graph ``spec`` under the drives ``delta_ghz`` and
+    biases ``epsilon_ghz``: the Ising diagonal of ``spin.add_biases`` of
+    ``spin.coupling_diagonal``, and each -(delta_q/2) sigma_x_q term as a
+    Kronecker product, in the same order as ``build_hamiltonian``, so the two
+    agree exactly."""
+    h = np.diag(add_biases(coupling_diagonal(spec), np.asarray(epsilon_ghz, dtype=float))).astype(complex)
+    for q in np.flatnonzero(delta_ghz):
+        h -= 0.5 * delta_ghz[q] * kron_sigma_x(spec.n_qubits, q)
     return h

@@ -79,7 +79,7 @@ def test_criterion_6_ifs_annihilation_exact():
         spec = fb.bus_all_to_all(n, 25.0)
         reg = fb.LogicalRegister.default(n_pairs)
         inter = fb.spin.inter_pair_mask(n, reg.pairs)
-        diag = fb.spin.coupling_diagonal(replace(spec, coupling_mhz=np.where(inter, spec.coupling_mhz, 0.0)))
+        diag = fb.spin.coupling_diagonal(fb.SpinHamiltonianSpec(np.where(inter, spec.coupling_mhz, 0.0)))
         for _ in range(10):
             pair_states = []
             for _ in range(n_pairs):

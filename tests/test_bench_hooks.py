@@ -70,3 +70,15 @@ def test_traced_calibration_reaches_the_squid_layer():
     assert metrics["squid.extract_two_level.calls"] == 1
     idle = ("spin.build_hamiltonian", "evolve.evolve_segment", "evolve.run_schedule", "evolve.logical_process_fidelity")
     assert [metrics[f"{name}.calls"] for name in idle] == [0] * len(idle)
+
+
+def test_traced_drive_block_bytes_read_the_spec_argument():
+    # The tracer sizes each build_hamiltonian call from the n_qubits of its
+    # first positional argument: a CNOT's two-qubit flip block is 4 x 4
+    # complex, 16 * 4**2 bytes a call.
+    tracer = _tracing().Tracer()
+    with tracer.active():
+        cli.cmd_simulate({"n_logical": 2}, "CNOT 0,1\n", mode="physical")
+    metrics = tracer.layer_metrics()
+    calls = metrics["spin.build_hamiltonian.calls"]
+    assert calls > 0 and metrics["spin.build_hamiltonian.computed_bytes"] == 16 * 4**2 * calls

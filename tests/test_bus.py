@@ -239,3 +239,12 @@ class TestDesignFormulas:
             BusParams(l_b_nh=2.0, m_ph=2.0, n_qubits=3)
         with pytest.raises(ValueError):
             BusParams(l_b_nh=2.0, m_ph=2.0, n_qubits=4, k_geom=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["l_b_nh", "m_ph", "phi_bx", "k_geom"])
+    def test_non_finite_bus_params_rejected(self, field, value):
+        # nan <= 0 is False: a NaN L_b would pass the sign check and fail in
+        # max_qubits, converting NaN to an int.
+        kwargs = {"l_b_nh": 2.0, "m_ph": 2.0, "n_qubits": 4, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            BusParams(**kwargs)

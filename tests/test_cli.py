@@ -443,6 +443,13 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[config]:") and reason in err
 
+    def test_duplicate_config_key_refused(self, cfg_file, capsys):
+        # Two values for one key are refused, naming both lines, so the later
+        # line cannot silently replace the earlier one.
+        path = cfg_file(SQUID_CFG + "L_pH = 999\n")
+        assert main(["calibrate", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error[config]: {path}:7: config key L_pH is already set on line 3\n"
+
     def test_inverse_iteration_failure_is_numerical(self, cfg_file, capsys, monkeypatch):
         monkeypatch.setattr(squidmod, "_INVERSE_ITERATIONS", 1)
         assert main(["calibrate", "--config", cfg_file(SQUID_CFG)]) == 3

@@ -22,21 +22,29 @@ from fluxbus.evolve import (
 )
 from fluxbus import evolve as evolve_mod
 from fluxbus import spin
-from fluxbus.spin import SpinHamiltonianSpec, build_hamiltonian, bus_all_to_all, ising_diagonal
+from fluxbus.spin import SpinHamiltonianSpec, add_biases, build_hamiltonian, bus_all_to_all, coupling_diagonal
 
 
 def spec_with(n, delta=None, epsilon=None, coupling=None):
-    return SpinHamiltonianSpec(
-        n_qubits=n,
-        delta_ghz=np.zeros(n) if delta is None else np.asarray(delta, float),
-        epsilon_ghz=np.zeros(n) if epsilon is None else np.asarray(epsilon, float),
-        coupling_mhz=np.zeros((n, n)) if coupling is None else np.asarray(coupling, float),
+    """The arguments of ``build_hamiltonian``: an n-qubit coupling graph, its
+    drives and its biases, each zero unless given."""
+    return (
+        SpinHamiltonianSpec(np.zeros((n, n)) if coupling is None else np.asarray(coupling, float)),
+        np.zeros(n) if delta is None else np.asarray(delta, float),
+        np.zeros(n) if epsilon is None else np.asarray(epsilon, float),
     )
 
 
-def evolve_spec(state, spec, t_ns):
-    """evolve_segment under the spec's full Hamiltonian, norm-checked."""
-    return QuantumState(evolve_segment(state.amplitudes, ising_diagonal(spec), spec.delta_ghz, t_ns))
+def graph(n):
+    """n uncoupled qubits."""
+    return SpinHamiltonianSpec(np.zeros((n, n)))
+
+
+def evolve_spec(state, args, t_ns):
+    """evolve_segment under the full Hamiltonian of a (graph, drives,
+    biases) triple, norm-checked."""
+    spec, delta, epsilon = args
+    return QuantumState(evolve_segment(state.amplitudes, add_biases(coupling_diagonal(spec), epsilon), delta, t_ns))
 
 
 def random_spec(rng, n):
@@ -81,7 +89,7 @@ class TestEvolveSegment:
         rng = np.random.default_rng(1)
         for n in (1, 2, 3):
             spec = random_spec(rng, n)
-            h = build_hamiltonian(spec)
+            h = build_hamiltonian(*spec)
             w, v = np.linalg.eigh(h)
             u = v @ np.diag(np.exp(-2j * math.pi * w * 0.73)) @ v.conj().T
             assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-10
@@ -127,7 +135,7 @@ class TestEvolveSegment:
             coupling = [[0.0, 30.0, -12.0], [30.0, 0.0, 45.0], [-12.0, 45.0, 0.0]]
             spec = spec_with(3, delta=[0.0, delta, 0.0], epsilon=[0.4, 0.9, -1.1], coupling=coupling)
         state = random_state(np.random.default_rng(11), n)
-        w, v = np.linalg.eigh(build_hamiltonian(spec))
+        w, v = np.linalg.eigh(build_hamiltonian(*spec))
         expected = v @ (np.exp(-2j * math.pi * w * t_ns) * (v.conj().T @ state.amplitudes))
         out = evolve_spec(state, spec, t_ns)
         assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
@@ -135,7 +143,7 @@ class TestEvolveSegment:
     def test_energy_conservation(self):
         rng = np.random.default_rng(3)
         spec = random_spec(rng, 3)
-        h = build_hamiltonian(spec)
+        h = build_hamiltonian(*spec)
         state = random_state(rng, 3)
         e0 = np.vdot(state.amplitudes, h @ state.amplitudes).real
         for t in (0.1, 0.9, 5.0):
@@ -149,7 +157,7 @@ class TestIdealOps:
         rng = np.random.default_rng(4)
         state = random_state(rng, 3)
         seg = PulseSegment(ideal_op=("x_flip", 1))
-        sched = PulseSchedule((seg,), spec_with(3))
+        sched = PulseSchedule((seg,), graph(3))
         out = run_schedule(state, sched)
         expect = state.amplitudes.reshape(2, 2, 2)[:, ::-1, :].reshape(-1)
         assert np.allclose(out.amplitudes, expect, atol=1e-14)
@@ -160,7 +168,7 @@ class TestIdealOps:
         rx = np.array([[c, -1j * s], [-1j * s, c]])
         state = QuantumState(np.array([0.6, 0.8j]))
         seg = PulseSegment(ideal_op=("x_rot", 0, angle))
-        out = run_schedule(state, PulseSchedule((seg,), spec_with(1)))
+        out = run_schedule(state, PulseSchedule((seg,), graph(1)))
         assert np.allclose(out.amplitudes, rx @ state.amplitudes, atol=1e-14)
 
     @pytest.mark.parametrize("angle", [0.3, math.pi / 2, -2.2])
@@ -168,7 +176,7 @@ class TestIdealOps:
         rz = np.diag([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)])
         state = QuantumState(np.array([0.6, 0.8j]))
         seg = PulseSegment(ideal_op=("z_rot", 0, angle))
-        out = run_schedule(state, PulseSchedule((seg,), spec_with(1)))
+        out = run_schedule(state, PulseSchedule((seg,), graph(1)))
         assert np.allclose(out.amplitudes, rz @ state.amplitudes, atol=1e-14)
 
     def test_gate_table_is_read_only(self):
@@ -231,7 +239,7 @@ class TestRunSchedule:
     def test_empty_schedule_is_identity(self):
         rng = np.random.default_rng(5)
         state = random_state(rng, 2)
-        out = run_schedule(state, PulseSchedule((), spec_with(2)))
+        out = run_schedule(state, PulseSchedule((), graph(2)))
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_single_segment_equals_evolve_segment(self):
@@ -240,26 +248,18 @@ class TestRunSchedule:
         state = random_state(rng, 2)
         seg = PulseSegment(duration_ns=0.4, delta_ghz=np.array([2.6, 0.0]))
         sched = PulseSchedule((seg,), spec)
-        direct = evolve_spec(state, replace(spec, delta_ghz=np.array([2.6, 0.0])), 0.4)
+        direct = evolve_spec(state, (spec, np.array([2.6, 0.0]), np.zeros(2)), 0.4)
         assert np.allclose(run_schedule(state, sched).amplitudes, direct.amplitudes, atol=1e-14)
-
-    @pytest.mark.parametrize("field", ["delta_ghz", "epsilon_ghz"])
-    def test_base_with_drive_or_bias_rejected(self, field):
-        # Every drive and bias is a segment's: a base one would act in every
-        # wait, so a segment's None could not mean off.
-        base = replace(bus_all_to_all(2, 25.0), **{field: np.array([0.0, 2.6])})
-        with pytest.raises(ValueError, match=f"base spec {field} must be zero"):
-            PulseSchedule((PulseSegment(duration_ns=1.0),), base)
 
     def test_override_length_checked(self):
         with pytest.raises(ValueError):
             PulseSchedule(
-                (PulseSegment(duration_ns=1.0, delta_ghz=np.zeros(3)),), spec_with(2)
+                (PulseSegment(duration_ns=1.0, delta_ghz=np.zeros(3)),), graph(2)
             )
 
     def test_state_size_checked(self):
         with pytest.raises(ValueError):
-            run_schedule(QuantumState.basis(3, 0), PulseSchedule((), spec_with(2)))
+            run_schedule(QuantumState.basis(3, 0), PulseSchedule((), graph(2)))
 
     def test_coupling_formed_once_per_schedule(self, monkeypatch):
         # The N-qubit coupling sum runs once; each segment's k-qubit drive
@@ -280,7 +280,9 @@ class TestRunSchedule:
         kernel_calls, blocks = [], []
         kernel, dense = evolve_mod.evolve_segment, evolve_mod.build_hamiltonian
         monkeypatch.setattr(evolve_mod, "evolve_segment", lambda *a: kernel_calls.append(1) or kernel(*a))
-        monkeypatch.setattr(evolve_mod, "build_hamiltonian", lambda spec: blocks.append(spec.n_qubits) or dense(spec))
+        monkeypatch.setattr(
+            evolve_mod, "build_hamiltonian", lambda spec, *a: blocks.append(spec.n_qubits) or dense(spec, *a)
+        )
         one = PulseSegment(0.3, delta_ghz=np.array([0.0, 2.6, 0.0]))
         two = PulseSegment(0.2, delta_ghz=np.array([1.0, 0.0, 2.0]), epsilon_ghz=np.array([0.5, 0.0, 0.0]))
         rebiased = replace(two, epsilon_ghz=np.array([0.0, 0.0, 0.5]))
@@ -304,10 +306,11 @@ class TestRunSchedule:
         state = random_state(np.random.default_rng(9), 4)
         out = run_schedule(state, PulseSchedule((flip, *waits, flip), base))
         assert len(added) == 1 and np.allclose(added[0], times @ biases, rtol=0, atol=1e-15)
-        expected = evolve_spec(state, replace(base, delta_ghz=flip.delta_ghz), 0.19)
+        off = np.zeros(4)
+        expected = evolve_spec(state, (base, flip.delta_ghz, off), 0.19)
         for t, e in zip(times, biases):
-            expected = evolve_spec(expected, replace(base, epsilon_ghz=e), t)
-        expected = evolve_spec(expected, replace(base, delta_ghz=flip.delta_ghz), 0.19)
+            expected = evolve_spec(expected, (base, off, e), t)
+        expected = evolve_spec(expected, (base, flip.delta_ghz, off), 0.19)
         assert np.max(np.abs(out.amplitudes - expected.amplitudes)) <= 1e-12
 
     def test_run_checks_its_state_once(self, monkeypatch):
@@ -397,21 +400,21 @@ class _TrivialEncoding:
 
 class TestLogicalProcessFidelity:
     def test_identity_schedule_against_identity(self):
-        sched = PulseSchedule((), spec_with(1))
+        sched = PulseSchedule((), graph(1))
         res = logical_process_fidelity(sched, np.eye(2), _TrivialEncoding())
         assert res.fidelity == pytest.approx(1.0, abs=1e-14)
         assert res.max_leakage == pytest.approx(0.0, abs=1e-14)
 
     def test_detects_relative_phase_error(self):
         seg = PulseSegment(ideal_op=("z_rot", 0, 0.3))
-        sched = PulseSchedule((seg,), spec_with(1))
+        sched = PulseSchedule((seg,), graph(1))
         res = logical_process_fidelity(sched, np.eye(2), _TrivialEncoding())
         assert res.fidelity < 1.0 - 1e-3
 
     def test_global_phase_ignored(self):
         # Rz on both the schedule and the target only differ by global phase
         seg = PulseSegment(ideal_op=("z_rot", 0, 0.4))
-        sched = PulseSchedule((seg,), spec_with(1))
+        sched = PulseSchedule((seg,), graph(1))
         target = np.exp(1j * 1.234) * np.diag(
             [np.exp(-1j * 0.2), np.exp(1j * 0.2)]
         )
@@ -419,12 +422,12 @@ class TestLogicalProcessFidelity:
         assert res.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_non_unitary_target_rejected(self):
-        sched = PulseSchedule((), spec_with(1))
+        sched = PulseSchedule((), graph(1))
         with pytest.raises(ValueError, match="ideal output norm"):
             logical_process_fidelity(sched, np.diag([1.0, 0.5]), _TrivialEncoding())
 
     def test_encoding_size_must_match_schedule(self):
-        sched = PulseSchedule((), spec_with(2))
+        sched = PulseSchedule((), graph(2))
         with pytest.raises(ValueError, match="state size"):
             logical_process_fidelity(sched, np.eye(2), _TrivialEncoding())
 
@@ -453,6 +456,23 @@ class TestQuantumState:
     def test_basis_index_checked(self, index):
         with pytest.raises(ValueError, match="basis index"):
             QuantumState.basis(2, index)
+
+    def test_state_keeps_a_read_only_copy(self):
+        # A write to the caller's array after the norm check cannot change
+        # the state, and the state's own array refuses writes.
+        amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        state = QuantumState(amps)
+        amps[0] = 5.0
+        assert state.amplitudes[0] == 1.0
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 5.0
+
+    def test_empty_schedule_output_is_its_own_array(self):
+        amps = np.array([0.6, 0.0, 0.8j, 0.0])
+        out = run_schedule(QuantumState(amps), PulseSchedule((), graph(2)))
+        amps[0] = 5.0
+        assert not np.shares_memory(out.amplitudes, amps)
+        assert np.array_equal(out.amplitudes, [0.6, 0.0, 0.8j, 0.0])
 
     def test_basis_from_bits(self):
         s = QuantumState.basis(3, 0b101)

@@ -38,7 +38,6 @@ from fluxbus.spin import (
     build_hamiltonian,
     coupling_diagonal,
     inter_pair_mask,
-    ising_diagonal,
 )
 from fluxbus.squid import FluxGrid, SquidParams, potential, solve_levels
 
@@ -181,8 +180,7 @@ def block_uniform_couplings(draw):
         for q in range(p):
             coupling[2 * p : 2 * p + 2, 2 * q : 2 * q + 2] = draw(strength)
     coupling = np.tril(coupling, -1) + np.tril(coupling, -1).T
-    spec = SpinHamiltonianSpec(n, np.zeros(n), np.zeros(n), coupling)
-    return spec, LogicalRegister.default(n_logical)
+    return SpinHamiltonianSpec(coupling), LogicalRegister.default(n_logical)
 
 
 @PROPERTY
@@ -244,20 +242,19 @@ def _couplings(draw, n):
 
 @st.composite
 def segment_specs(draw, max_qubits):
-    """Any driven subset (k = 0..N), random biases, random symmetric
-    couplings (MHz)."""
+    """The arguments of ``build_hamiltonian``: random symmetric couplings
+    (MHz), drives on any subset (k = 0..N) and random biases."""
     n = draw(st.integers(1, max_qubits))
     delta = _drives(draw, n)
     epsilon = np.array([draw(_DRIVES) for _ in range(n)])
-    return SpinHamiltonianSpec(n, delta, epsilon, _couplings(draw, n))
+    return SpinHamiltonianSpec(_couplings(draw, n)), delta, epsilon
 
 
 @st.composite
 def coupling_specs(draw, max_qubits):
-    """A schedule's base: random symmetric couplings (MHz), no drives or
-    biases."""
+    """A schedule's base: random symmetric couplings (MHz)."""
     n = draw(st.integers(1, max_qubits))
-    return SpinHamiltonianSpec(n, np.zeros(n), np.zeros(n), _couplings(draw, n))
+    return SpinHamiltonianSpec(_couplings(draw, n))
 
 
 def _random_state(data, n):
@@ -269,11 +266,12 @@ def _random_state(data, n):
 
 @settings(PROPERTY, max_examples=60)
 @given(segment_specs(max_qubits=8), st.floats(0.0, 10.0, allow_nan=False), st.data())
-def test_evolve_segment_matches_dense_oracle(spec, t_ns, data):
+def test_evolve_segment_matches_dense_oracle(case, t_ns, data):
+    spec, delta, epsilon = case
     state = _random_state(data, spec.n_qubits)
-    w, v = np.linalg.eigh(build_hamiltonian(spec))
+    w, v = np.linalg.eigh(build_hamiltonian(spec, delta, epsilon))
     expected = v @ (np.exp(-2j * math.pi * w * t_ns) * (v.conj().T @ state.amplitudes))
-    out = QuantumState(evolve_segment(state.amplitudes, ising_diagonal(spec), spec.delta_ghz, t_ns))
+    out = QuantumState(evolve_segment(state.amplitudes, add_biases(coupling_diagonal(spec), epsilon), delta, t_ns))
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
 
 
@@ -282,7 +280,7 @@ def _all_blocks_propagator(diag, delta_ghz, t_ns):
     2^(N-k) blocks, the drive operator from Kronecker products."""
     driven = np.flatnonzero(delta_ghz)
     k = driven.size
-    drive = kron_hamiltonian(SpinHamiltonianSpec(k, delta_ghz[driven], np.zeros(k), np.zeros((k, k))))
+    drive = kron_hamiltonian(SpinHamiltonianSpec(np.zeros((k, k))), delta_ghz[driven], np.zeros(k))
     w, v = np.linalg.eigh(drive + _gather(diag, driven)[:, :, None] * np.eye(2**k))
     phases = np.exp(-2j * math.pi * w * t_ns)[:, :, None]
     return lambda blocks: (v @ (phases * (v.conj().transpose(0, 2, 1) @ blocks[:, :, None])))[:, :, 0]
@@ -350,14 +348,14 @@ def test_physical_schedules_are_unitary(schedule, data):
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) <= 1e-12
 
 
-def _segment_spec(base, seg):
-    """The coupling-only base spec with a physical segment's drives and
-    biases (None is zero)."""
+def _segment_hamiltonian(base, seg):
+    """The dense H/h of a physical segment: the coupling graph ``base``
+    under the segment's drives and biases (None is zero)."""
     off = np.zeros(base.n_qubits)
-    return replace(
+    return build_hamiltonian(
         base,
-        delta_ghz=off if seg.delta_ghz is None else seg.delta_ghz,
-        epsilon_ghz=off if seg.epsilon_ghz is None else seg.epsilon_ghz,
+        off if seg.delta_ghz is None else seg.delta_ghz,
+        off if seg.epsilon_ghz is None else seg.epsilon_ghz,
     )
 
 
@@ -365,11 +363,12 @@ def _segment_spec(base, seg):
 @given(physical_schedules(max_qubits=6, max_segments=6), st.data())
 def test_schedule_matches_per_segment_dense_oracle(schedule, data):
     # The coupling diagonal is shared by every segment of a schedule; each
-    # segment's own spec, assembled densely, must give the same propagation.
+    # segment's own Hamiltonian, assembled densely, must give the same
+    # propagation.
     state = _random_state(data, schedule.base.n_qubits)
     expected = state.amplitudes
     for seg in schedule.segments:
-        w, v = np.linalg.eigh(build_hamiltonian(_segment_spec(schedule.base, seg)))
+        w, v = np.linalg.eigh(_segment_hamiltonian(schedule.base, seg))
         expected = v @ (np.exp(-2j * math.pi * w * seg.duration_ns) * (v.conj().T @ expected))
     assert np.max(np.abs(run_schedule(state, schedule).amplitudes - expected)) <= 1e-12
 
@@ -418,7 +417,7 @@ def test_undriven_runs_between_ideal_ops_match_dense_oracle(schedule, data):
             gate = _reference_matrix(Gate(_IDEAL_GATES[kind], (q,), *angle))
             expected = _kron_lift(gate, (q,), n) @ expected
         else:
-            w, v = np.linalg.eigh(build_hamiltonian(_segment_spec(schedule.base, seg)))
+            w, v = np.linalg.eigh(_segment_hamiltonian(schedule.base, seg))
             expected = v @ (np.exp(-2j * math.pi * w * seg.duration_ns) * (v.conj().T @ expected))
     assert np.max(np.abs(run_schedule(state, schedule).amplitudes - expected)) <= 1e-12
 
@@ -474,7 +473,7 @@ def test_repeated_segments_match_per_segment_dense_oracle(case, data):
             kind, q, *angle = seg.ideal_op
             oracle[i] = _kron_lift(_reference_matrix(Gate(_IDEAL_GATES[kind], (q,), *angle)), (q,), n)
         else:
-            w, v = np.linalg.eigh(build_hamiltonian(_segment_spec(schedule.base, seg)))
+            w, v = np.linalg.eigh(_segment_hamiltonian(schedule.base, seg))
             oracle[i] = (v * np.exp(-2j * math.pi * w * seg.duration_ns)) @ v.conj().T
     expected = state.amplitudes
     for i in order:
@@ -492,7 +491,8 @@ def _add_biases_every_qubit(diag, epsilon):
 
 @settings(PROPERTY, max_examples=40)
 @given(segment_specs(max_qubits=8), st.data())
-def test_add_biases_skipping_zeros_equals_the_full_loop(spec, data):
+def test_add_biases_skipping_zeros_equals_the_full_loop(case, data):
+    spec, _, _ = case
     n = spec.n_qubits
     epsilon = np.array([data.draw(st.just(0.0) | _DRIVES) for _ in range(n)])
     coupling = coupling_diagonal(spec)
@@ -518,7 +518,8 @@ def tiling_pairs(draw, n):
 
 @settings(PROPERTY, max_examples=40)
 @given(segment_specs(max_qubits=8), st.data())
-def test_diagonal_matches_pauli_kron_sum(spec, data):
+def test_diagonal_matches_pauli_kron_sum(case, data):
+    spec, _, epsilon = case
     n = spec.n_qubits
     pairs = data.draw(tiling_pairs(n))
     same_pair = {frozenset(p) for p in pairs}
@@ -530,11 +531,11 @@ def test_diagonal_matches_pauli_kron_sum(spec, data):
             coupling += term
             if frozenset((i, j)) not in same_pair:
                 inter_pair += term
-    bias = sum((-0.5 * spec.epsilon_ghz[q] * _z_product(n, (q,)) for q in range(n)), np.zeros(2**n))
-    assert np.max(np.abs(ising_diagonal(spec) - (coupling + bias))) <= 1e-12
+    bias = sum((-0.5 * epsilon[q] * _z_product(n, (q,)) for q in range(n)), np.zeros(2**n))
+    assert np.max(np.abs(add_biases(coupling_diagonal(spec), epsilon) - (coupling + bias))) <= 1e-12
     assert np.max(np.abs(coupling_diagonal(spec) - coupling)) <= 1e-12
     masked = np.where(inter_pair_mask(n, pairs), spec.coupling_mhz, 0.0)
-    inter = coupling_diagonal(replace(spec, coupling_mhz=masked))
+    inter = coupling_diagonal(SpinHamiltonianSpec(masked))
     assert np.max(np.abs(inter - inter_pair)) <= 1e-12
 
 

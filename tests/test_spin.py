@@ -1,6 +1,6 @@
 """Dense spin Hamiltonian assembly and coupling topologies."""
 
-from dataclasses import replace
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,16 +18,16 @@ from fluxbus.spin import (
 from hamiltonian_oracle import ID, SX, SZ, kron_chain, kron_hamiltonian
 
 
-def brute_force_hamiltonian(spec: SpinHamiltonianSpec) -> np.ndarray:
+def brute_force_hamiltonian(spec: SpinHamiltonianSpec, delta, epsilon) -> np.ndarray:
     """Independent oracle: assemble every term as an explicit Kronecker product."""
     n = spec.n_qubits
     h = np.zeros((2**n, 2**n), dtype=complex)
     for q in range(n):
         ops = [ID] * n
         ops[q] = SX
-        h -= 0.5 * spec.delta_ghz[q] * kron_chain(ops)
+        h -= 0.5 * delta[q] * kron_chain(ops)
         ops[q] = SZ
-        h -= 0.5 * spec.epsilon_ghz[q] * kron_chain(ops)
+        h -= 0.5 * epsilon[q] * kron_chain(ops)
     for i in range(n):
         for j in range(i):
             ops = [ID] * n
@@ -38,25 +38,24 @@ def brute_force_hamiltonian(spec: SpinHamiltonianSpec) -> np.ndarray:
 
 
 def spec_with(n, delta=None, epsilon=None, coupling=None):
-    return SpinHamiltonianSpec(
-        n_qubits=n,
-        delta_ghz=np.zeros(n) if delta is None else np.asarray(delta, float),
-        epsilon_ghz=np.zeros(n) if epsilon is None else np.asarray(epsilon, float),
-        coupling_mhz=np.zeros((n, n)) if coupling is None else np.asarray(coupling, float),
+    """The arguments of ``build_hamiltonian``: an n-qubit coupling graph, its
+    drives and its biases, each zero unless given."""
+    return (
+        SpinHamiltonianSpec(np.zeros((n, n)) if coupling is None else np.asarray(coupling, float)),
+        np.zeros(n) if delta is None else np.asarray(delta, float),
+        np.zeros(n) if epsilon is None else np.asarray(epsilon, float),
     )
 
 
 class TestBuildHamiltonian:
     def test_single_qubit_tunneling(self):
-        spec = spec_with(1, delta=[1.0])
-        h = build_hamiltonian(spec)
+        h = build_hamiltonian(*spec_with(1, delta=[1.0]))
         evals = np.linalg.eigvalsh(h)
         assert evals == pytest.approx([-0.5, 0.5], abs=1e-14)
 
     def test_two_qubit_ising_pattern(self):
         # J = 25 MHz on basis order (uu, ud, du, dd): diag(+J, -J, -J, +J).
-        spec = spec_with(2, coupling=[[0.0, 25.0], [25.0, 0.0]])
-        h = build_hamiltonian(spec)
+        h = build_hamiltonian(*spec_with(2, coupling=[[0.0, 25.0], [25.0, 0.0]]))
         j = 0.025
         assert np.allclose(h, np.diag([j, -j, -j, j]), atol=1e-15)
 
@@ -66,9 +65,9 @@ class TestBuildHamiltonian:
         coupling = rng.normal(scale=30.0, size=(n, n))
         coupling = np.triu(coupling, 1)
         coupling = coupling + coupling.T
-        spec = spec_with(n, delta=rng.normal(size=n), epsilon=rng.normal(size=n), coupling=coupling)
-        h = build_hamiltonian(spec)
-        assert np.max(np.abs(h - brute_force_hamiltonian(spec))) < 1e-12
+        args = spec_with(n, delta=rng.normal(size=n), epsilon=rng.normal(size=n), coupling=coupling)
+        h = build_hamiltonian(*args)
+        assert np.max(np.abs(h - brute_force_hamiltonian(*args))) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equals_kron_product_oracle_exactly(self, n):
@@ -77,17 +76,15 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(40 + n)
         coupling = np.triu(rng.normal(scale=30.0, size=(n, n)), 1)
         delta = rng.normal(size=n) * (rng.random(n) < 0.8)
-        spec = spec_with(n, delta=delta, epsilon=rng.normal(size=n), coupling=coupling + coupling.T)
-        h, oracle = build_hamiltonian(spec), kron_hamiltonian(spec)
+        args = spec_with(n, delta=delta, epsilon=rng.normal(size=n), coupling=coupling + coupling.T)
+        h, oracle = build_hamiltonian(*args), kron_hamiltonian(*args)
         assert np.array_equal(h, oracle)
         assert np.array_equal(np.signbit(h.view(float)), np.signbit(oracle.view(float)))
 
     def test_design_parameters_four_qubits(self):
-        spec = spec_with(
-            4, delta=np.full(4, 2.6), epsilon=np.full(4, 2.7), coupling=bus_all_to_all(4, 25.0).coupling_mhz
-        )
-        h = build_hamiltonian(spec)
-        oracle = brute_force_hamiltonian(spec)
+        args = bus_all_to_all(4, 25.0), np.full(4, 2.6), np.full(4, 2.7)
+        h = build_hamiltonian(*args)
+        oracle = brute_force_hamiltonian(*args)
         assert np.max(np.abs(h - oracle)) < 1e-12
         assert np.allclose(
             np.linalg.eigvalsh(h), np.linalg.eigvalsh(oracle), atol=1e-12
@@ -97,13 +94,12 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(31)
         coupling = rng.normal(scale=10.0, size=(3, 3))
         coupling = np.triu(coupling, 1)
-        spec = spec_with(3, delta=rng.normal(size=3), coupling=coupling + coupling.T)
-        h = build_hamiltonian(spec)
+        h = build_hamiltonian(*spec_with(3, delta=rng.normal(size=3), coupling=coupling + coupling.T))
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(spec_with(MAX_DENSE_QUBITS + 1))
+            build_hamiltonian(*spec_with(MAX_DENSE_QUBITS + 1))
 
     def test_invalid_coupling_rejected(self):
         with pytest.raises(ValueError):
@@ -111,22 +107,38 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             spec_with(2, coupling=[[1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("drives, biases", [(3, 2), (2, 3), (1, 2), (2, 0)])
+    def test_drive_and_bias_lengths_checked(self, drives, biases):
+        # A 2-qubit graph takes exactly 2 drives and 2 biases.
+        with pytest.raises(ValueError, match="need 2 drives and 2 biases"):
+            build_hamiltonian(bus_all_to_all(2, 25.0), np.ones(drives), np.ones(biases))
+
     def test_permutation_symmetry_of_all_to_all_spectrum(self):
-        spec = spec_with(
-            4, delta=np.full(4, 1.3), epsilon=np.full(4, 0.7), coupling=bus_all_to_all(4, 25.0).coupling_mhz
-        )
-        evals = np.linalg.eigvalsh(build_hamiltonian(spec))
+        spec, delta, epsilon = bus_all_to_all(4, 25.0), np.full(4, 1.3), np.full(4, 0.7)
+        evals = np.linalg.eigvalsh(build_hamiltonian(spec, delta, epsilon))
         # relabeling qubits permutes the basis; the all-equal couplings keep
         # the spectrum fixed
         perm = [2, 0, 3, 1]
-        spec2 = spec_with(
-            4,
-            delta=spec.delta_ghz[perm],
-            epsilon=spec.epsilon_ghz[perm],
-            coupling=spec.coupling_mhz[np.ix_(perm, perm)],
-        )
-        evals2 = np.linalg.eigvalsh(build_hamiltonian(spec2))
+        spec2 = SpinHamiltonianSpec(spec.coupling_mhz[np.ix_(perm, perm)])
+        evals2 = np.linalg.eigvalsh(build_hamiltonian(spec2, delta[perm], epsilon[perm]))
         assert np.allclose(evals, evals2, atol=1e-12)
+
+
+class TestSpec:
+    def test_coupling_graph_is_the_only_field(self):
+        # Every drive and bias is a control pulse, passed where it acts.
+        assert [f.name for f in dataclasses.fields(SpinHamiltonianSpec)] == ["coupling_mhz"]
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_qubit_count_from_the_matrix(self, n):
+        spec = SpinHamiltonianSpec(np.zeros((n, n)))
+        assert spec.n_qubits == n and spec.coupling_mhz.shape == (n, n)
+        assert coupling_diagonal(spec).shape == (2**n,)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (), (2, 2, 2), (0,), (0, 2)], ids=str)
+    def test_non_square_or_non_2d_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="coupling matrix must be square"):
+            SpinHamiltonianSpec(np.zeros(shape))
 
 
 class TestTopologies:
@@ -164,21 +176,18 @@ class TestTopologies:
 def inter_pair_diagonal(spec, pairs):
     """``coupling_diagonal`` with each pair's own coupling masked out."""
     inter = inter_pair_mask(spec.n_qubits, pairs)
-    return coupling_diagonal(replace(spec, coupling_mhz=np.where(inter, spec.coupling_mhz, 0.0)))
+    return coupling_diagonal(SpinHamiltonianSpec(np.where(inter, spec.coupling_mhz, 0.0)))
 
 
 class TestInteractionOnly:
     def test_zero_coupling_gives_zero_operator(self):
-        assert np.max(np.abs(coupling_diagonal(spec_with(3)))) == 0.0
+        assert np.max(np.abs(coupling_diagonal(SpinHamiltonianSpec(np.zeros((3, 3)))))) == 0.0
 
     def test_drops_drive_terms(self):
-        spec = spec_with(
-            3, delta=np.full(3, 2.6), epsilon=np.full(3, 2.7), coupling=bus_all_to_all(3, 25.0).coupling_mhz
-        )
+        # The coupling diagonal is H/h with every drive and bias off.
+        spec = bus_all_to_all(3, 25.0)
         diag = coupling_diagonal(spec)
-        oracle = brute_force_hamiltonian(
-            spec_with(3, coupling=spec.coupling_mhz)
-        )
+        oracle = brute_force_hamiltonian(spec, np.zeros(3), np.zeros(3))
         assert np.max(np.abs(np.diag(diag) - oracle)) < 1e-15
 
     def test_inter_pair_annihilates_code_states(self):

@@ -294,6 +294,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             SquidParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["l_ph", "c_ff", "ic_ua", "phi_x", "l_renorm_factor"])
+    def test_non_finite_params_rejected(self, field, value):
+        # nan <= 0 is False, so the sign checks alone let NaN through: a NaN L
+        # would end in a grid-edge error and an infinite C in a zero splitting.
+        kwargs = {"l_ph": 150.0, "c_ff": 80.0, "ic_ua": 3.0, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            SquidParams(**kwargs)
+
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             FluxGrid(1.0, 0.0, 513)
