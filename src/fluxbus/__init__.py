@@ -23,7 +23,6 @@ from .bus import (
 from .compiler import (
     ControlParams,
     Gate,
-    GateCircuit,
     LogicalRegister,
     compile_circuit,
     encode,

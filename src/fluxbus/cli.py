@@ -28,6 +28,7 @@ from .bus import BusParams, WeakCouplingWarning
 from .compiler import (
     ControlParams,
     LogicalRegister,
+    _check_operands,
     compile_circuit,
     encode,
     ideal_circuit_unitary,
@@ -120,6 +121,8 @@ def _number(cfg: dict, key: str, default=None):
         raise ConfigError(f"config key {key} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"config key {key} must be finite, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"config key {key} must fit in a float, got an integer of {len(str(abs(value)))} digits")
     return value
 
 
@@ -153,7 +156,7 @@ def _integer(cfg: dict, key: str, default=None) -> int:
     if value != int(value):
         raise ConfigError(f"config key {key} must be an integer, got {value!r}")
     if value < 0:
-        raise ConfigError(f"{key} must be non-negative")
+        raise ConfigError(f"config key {key} must be non-negative, got {value!r}")
     return int(value)
 
 
@@ -402,8 +405,10 @@ def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
         )
     params = _control_from_config(cfg, mode)
     circuit = parse_circuit(circuit_text)
-    if circuit.max_qubit() >= n_logical:
-        raise ConfigError("circuit addresses a logical qubit outside the register")
+    try:
+        _check_operands(circuit, n_logical)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return LogicalRegister.default(n_logical), params, circuit
 
 
@@ -437,7 +442,7 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     code_amp = final.amplitudes[idx]
     leakage = max(0.0, 1.0 - float(np.linalg.norm(code_amp) ** 2))
 
-    touched = {q for gate in circuit.gates for q in gate.qubits}
+    touched = {q for gate in circuit for q in gate.qubits}
     spectators = {}
     for ell in range(n_logical):
         if ell in touched:
@@ -456,7 +461,7 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
         "mode": params.mode,
         "n_logical": n_logical,
         "initial_bits": initial_bits,
-        "gates": len(circuit.gates),
+        "gates": len(circuit),
         "segments": len(schedule.segments),
         "duration_ns": schedule.duration_ns,
         "fidelity": fidelity_value,
@@ -492,7 +497,7 @@ def cmd_compile(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
         "command": "compile",
         "mode": params.mode,
         "n_logical": reg.n_logical,
-        "gates": len(circuit.gates),
+        "gates": len(circuit),
         "segments": segments,
         "duration_ns": schedule.duration_ns,
     }

@@ -50,9 +50,7 @@ __all__ = [
     "LogicalRegister",
     "ControlParams",
     "Gate",
-    "GateCircuit",
     "CircuitParseError",
-    "UnsupportedGateError",
     "encode",
     "init_schedule",
     "compile_circuit",
@@ -64,10 +62,6 @@ __all__ = [
 
 class CircuitParseError(ValueError):
     """Circuit text does not follow the `GATE q[,q2][,angle]` grammar."""
-
-
-class UnsupportedGateError(ValueError):
-    """Gate name outside the compiled set."""
 
 
 @dataclass(frozen=True)
@@ -271,7 +265,9 @@ def _cphase(i: int, j: int, reg: LogicalRegister, params: ControlParams, base: S
 
 @dataclass(frozen=True)
 class Gate:
-    """One logical gate: name, logical operands, optional angle (radians)."""
+    """One logical gate: name, logical operands, optional angle (radians);
+    the one home of the gate rules.  Operands and angle may be given as
+    text: each is converted once, after the operands are counted."""
 
     name: str
     qubits: tuple
@@ -282,39 +278,30 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "name", self.name.upper())
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if self.name not in self._ARITY:
-            raise UnsupportedGateError(f"unsupported gate {self.name!r}")
+            raise ValueError(f"unsupported gate {self.name!r}")
         if len(self.qubits) != self._ARITY[self.name]:
             raise ValueError(f"{self.name} takes {self._ARITY[self.name]} operand(s)")
+        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.name} operands must be distinct")
         if min(self.qubits) < 0:
             raise ValueError(f"{self.name} operands must be non-negative, got {self.qubits}")
         if (self.angle is None) == (self.name in self._ANGLED):
             raise ValueError(f"{self.name} {'needs' if self.name in self._ANGLED else 'takes no'} angle")
+        object.__setattr__(self, "angle", None if self.angle is None else float(self.angle))
         if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError(f"{self.name} angle must be finite, got {self.angle!r}")
-
-
-@dataclass(frozen=True)
-class GateCircuit:
-    """Ordered logical gates."""
-
-    gates: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-
-    def max_qubit(self) -> int:
-        return max((q for g in self.gates for q in g.qubits), default=-1)
 
 
 _LINE_RE = re.compile(r"^([A-Za-z]+)\s+(.+)$")
 
 
-def parse_circuit(text: str) -> GateCircuit:
-    """Parse circuit text: one `GATE q[,q2][,angle]` per line, `#` comments."""
+def parse_circuit(text: str) -> tuple:
+    """Split circuit text, one `GATE q[,q2][,angle]` per line and `#`
+    comments, into a tuple of ``Gate``s; an RX/RZ line's last field is its
+    angle.  ``Gate``'s ``ValueError`` becomes a ``CircuitParseError`` naming
+    the line."""
     gates = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -325,20 +312,18 @@ def parse_circuit(text: str) -> GateCircuit:
             raise CircuitParseError(f"line {lineno}: expected `GATE q[,q2][,angle]`, got {raw!r}")
         name = m.group(1).upper()
         fields = [f.strip() for f in m.group(2).split(",")]
+        angle = fields.pop() if name in Gate._ANGLED else None
         try:
-            if name in Gate._ANGLED:
-                if len(fields) != 2:
-                    raise ValueError("rotation gates take `qubit,angle`")
-                gates.append(Gate(name, (int(fields[0]),), float(fields[1])))
-            elif len(fields) == 1:
-                gates.append(Gate(name, (int(fields[0]),)))
-            elif len(fields) == 2:
-                gates.append(Gate(name, (int(fields[0]), int(fields[1]))))
-            else:
-                raise ValueError("too many operands")
-        except (ValueError, UnsupportedGateError) as exc:
+            gates.append(Gate(name, fields, angle))
+        except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from exc
-    return GateCircuit(tuple(gates))
+    return tuple(gates)
+
+
+def _check_operands(circuit: tuple, n_logical: int) -> None:
+    """The register rule: each operand (non-negative by ``Gate``) is below ``n_logical``."""
+    if any(q >= n_logical for gate in circuit for q in gate.qubits):
+        raise ValueError("circuit addresses a logical qubit outside the register")
 
 
 def _gate_segments(gate: Gate, reg: LogicalRegister, params: ControlParams, base: SpinHamiltonianSpec) -> list:
@@ -397,13 +382,13 @@ def init_schedule(reg: LogicalRegister, params: ControlParams | None = None) -> 
 
 
 def compile_circuit(
-    circuit: GateCircuit,
+    circuit: tuple,
     reg: LogicalRegister,
     params: ControlParams | None = None,
     base: SpinHamiltonianSpec | None = None,
 ) -> PulseSchedule:
-    """Compile a logical circuit to one pulse schedule; the compiler's one
-    gate entry point.
+    """Compile a circuit (a tuple of ``Gate``s) to one pulse schedule; the
+    compiler's one gate entry point.
 
     ``base`` is the coupling graph the schedule runs on, by default the
     all-to-all bus at ``params.j_mhz``; pass the encoded-chain graph to
@@ -418,8 +403,7 @@ def compile_circuit(
     """
     params = params or ControlParams()
     base = base if base is not None else _base_spec(reg, params)
-    if circuit.max_qubit() >= reg.n_logical:
-        raise ValueError("circuit addresses a logical qubit outside the register")
+    _check_operands(circuit, reg.n_logical)
     if base.n_qubits != reg.n_physical:
         raise ValueError("base spec size does not match the register")
     a, b = np.array(reg.pairs, dtype=int).reshape(-1, 2).T
@@ -431,7 +415,7 @@ def compile_circuit(
             f"base spec: qubit {q} couples unequally to pair {reg.pairs[p]} ({c[q, a[p]]} and "
             f"{c[q, b[p]]} MHz), so the pair is visible to it in its code space"
         )
-    segments = [seg for gate in circuit.gates for seg in _gate_segments(gate, reg, params, base)]
+    segments = [seg for gate in circuit for seg in _gate_segments(gate, reg, params, base)]
     return PulseSchedule(tuple(segments), base)
 
 
@@ -454,15 +438,16 @@ def verify_ifs(state: QuantumState, spec: SpinHamiltonianSpec, reg: LogicalRegis
     return float(np.linalg.norm(diag * amp) / (j_scale * np.linalg.norm(amp)))
 
 
-def ideal_circuit_unitary(circuit: GateCircuit, n_logical: int) -> np.ndarray:
-    """Exact logical unitary of a circuit (the verification target).
+def ideal_circuit_unitary(circuit: tuple, n_logical: int) -> np.ndarray:
+    """Exact logical unitary of a tuple of ``Gate``s (the verification target).
 
     Each gate's matrix maps the identity rows (the basis states) through
     ``evolve.apply_on_qubits``, the kernel of ideal propagation; row j ends
     as the image of basis state j, so the unitary is their transpose.
     """
+    _check_operands(circuit, n_logical)
     rows = np.eye(2**n_logical, dtype=complex)
-    for gate in circuit.gates:
+    for gate in circuit:
         mat = gate_matrix(gate.name, gate.angle)
         rows = apply_on_qubits(rows, gate.qubits, lambda blocks: blocks @ mat.T)
     return rows.T

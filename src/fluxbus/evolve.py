@@ -188,7 +188,7 @@ class PulseSchedule:
                 raise ValueError(f"ideal op {seg.ideal_op!r} acts outside the base's {self.base.n_qubits} qubits")
             for arr in (seg.delta_ghz, seg.epsilon_ghz):
                 if arr is not None and arr.shape != (self.base.n_qubits,):
-                    raise ValueError("segment override length must match the qubit count")
+                    raise ValueError("a segment's drive and bias vectors must have one entry per qubit")
 
     @property
     def duration_ns(self) -> float:

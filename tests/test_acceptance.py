@@ -120,7 +120,7 @@ def test_criterion_7_ideal_gates_and_spectator():
     res_cz = fb.logical_process_fidelity(fb.compile_circuit(cphase, reg, params), CZ, reg)
     assert res_cz.fidelity >= 1.0 - 1e-9
 
-    circuit = fb.GateCircuit((fb.Gate("CNOT", (0, 1)),))
+    circuit = (fb.Gate("CNOT", (0, 1)),)
     sched = fb.compile_circuit(circuit, reg, params)
     res_cnot = fb.logical_process_fidelity(sched, fb.ideal_circuit_unitary(circuit, 2), reg)
     assert res_cnot.fidelity >= 1.0 - 1e-9

@@ -303,7 +303,7 @@ class TestMainExitCodes:
         circuit.write_text("")
         cfg = cfg_file(SIM_CFG.replace("n_logical = 2", "n_logical = -1"))
         assert main([command, "--config", cfg, "--circuit", str(circuit)]) == 2
-        assert capsys.readouterr().err == "error[config]: n_logical must be non-negative\n"
+        assert capsys.readouterr().err == "error[config]: config key n_logical must be non-negative, got -1\n"
 
     def test_largest_n_logical_runs(self, cfg_file, tmp_path, capsys):
         # 16 physical qubits through main (criterion 11 simulates 18); idle
@@ -404,6 +404,8 @@ class TestMainExitCodes:
                          "sweep_points = 1000000000000 exceeds", id="sweep_points-oversize"),
             pytest.param("design", DESIGN_CFG.replace("N = 1000", "N = 1000.7"), "config key N must be an integer",
                          id="N-fraction"),
+            pytest.param("design", DESIGN_CFG.replace("N = 1000", "N = -2"),
+                         "config key N must be non-negative, got -2", id="N-negative"),
             pytest.param("simulate", SIM_CFG.replace("n_logical = 2", "n_logical = 2.5"),
                          "config key n_logical must be an integer", id="n_logical-fraction"),
             pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = -1\n",
@@ -428,6 +430,12 @@ class TestMainExitCodes:
                          id="R_uOhm-zero"),
             pytest.param("simulate", SIM_CFG.replace("delta_GHz = 2.6", "delta_GHz = 0"),
                          "config key delta_GHz must be positive", id="delta_GHz-zero"),
+            # an integer a float cannot hold is refused where it is read, not
+            # as an OverflowError where the library first converts it
+            pytest.param("calibrate", SQUID_CFG.replace("L_pH = 150", "L_pH = 1" + "0" * 400),
+                         "config key L_pH must fit in a float, got an integer of 401 digits", id="L_pH-huge"),
+            pytest.param("compile", SIM_CFG.replace("J_MHz = 25", "J_MHz = 1" + "0" * 400),
+                         "config key J_MHz must fit in a float, got an integer of 401 digits", id="J_MHz-huge"),
         ],
     )
     def test_bad_config_key_named(self, cfg_file, tmp_path, capsys, monkeypatch, command, text, reason):
@@ -438,7 +446,8 @@ class TestMainExitCodes:
         monkeypatch.setattr(squidmod, "solve_levels", unreachable)
         circuit = tmp_path / "bell.circuit"
         circuit.write_text(BELL_CIRCUIT)
-        args = [command, "--config", cfg_file(text)] + (["--circuit", str(circuit)] if command == "simulate" else [])
+        needs_circuit = command in ("simulate", "compile")
+        args = [command, "--config", cfg_file(text)] + (["--circuit", str(circuit)] if needs_circuit else [])
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[config]:") and reason in err

@@ -11,7 +11,6 @@ from fluxbus.compiler import (
     CircuitParseError,
     ControlParams,
     Gate,
-    GateCircuit,
     LogicalRegister,
     _moment,
     compile_circuit,
@@ -41,7 +40,7 @@ CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def compile_gate(gate, params, reg=REG2, base=None):
-    return compile_circuit(GateCircuit((gate,)), reg, params, base=base)
+    return compile_circuit((gate,), reg, params, base=base)
 
 
 def gate_fidelity(gate, params, target, reg=REG2, base=None):
@@ -149,7 +148,7 @@ class TestSingleQubitGates:
     @pytest.mark.parametrize("name,angle", [("RX", 0.7), ("RZ", 1.1), ("H", None), ("Z", None)])
     def test_ideal_gates_exact(self, name, angle):
         gate = Gate(name, (0,), angle)
-        target = ideal_circuit_unitary(GateCircuit((gate,)), 2)
+        target = ideal_circuit_unitary((gate,), 2)
         res = gate_fidelity(gate, IDEAL, target)
         assert res.fidelity >= 1.0 - 1e-9
         assert res.max_leakage < 1e-9
@@ -163,14 +162,14 @@ class TestSingleQubitGates:
     ])
     def test_physical_gates_fidelity_and_leakage(self, name, angle, leak_tol):
         gate = Gate(name, (0,), angle)
-        target = ideal_circuit_unitary(GateCircuit((gate,)), 2)
+        target = ideal_circuit_unitary((gate,), 2)
         res = gate_fidelity(gate, PHYSICAL, target)
         assert res.fidelity >= 0.98
         assert res.max_leakage < leak_tol
 
     def test_physical_rz_is_exact(self):
         gate = Gate("RZ", (0,), 1.1)
-        target = ideal_circuit_unitary(GateCircuit((gate,)), 2)
+        target = ideal_circuit_unitary((gate,), 2)
         res = gate_fidelity(gate, PHYSICAL, target)
         assert res.fidelity >= 1.0 - 1e-9
 
@@ -264,19 +263,19 @@ class TestCphase:
 
 class TestCompileCircuit:
     def test_empty_circuit(self):
-        sched = compile_circuit(GateCircuit(()), REG2, IDEAL)
+        sched = compile_circuit((), REG2, IDEAL)
         assert sched.segments == ()
         out = run_schedule(encode("00", REG2), sched)
         assert fidelity(encode("00", REG2), out) == pytest.approx(1.0, abs=1e-14)
 
     def test_cnot_flips_target_when_control_set(self):
-        circuit = GateCircuit((Gate("CNOT", (0, 1)),))
+        circuit = (Gate("CNOT", (0, 1)),)
         sched = compile_circuit(circuit, REG2, IDEAL)
         out = run_schedule(encode("10", REG2), sched)
         assert fidelity(encode("11", REG2), out) >= 1.0 - 1e-6
 
     def test_cnot_process_fidelity(self):
-        circuit = GateCircuit((Gate("CNOT", (0, 1)),))
+        circuit = (Gate("CNOT", (0, 1)),)
         sched = compile_circuit(circuit, REG2, IDEAL)
         res = logical_process_fidelity(sched, ideal_circuit_unitary(circuit, 2), REG2)
         assert res.fidelity >= 1.0 - 1e-9
@@ -290,7 +289,7 @@ class TestCompileCircuit:
 
     def test_out_of_range_circuit(self):
         with pytest.raises(ValueError):
-            compile_circuit(GateCircuit((Gate("X", (7,)),)), REG2, IDEAL)
+            compile_circuit((Gate("X", (7,)),), REG2, IDEAL)
 
     def test_ifs_closure_after_each_gate(self):
         # Starting from a code-space superposition, every compiled gate must
@@ -309,7 +308,7 @@ class TestCompileCircuit:
         for mode, tol in (("ideal", 1e-9), ("physical", 2e-2)):
             params = ControlParams(mode=mode)
             for gate in gates:
-                sched = compile_circuit(GateCircuit((gate,)), REG2, params)
+                sched = compile_circuit((gate,), REG2, params)
                 state = run_schedule(QuantumState(iso @ logical), sched)
                 leak = 1.0 - float(np.linalg.norm(iso.conj().T @ state.amplitudes) ** 2)
                 assert leak < tol
@@ -328,7 +327,7 @@ class TestChainTopology:
 
     def test_base_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compile_circuit(GateCircuit(()), REG2, IDEAL, base=linear_chain_encoded(3, 40.0, 25.0))
+            compile_circuit((), REG2, IDEAL, base=linear_chain_encoded(3, 40.0, 25.0))
 
     def test_cphase_between_uncoupled_pairs_rejected(self):
         # Pairs 0 and 2 of the chain share no coupling, so no wait makes a CPHASE.
@@ -453,14 +452,52 @@ class TestCircuitText:
         CPHASE 0,1
         """
         circuit = parse_circuit(text)
-        names = [g.name for g in circuit.gates]
+        names = [g.name for g in circuit]
         assert names == ["H", "CNOT", "RZ", "X", "CPHASE"]
-        assert circuit.gates[2].angle == pytest.approx(0.785398)
+        assert circuit[2].angle == pytest.approx(0.785398)
 
     def test_bad_lines_rejected(self):
         for text in ("FOO 0", "H", "H 0,1", "RZ 0", "CNOT 0", "CNOT 0,0", "RX 0,abc"):
             with pytest.raises(CircuitParseError):
                 parse_circuit(text)
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("X 0,1,2", "X takes 1 operand(s)"),
+            ("CNOT 0", "CNOT takes 2 operand(s)"),
+            ("CNOT 0,1,2", "CNOT takes 2 operand(s)"),
+            ("RX 0", "RX takes 1 operand(s)"),
+            ("RX 0,1,0.5", "RX takes 1 operand(s)"),
+            ("H 0,0.5", "H takes 1 operand(s)"),
+            ("FOO 0", "unsupported gate 'FOO'"),
+            ("RX 0,abc", "could not convert string to float: 'abc'"),
+            ("X 0,", "X takes 1 operand(s)"),
+        ],
+    )
+    def test_malformed_line_names_its_line(self, line, reason):
+        # Gate's rule, reported against the line that broke it
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(f"H 0\n# comment\n{line}\nX 1\n")
+        assert str(info.value) == f"line 3: {reason}"
+
+    def test_unsupported_gate_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unsupported gate 'FOO'"):
+            Gate("FOO", (0,))
+
+    def test_parse_returns_a_tuple_of_gates(self):
+        circuit = parse_circuit("h 0\ncnot 0, 1  # entangle\n\nrz 1, -0.5\nCPHASE 1,0\n")
+        assert circuit == (
+            Gate("H", (0,)),
+            Gate("CNOT", (0, 1)),
+            Gate("RZ", (1,), -0.5),
+            Gate("CPHASE", (1, 0)),
+        )
+        assert type(circuit) is tuple
+
+    def test_ideal_unitary_refuses_qubit_outside_register(self):
+        with pytest.raises(ValueError, match="outside the register"):
+            ideal_circuit_unitary(parse_circuit("X 5"), 2)
 
     def test_ideal_circuit_unitary_composition(self):
         circuit = parse_circuit("H 0\nCNOT 0,1\n")

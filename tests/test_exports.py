@@ -64,4 +64,4 @@ def test_public_option_count():
     # Every public parameter and field is a knob a caller can turn.  A change
     # that adds or removes one changes these numbers on purpose.
     defaults = option_defaults()
-    assert (len(defaults), sum(defaults)) == (140, 36)
+    assert (len(defaults), sum(defaults)) == (139, 36)

@@ -13,7 +13,6 @@ from fluxbus.bus import BusParams, inductive_energy, pairwise_inductive_energy, 
 from fluxbus.compiler import (
     ControlParams,
     Gate,
-    GateCircuit,
     LogicalRegister,
     compile_circuit,
     encode,
@@ -63,7 +62,7 @@ def circuits(draw, max_logical, max_gates, angles=_ANGLES):
             qubits = (draw(st.integers(0, n - 1)),)
         angle = draw(angles) if name in ("RX", "RZ") else None
         gates.append(Gate(name, qubits, angle))
-    return n, GateCircuit(tuple(gates))
+    return n, tuple(gates)
 
 
 def _reference_matrix(gate: Gate) -> np.ndarray:
@@ -101,7 +100,7 @@ def _kron_lift(mat: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
 def test_ideal_unitary_matches_kron_product(case):
     n, circuit = case
     expected = np.eye(2**n, dtype=complex)
-    for gate in circuit.gates:
+    for gate in circuit:
         expected = _kron_lift(_reference_matrix(gate), gate.qubits, n) @ expected
     assert np.max(np.abs(ideal_circuit_unitary(circuit, n) - expected)) <= 1e-12
 
@@ -120,11 +119,11 @@ def test_ideal_mode_schedules_reach_the_logical_unitary(case):
 # Angles at which a rotation's reduction (period 4 pi) or its wait (period
 # 2 pi) lands on zero, mixed with generic ones.
 _SPECIAL_ANGLES = (0.0, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi, -4.0 * math.pi)
-_EVERY_GATE = GateCircuit(tuple(
+_EVERY_GATE = tuple(
     [Gate("RX", (0,), a) for a in _SPECIAL_ANGLES + (1.0, -1.0)]
     + [Gate("RZ", (1,), a) for a in _SPECIAL_ANGLES + (1.0, -1.0)]
     + [Gate("X", (0,)), Gate("Z", (1,)), Gate("H", (0,)), Gate("CPHASE", (0, 1)), Gate("CNOT", (1, 0))]
-))
+)
 
 
 def _op_duration(op, params):
