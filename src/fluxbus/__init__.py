@@ -9,7 +9,6 @@ from .bus import (
     BusParams,
     CurrentSolution,
     SingularSystemError,
-    WeakCouplingWarning,
     coupling_strength,
     effective_mutual,
     flux_quantization_residual,

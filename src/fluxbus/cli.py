@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import bus as busmod
 from . import squid as squidmod
-from .bus import BusParams, WeakCouplingWarning
+from .bus import BusParams
 from .compiler import (
     ControlParams,
     LogicalRegister,
@@ -356,9 +355,7 @@ def cmd_design(cfg: dict) -> DesignReport:
         report.derived["J_MHz"] = j_mhz
         report.derived["cphase_wait_ns"] = 1.0 / (32.0 * j_mhz * 1e-3)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakCouplingWarning)
-        ratio = busmod.weak_coupling_ratio(squid, bus)
+    ratio = busmod.weak_coupling_ratio(squid, bus)
     report.derived["weak_coupling_ratio"] = ratio
     report.flags["weak_coupling_warn"] = ratio >= busmod.WEAK_COUPLING_WARN_AT
     if bus.m_ph > 0.0:

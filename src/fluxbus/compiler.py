@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -64,6 +65,16 @@ class CircuitParseError(ValueError):
     """Circuit text does not follow the `GATE q[,q2][,angle]` grammar."""
 
 
+def _indices(values, what: str) -> tuple:
+    """``values`` as qubit numbers: text is read with ``int``, an integer
+    other than a bool is kept, and anything else is refused rather than
+    truncated (``int(1.7)`` would name qubit 1)."""
+    values = tuple(values)
+    if not all(isinstance(v, str) or (isinstance(v, Integral) and not isinstance(v, bool)) for v in values):
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class LogicalRegister:
     """Disjoint (a, b) physical-qubit pairs; one logical qubit per pair.
@@ -75,7 +86,7 @@ class LogicalRegister:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        pairs = tuple(_indices((a, b), "a pair's qubits") for a, b in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         flat = [q for pair in pairs for q in pair]
         if sorted(flat) != list(range(len(flat))):
@@ -266,8 +277,9 @@ def _cphase(i: int, j: int, reg: LogicalRegister, params: ControlParams, base: S
 @dataclass(frozen=True)
 class Gate:
     """One logical gate: name, logical operands, optional angle (radians);
-    the one home of the gate rules.  Operands and angle may be given as
-    text: each is converted once, after the operands are counted."""
+    the one home of the gate rules.  Operands are integers and the angle a
+    real number other than a bool, or either given as text: each is
+    converted once, after the operands are counted, and never truncated."""
 
     name: str
     qubits: tuple
@@ -282,13 +294,15 @@ class Gate:
             raise ValueError(f"unsupported gate {self.name!r}")
         if len(self.qubits) != self._ARITY[self.name]:
             raise ValueError(f"{self.name} takes {self._ARITY[self.name]} operand(s)")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", _indices(self.qubits, f"{self.name} operands"))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.name} operands must be distinct")
         if min(self.qubits) < 0:
             raise ValueError(f"{self.name} operands must be non-negative, got {self.qubits}")
         if (self.angle is None) == (self.name in self._ANGLED):
             raise ValueError(f"{self.name} {'needs' if self.name in self._ANGLED else 'takes no'} angle")
+        if isinstance(self.angle, bool):
+            raise ValueError(f"{self.name} angle must be a number, got {self.angle!r}")
         object.__setattr__(self, "angle", None if self.angle is None else float(self.angle))
         if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError(f"{self.name} angle must be finite, got {self.angle!r}")

@@ -130,9 +130,10 @@ class PulseSegment:
     """One piecewise-constant control interval.
 
     A physical segment holds ``delta_ghz``/``epsilon_ghz`` for
-    ``duration_ns``; ``None`` is all zeros.  A segment with an ``ideal_op``
-    instead applies that labeled unitary exactly and takes no time; its
-    ``mode`` is ``"ideal"``.
+    ``duration_ns``; ``None`` is all zeros.  Each array is kept as a
+    read-only copy, so a later write to the caller's array cannot change it.
+    A segment with an ``ideal_op`` instead applies that labeled unitary
+    exactly and takes no time; its ``mode`` is ``"ideal"``.
     """
 
     duration_ns: float = 0.0
@@ -150,7 +151,8 @@ class PulseSegment:
         for name in ("delta_ghz", "epsilon_ghz"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.asarray(arr, dtype=float)
+                arr = np.array(arr, dtype=float)
+                arr.flags.writeable = False
                 if not np.isfinite(arr).all():
                     raise ValueError(f"{name} must be finite, got {arr.tolist()}")
                 object.__setattr__(self, name, arr)

@@ -17,13 +17,13 @@ for a whole pulse schedule, so ``evolve.run_schedule`` forms it once; it
 adds a driven segment's biases to one copy, and an undriven run's summed
 eps * t to the coupling times the run's time.  ``build_hamiltonian(spec,
 delta, epsilon)`` assembles the dense 2^N x 2^N matrix, capped at
-``MAX_DENSE_QUBITS``; each sigma_x term is the permutation of the identity
-that flips one bit of the basis index.  It is the reference the tests compare
-the block-structured propagation against, and ``evolve`` calls it only for
-the 2^k x 2^k drive operator of a segment that drives k >= 2 qubits (the
-CPHASE flips), once per such segment unless it repeats the previous one's
-(drive, bias, duration), as a CPHASE's second flip does; one driven qubit
-has a closed form.
+``MAX_DENSE_QUBITS``; each sigma_x term is written by index, on the
+entries (i, i ^ bit) that flip its qubit's bit of the basis index.  It is
+the reference the tests compare the block-structured propagation against,
+and ``evolve`` calls it only for the 2^k x 2^k drive operator of a segment
+that drives k >= 2 qubits (the CPHASE flips), once per such segment unless
+it repeats the previous one's (drive, bias, duration), as a CPHASE's second
+flip does; one driven qubit has a closed form.
 """
 
 from __future__ import annotations
@@ -52,12 +52,13 @@ _PAIR_SIGNS = np.multiply.outer(_SIGNS, _SIGNS)[:, None, :]  # z_j z_i over (bit
 @dataclass(frozen=True)
 class SpinHamiltonianSpec:
     """The fixed coupling graph: ``coupling_mhz`` is symmetric with zero
-    diagonal (MHz), one row and column per qubit."""
+    diagonal (MHz), one row and column per qubit, kept as a read-only copy."""
 
     coupling_mhz: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coupling_mhz, dtype=float)
+        c = np.array(self.coupling_mhz, dtype=float)
+        c.flags.writeable = False
         object.__setattr__(self, "coupling_mhz", c)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"coupling matrix must be square, got shape {c.shape}")
@@ -117,12 +118,6 @@ def add_biases(diag: np.ndarray, epsilon_ghz: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _sigma_x_term(n_qubits: int, qubit: int) -> np.ndarray:
-    """X on ``qubit``: the permutation that flips its bit of the basis index."""
-    index = np.arange(2**n_qubits)
-    return np.eye(2**n_qubits)[index ^ (1 << (n_qubits - 1 - qubit))]
-
-
 def build_hamiltonian(spec: SpinHamiltonianSpec, delta_ghz, epsilon_ghz) -> np.ndarray:
     """Assemble the dense 2^N x 2^N Hamiltonian H/h in GHz of the coupling
     graph ``spec`` under the drives ``delta_ghz`` and biases ``epsilon_ghz``
@@ -136,8 +131,9 @@ def build_hamiltonian(spec: SpinHamiltonianSpec, delta_ghz, epsilon_ghz) -> np.n
         raise ValueError(f"need {n} drives and {n} biases, got shapes {delta_ghz.shape} and {epsilon_ghz.shape}")
     h = np.zeros((2**n, 2**n), dtype=complex)
     np.fill_diagonal(h, add_biases(coupling_diagonal(spec), epsilon_ghz))
+    index = np.arange(2**n)
     for q in np.flatnonzero(delta_ghz):
-        h -= 0.5 * delta_ghz[q] * _sigma_x_term(n, q)
+        h[index, index ^ (1 << (n - 1 - q))] -= 0.5 * delta_ghz[q]
     return h
 
 

@@ -1,11 +1,12 @@
 """Dense spin Hamiltonian from Kronecker products: the reference
-``spin.build_hamiltonian``'s index-built sigma_x terms are checked against."""
+``spin.build_hamiltonian``'s index-built sigma_x terms are checked against,
+and ``spec_with``, the ``build_hamiltonian`` arguments the tests share."""
 
 from functools import reduce
 
 import numpy as np
 
-from fluxbus.spin import add_biases, coupling_diagonal
+from fluxbus.spin import SpinHamiltonianSpec, add_biases, coupling_diagonal
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -32,3 +33,13 @@ def kron_hamiltonian(spec, delta_ghz, epsilon_ghz) -> np.ndarray:
     for q in np.flatnonzero(delta_ghz):
         h -= 0.5 * delta_ghz[q] * kron_sigma_x(spec.n_qubits, q)
     return h
+
+
+def spec_with(n, delta=None, epsilon=None, coupling=None):
+    """The arguments of ``build_hamiltonian``: an n-qubit coupling graph, its
+    drives and its biases, each zero unless given."""
+    return (
+        SpinHamiltonianSpec(np.zeros((n, n)) if coupling is None else np.asarray(coupling, float)),
+        np.zeros(n) if delta is None else np.asarray(delta, float),
+        np.zeros(n) if epsilon is None else np.asarray(epsilon, float),
+    )

@@ -74,6 +74,12 @@ class TestEncoding:
         with pytest.raises(ValueError):
             LogicalRegister(((0, 3),))
 
+    @pytest.mark.parametrize("pairs", [((0, 1.9),), ((1.0, 0),), ((0, 1), (False, 3))], ids=str)
+    def test_register_refuses_non_integer_qubits(self, pairs):
+        # int(1.9) would accept the pair as (0, 1)
+        with pytest.raises(ValueError, match="a pair's qubits must be integers"):
+            LogicalRegister(pairs)
+
     def test_isometry_columns_are_code_words(self):
         iso = dense_isometry(REG2)
         assert iso.shape == (16, 4)
@@ -199,6 +205,24 @@ class TestSingleQubitGates:
             compile_gate(Gate("X", (5,)), IDEAL)
         with pytest.raises(ValueError, match="non-negative"):
             Gate("X", (-1,))
+
+    @pytest.mark.parametrize(
+        "name, qubits, angle, reason",
+        [
+            ("X", (1.7,), None, r"X operands must be integers, got \(1\.7,\)"),
+            ("CNOT", (0, 1.0), None, r"CNOT operands must be integers, got \(0, 1\.0\)"),
+            ("X", (True,), None, r"X operands must be integers, got \(True,\)"),
+            ("RX", (0,), True, r"RX angle must be a number, got True"),
+        ],
+        ids=["float", "integral-float", "bool", "bool-angle"],
+    )
+    def test_operand_and_angle_never_truncated(self, name, qubits, angle, reason):
+        # int(1.7) would name qubit 1 and float(True) the angle 1.0
+        with pytest.raises(ValueError, match=reason):
+            Gate(name, qubits, angle)
+
+    def test_numpy_integer_operands_accepted(self):
+        assert Gate("CNOT", (np.int64(1), np.uint8(0))) == Gate("CNOT", (1, 0))
 
 
 class TestCphase:

@@ -24,15 +24,7 @@ from fluxbus import evolve as evolve_mod
 from fluxbus import spin
 from fluxbus.spin import SpinHamiltonianSpec, add_biases, build_hamiltonian, bus_all_to_all, coupling_diagonal
 
-
-def spec_with(n, delta=None, epsilon=None, coupling=None):
-    """The arguments of ``build_hamiltonian``: an n-qubit coupling graph, its
-    drives and its biases, each zero unless given."""
-    return (
-        SpinHamiltonianSpec(np.zeros((n, n)) if coupling is None else np.asarray(coupling, float)),
-        np.zeros(n) if delta is None else np.asarray(delta, float),
-        np.zeros(n) if epsilon is None else np.asarray(epsilon, float),
-    )
+from hamiltonian_oracle import spec_with
 
 
 def graph(n):
@@ -233,6 +225,18 @@ class TestIdealOps:
         kwargs = {"duration_ns": 1.0, field: value if field == "duration_ns" else np.array([2.6, value])}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             PulseSegment(**kwargs)
+
+    @pytest.mark.parametrize("field", ["delta_ghz", "epsilon_ghz"])
+    def test_segment_keeps_read_only_copies(self, field):
+        # A write to the caller's array after the finiteness check cannot
+        # change the segment, and the segment's own array refuses writes.
+        values = np.array([2.6, 0.0])
+        seg = PulseSegment(1.0, **{field: values})
+        values[0] = math.nan
+        assert getattr(seg, field) is not values
+        assert getattr(seg, field).tolist() == [2.6, 0.0]
+        with pytest.raises(ValueError):
+            getattr(seg, field)[1] = 1.0
 
 
 class TestRunSchedule:

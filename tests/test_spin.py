@@ -15,7 +15,7 @@ from fluxbus.spin import (
     linear_chain_encoded,
 )
 
-from hamiltonian_oracle import ID, SX, SZ, kron_chain, kron_hamiltonian
+from hamiltonian_oracle import ID, SX, SZ, kron_chain, kron_hamiltonian, spec_with
 
 
 def brute_force_hamiltonian(spec: SpinHamiltonianSpec, delta, epsilon) -> np.ndarray:
@@ -35,16 +35,6 @@ def brute_force_hamiltonian(spec: SpinHamiltonianSpec, delta, epsilon) -> np.nda
             ops[j] = SZ
             h += spec.coupling_mhz[i, j] * 1e-3 * kron_chain(ops)
     return h
-
-
-def spec_with(n, delta=None, epsilon=None, coupling=None):
-    """The arguments of ``build_hamiltonian``: an n-qubit coupling graph, its
-    drives and its biases, each zero unless given."""
-    return (
-        SpinHamiltonianSpec(np.zeros((n, n)) if coupling is None else np.asarray(coupling, float)),
-        np.zeros(n) if delta is None else np.asarray(delta, float),
-        np.zeros(n) if epsilon is None else np.asarray(epsilon, float),
-    )
 
 
 class TestBuildHamiltonian:
@@ -139,6 +129,16 @@ class TestSpec:
     def test_non_square_or_non_2d_matrix_rejected(self, shape):
         with pytest.raises(ValueError, match="coupling matrix must be square"):
             SpinHamiltonianSpec(np.zeros(shape))
+
+    def test_spec_keeps_a_read_only_copy(self):
+        # A write to the caller's matrix after the symmetry check cannot make
+        # the spec asymmetric, and the spec's own matrix refuses writes.
+        coupling = 25.0 * (np.ones((2, 2)) - np.eye(2))
+        spec = SpinHamiltonianSpec(coupling)
+        coupling[0, 1] = 5.0
+        assert spec.coupling_mhz.tolist() == [[0.0, 25.0], [25.0, 0.0]]
+        with pytest.raises(ValueError):
+            spec.coupling_mhz[0, 1] = 5.0
 
 
 class TestTopologies:
