@@ -8,7 +8,6 @@ encoded-pair logical gates executed as pulse schedules.
 from .bus import (
     BusParams,
     CurrentSolution,
-    SingularSystemError,
     coupling_strength,
     effective_mutual,
     flux_quantization_residual,
@@ -49,13 +48,11 @@ from .spin import (
     linear_chain_encoded,
 )
 from .squid import (
-    BracketError,
     EigenSolution,
     FluxGrid,
-    NoDoubleWellError,
+    NumericalError,
     SquidParams,
     TwoLevelParams,
-    WindowTooSmallError,
     beta_l,
     calibrate_critical_current,
     extract_two_level,

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ENERGY_GHZ_PER_PH_UA2, PHI0_PH_UA
-from .squid import SquidParams, TwoLevelParams
+from .squid import NumericalError, SquidParams, TwoLevelParams
 
 __all__ = [
     "BusParams",
     "CurrentSolution",
-    "SingularSystemError",
     "solve_currents",
     "passive_schur_complement",
     "inductive_energy",
@@ -43,10 +42,6 @@ __all__ = [
 ]
 
 WEAK_COUPLING_WARN_AT = 0.1
-
-
-class SingularSystemError(ValueError):
-    """Inductance matrix is not positive definite (passivity violated: N M^2 >= L L_b)."""
 
 
 @dataclass(frozen=True)
@@ -89,11 +84,11 @@ def passive_schur_complement(squid: SquidParams, bus: BusParams) -> float:
     """Schur complement L_b - N M^2/L (pH) of the inductance matrix.
 
     The bus is passive exactly when it is positive, i.e. N M^2 < L L_b;
-    otherwise ``SingularSystemError`` names N.
+    otherwise ``NumericalError`` names N.
     """
     schur = bus.l_b_ph - bus.n_qubits * bus.m_ph**2 / squid.l_ph
     if schur <= 0.0:
-        raise SingularSystemError(
+        raise NumericalError(
             f"L_b - N M^2/L = {schur:.4g} pH with N = {bus.n_qubits}: the bus is not passive "
             f"(N M^2 must stay below L*L_b = {squid.l_ph * bus.l_b_ph:.4g} pH^2)"
         )
@@ -123,9 +118,10 @@ def solve_currents(
 
     so the solve is O(N) in time and memory.  The denominator is the Schur
     complement of the SQUID block; a bus with N M^2 >= L L_b is not passive
-    and raises ``SingularSystemError``.  Flux quantization defaults to
-    n = 0; both n and the bus bias are overridable for residual-current
-    studies.
+    and raises ``NumericalError``, as does a flux quantization residual
+    above 1e-12 Phi0; flux and bias lists whose length is not N raise
+    ``ValueError``.  Flux quantization defaults to n = 0; both n and the bus
+    bias are overridable for residual-current studies.
     """
     fluxes = np.asarray(fluxes_phi0, dtype=float)
     biases = np.asarray(biases_phi0, dtype=float)
@@ -141,7 +137,7 @@ def solve_currents(
     sol = CurrentSolution(squid_currents_ua=(r - m * bus_current) / l, bus_current_ua=bus_current)
     residual = flux_quantization_residual(sol, bus, n_quanta=n_quanta)
     if residual > 1e-12:
-        raise SingularSystemError(f"flux quantization residual {residual:.2e} Phi0")
+        raise NumericalError(f"flux quantization residual {residual:.2e} Phi0")
     return sol
 
 

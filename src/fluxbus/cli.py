@@ -27,17 +27,15 @@ from .bus import BusParams
 from .compiler import (
     ControlParams,
     LogicalRegister,
-    _check_operands,
     compile_circuit,
     encode,
     ideal_circuit_unitary,
     parse_circuit,
 )
 from .evolve import QuantumState, fidelity, reduced_density_matrix, run_schedule, trace_distance
-from .squid import FluxGrid, SquidParams
+from .squid import FluxGrid, NumericalError, SquidParams
 
 __all__ = [
-    "ConfigError",
     "DesignReport",
     "parse_config",
     "cmd_calibrate",
@@ -53,20 +51,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
 
-_NUMERICAL_ERRORS = (
-    squidmod.WindowTooSmallError,
-    squidmod.NoDoubleWellError,
-    squidmod.BracketError,
-    squidmod.ConvergenceError,
-    busmod.SingularSystemError,
-    np.linalg.LinAlgError,
-)
-
-
-class ConfigError(ValueError):
-    """Configuration file missing, unparsable, or inconsistent."""
-
-
 def parse_config(path: str | Path) -> dict:
     """Read a flat `key = value` config file (# starts a comment); a key set
     on two lines is refused."""
@@ -74,20 +58,20 @@ def parse_config(path: str | Path) -> dict:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     cfg, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ConfigError(f"{path}:{lineno}: empty key or value")
+            raise ValueError(f"{path}:{lineno}: empty key or value")
         if key in lines:
-            raise ConfigError(f"{path}:{lineno}: config key {key} is already set on line {lines[key]}")
+            raise ValueError(f"{path}:{lineno}: config key {key} is already set on line {lines[key]}")
         cfg[key], lines[key] = _parse_value(value), lineno
     return cfg
 
@@ -109,7 +93,7 @@ def _parse_value(value: str):
 def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if k not in cfg]
     if missing:
-        raise ConfigError(f"missing config key(s): {', '.join(missing)}")
+        raise ValueError(f"missing config key(s): {', '.join(missing)}")
 
 
 def _number(cfg: dict, key: str, default=None):
@@ -117,11 +101,11 @@ def _number(cfg: dict, key: str, default=None):
         return default
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key} must be a number, got {value!r}")
+        raise ValueError(f"config key {key} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config key {key} must be finite, got {value!r}")
+        raise ValueError(f"config key {key} must be finite, got {value!r}")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ConfigError(f"config key {key} must fit in a float, got an integer of {len(str(abs(value)))} digits")
+        raise ValueError(f"config key {key} must fit in a float, got an integer of {len(str(abs(value)))} digits")
     return value
 
 
@@ -130,7 +114,7 @@ def _checked(cfg: dict, key: str, ok, rule: str):
     states the ``rule``, so a bad value is refused before any solve."""
     value = _number(cfg, key)
     if value is not None and not ok(value):
-        raise ConfigError(f"config key {key} must {rule}, got {value!r}")
+        raise ValueError(f"config key {key} must {rule}, got {value!r}")
     return value
 
 
@@ -153,9 +137,9 @@ def _integer(cfg: dict, key: str, default=None) -> int:
     float such as 4097.0 is accepted)."""
     value = _number(cfg, key, default)
     if value != int(value):
-        raise ConfigError(f"config key {key} must be an integer, got {value!r}")
+        raise ValueError(f"config key {key} must be an integer, got {value!r}")
     if value < 0:
-        raise ConfigError(f"config key {key} must be non-negative, got {value!r}")
+        raise ValueError(f"config key {key} must be non-negative, got {value!r}")
     return int(value)
 
 
@@ -209,15 +193,15 @@ def _grid_from_config(cfg: dict) -> FluxGrid:
     default = FluxGrid()
     n_points = _integer(cfg, "grid_points", default.n_points)
     if n_points > _MAX_GRID_POINTS:
-        raise ConfigError(
+        raise ValueError(
             f"grid_points = {n_points} exceeds {_MAX_GRID_POINTS}: the flux solver's ~16 float64 arrays "
             "of grid_points entries must fit in 1 GiB"
         )
     if n_points < squidmod.MIN_GRID_POINTS:
-        raise ConfigError(f"config key grid_points must be at least {squidmod.MIN_GRID_POINTS}, got {n_points}")
+        raise ValueError(f"config key grid_points must be at least {squidmod.MIN_GRID_POINTS}, got {n_points}")
     lo, hi = _number(cfg, "phi_window_lo", default.phi_min), _number(cfg, "phi_window_hi", default.phi_max)
     if not lo < hi:
-        raise ConfigError(
+        raise ValueError(
             f"config keys phi_window_lo = {lo!r}, phi_window_hi = {hi!r} "
             "must satisfy phi_window_lo < phi_window_hi"
         )
@@ -246,13 +230,13 @@ def _sweep_from_config(cfg: dict) -> np.ndarray | None:
     _require(cfg, "sweep_Ic_hi_uA", "sweep_points")
     points = _integer(cfg, "sweep_points")
     if points > _MAX_SWEEP_POINTS:
-        raise ConfigError(
+        raise ValueError(
             f"sweep_points = {points} exceeds {_MAX_SWEEP_POINTS}: the report's two entries per point "
             "must fit in 1 GiB"
         )
     lo, hi = _number(cfg, "sweep_Ic_lo_uA"), _number(cfg, "sweep_Ic_hi_uA")
     if lo < 0 or hi < 0:
-        raise ConfigError(f"config keys sweep_Ic_lo_uA = {lo!r}, sweep_Ic_hi_uA = {hi!r} must be non-negative")
+        raise ValueError(f"config keys sweep_Ic_lo_uA = {lo!r}, sweep_Ic_hi_uA = {hi!r} must be non-negative")
     return np.linspace(lo, hi, points)
 
 
@@ -266,7 +250,7 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
         lo, hi = squidmod.IC_BRACKET_UA
         bracket = (_number(cfg, "bracket_lo_uA", lo), _number(cfg, "bracket_hi_uA", hi))
         if not 0 <= bracket[0] < bracket[1]:
-            raise ConfigError(
+            raise ValueError(
                 f"config keys bracket_lo_uA = {bracket[0]!r}, bracket_hi_uA = {bracket[1]!r} "
                 "must satisfy 0 <= bracket_lo_uA < bracket_hi_uA"
             )
@@ -317,15 +301,12 @@ def cmd_design(cfg: dict) -> DesignReport:
     coupling ratio, geometric qubit bound, residual decay time."""
     _require(cfg, "M_pH", "L_b_nH", "N")
     r_uohm = _positive(cfg, "R_uOhm")
-    try:
-        bus = BusParams(
-            l_b_nh=_positive(cfg, "L_b_nH"),
-            m_ph=_non_negative(cfg, "M_pH"),
-            n_qubits=_integer(cfg, "N"),
-            **_set(k_geom=_number(cfg, "k_geom")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    bus = BusParams(
+        l_b_nh=_positive(cfg, "L_b_nH"),
+        m_ph=_non_negative(cfg, "M_pH"),
+        n_qubits=_integer(cfg, "N"),
+        **_set(k_geom=_number(cfg, "k_geom")),
+    )
     squid = _squid_from_config(cfg)
     renorm = 1.0 + bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
     squid = replace(squid, l_renorm_factor=renorm)
@@ -377,7 +358,7 @@ def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
     if not mode:
         mode = cfg.get("mode", "ideal")
         if mode not in ("ideal", "physical"):
-            raise ConfigError(f"config key mode must be ideal or physical, got {mode!r}")
+            raise ValueError(f"config key mode must be ideal or physical, got {mode!r}")
     return ControlParams(**strengths, mode=mode)
 
 
@@ -396,17 +377,12 @@ def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
     _require(cfg, "n_logical")
     n_logical = _integer(cfg, "n_logical")
     if n_logical > _MAX_LOGICAL:
-        raise ConfigError(
+        raise ValueError(
             f"n_logical = {n_logical} exceeds {_MAX_LOGICAL}: the simulation's {_BYTES_PER_AMPLITUDE} B "
             "for each of its 4^n_logical amplitudes must fit in 1 GiB"
         )
     params = _control_from_config(cfg, mode)
-    circuit = parse_circuit(circuit_text)
-    try:
-        _check_operands(circuit, n_logical)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return LogicalRegister.default(n_logical), params, circuit
+    return LogicalRegister.default(n_logical), params, parse_circuit(circuit_text)
 
 
 @functools.lru_cache(maxsize=None)
@@ -421,13 +397,13 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     logical unitary, code-space leakage, and spectator disturbance."""
     reg, params, circuit = _circuit_inputs(cfg, circuit_text, mode)
     n_logical = reg.n_logical
+    schedule = compile_circuit(circuit, reg, params)
 
     # bitstrings of 0/1 digits survive the int round trip except for leading
     # zeros, which zfill restores
     initial_bits = str(cfg.get("initial_bits", "0" * n_logical)).zfill(n_logical)
     if len(initial_bits) != n_logical or (initial_bits and set(initial_bits) - {"0", "1"}):
-        raise ConfigError(f"initial_bits must be a {n_logical}-bit string of 0s and 1s")
-    schedule = compile_circuit(circuit, reg, params)
+        raise ValueError(f"initial_bits must be a {n_logical}-bit string of 0s and 1s")
     state0 = encode(initial_bits, reg)
     final = run_schedule(state0, schedule)
 
@@ -466,8 +442,6 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
         "spectator_trace_distance": spectators,
         "logical_probabilities": probabilities,
     }
-    if "seed" in cfg:
-        record["seed"] = cfg["seed"]
     return record
 
 
@@ -586,7 +560,10 @@ def _reproduce_records(rows: list, overall: bool) -> str:
 def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -624,7 +601,7 @@ def main(argv=None) -> int:
             try:
                 circuit_text = Path(args.circuit).read_text()
             except OSError as exc:
-                raise ConfigError(f"cannot read circuit {args.circuit}: {exc}") from exc
+                raise ValueError(f"cannot read circuit {args.circuit}: {exc}") from exc
             handler = cmd_simulate if args.command == "simulate" else cmd_compile
             record = handler(cfg, circuit_text, mode=args.mode)
             if args.format == "records":
@@ -638,7 +615,8 @@ def main(argv=None) -> int:
             if not overall:
                 sys.stderr.write("error[acceptance]: reproduction table has failing rows\n")
                 return EXIT_ACCEPTANCE
-    except _NUMERICAL_ERRORS as exc:
+    # LinAlgError is a ValueError, so this clause comes first.
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"error[numerical]: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "LogicalRegister",
     "ControlParams",
     "Gate",
-    "CircuitParseError",
     "encode",
     "init_schedule",
     "compile_circuit",
@@ -59,10 +58,6 @@ __all__ = [
     "parse_circuit",
     "ideal_circuit_unitary",
 ]
-
-
-class CircuitParseError(ValueError):
-    """Circuit text does not follow the `GATE q[,q2][,angle]` grammar."""
 
 
 def _indices(values, what: str) -> tuple:
@@ -301,7 +296,7 @@ class Gate:
             raise ValueError(f"{self.name} operands must be non-negative, got {self.qubits}")
         if (self.angle is None) == (self.name in self._ANGLED):
             raise ValueError(f"{self.name} {'needs' if self.name in self._ANGLED else 'takes no'} angle")
-        if isinstance(self.angle, bool):
+        if isinstance(self.angle, bool) or not isinstance(self.angle, (str, Real, type(None))):
             raise ValueError(f"{self.name} angle must be a number, got {self.angle!r}")
         object.__setattr__(self, "angle", None if self.angle is None else float(self.angle))
         if self.angle is not None and not math.isfinite(self.angle):
@@ -314,8 +309,8 @@ _LINE_RE = re.compile(r"^([A-Za-z]+)\s+(.+)$")
 def parse_circuit(text: str) -> tuple:
     """Split circuit text, one `GATE q[,q2][,angle]` per line and `#`
     comments, into a tuple of ``Gate``s; an RX/RZ line's last field is its
-    angle.  ``Gate``'s ``ValueError`` becomes a ``CircuitParseError`` naming
-    the line."""
+    angle.  A line that breaks the grammar or a ``Gate`` rule raises
+    ``ValueError`` naming the line."""
     gates = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -323,14 +318,14 @@ def parse_circuit(text: str) -> tuple:
             continue
         m = _LINE_RE.match(line)
         if not m:
-            raise CircuitParseError(f"line {lineno}: expected `GATE q[,q2][,angle]`, got {raw!r}")
+            raise ValueError(f"line {lineno}: expected `GATE q[,q2][,angle]`, got {raw!r}")
         name = m.group(1).upper()
         fields = [f.strip() for f in m.group(2).split(",")]
         angle = fields.pop() if name in Gate._ANGLED else None
         try:
             gates.append(Gate(name, fields, angle))
         except ValueError as exc:
-            raise CircuitParseError(f"line {lineno}: {exc}") from exc
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return tuple(gates)
 
 

@@ -164,7 +164,8 @@ class PulseSegment:
 
 def _check_ideal_op(op) -> None:
     """Raise ValueError unless ``op`` is ("x_flip", q), ("x_rot", q, angle)
-    or ("z_rot", q, angle) with q a non-negative int and angle finite."""
+    or ("z_rot", q, angle) with q a non-negative int and angle a finite real
+    other than a bool."""
     if not op or op[0] not in IDEAL_OPS:
         raise ValueError(f"unknown ideal op {op!r}")
     if len(op) != (2 if op[0] == "x_flip" else 3):
@@ -172,7 +173,7 @@ def _check_ideal_op(op) -> None:
     q = op[1]
     if not isinstance(q, Integral) or isinstance(q, bool) or q < 0:
         raise ValueError(f"ideal op {op!r}: qubit must be a non-negative integer")
-    if len(op) == 3 and not (isinstance(op[2], Real) and math.isfinite(op[2])):
+    if len(op) == 3 and not (isinstance(op[2], Real) and not isinstance(op[2], bool) and math.isfinite(op[2])):
         raise ValueError(f"ideal op {op!r}: angle must be a finite real")
 
 

@@ -56,10 +56,7 @@ __all__ = [
     "FluxGrid",
     "EigenSolution",
     "TwoLevelParams",
-    "WindowTooSmallError",
-    "NoDoubleWellError",
-    "BracketError",
-    "ConvergenceError",
+    "NumericalError",
     "potential",
     "solve_levels",
     "extract_two_level",
@@ -94,20 +91,10 @@ _CALIBRATION_REL_TOL = 1e-3
 _CALIBRATION_STEPS = 200
 
 
-class WindowTooSmallError(RuntimeError):
-    """Flux window does not contain the relevant wavefunctions."""
-
-
-class NoDoubleWellError(RuntimeError):
-    """Potential is monostable (beta_L <= 1); no well-localized states."""
-
-
-class BracketError(ValueError):
-    """Calibration target lies outside the supplied bracket."""
-
-
-class ConvergenceError(RuntimeError):
-    """Eigensolver failed or produced out-of-tolerance residuals."""
+class NumericalError(RuntimeError):
+    """A solve failed on valid input: the flux window is too small, the
+    potential has no double well, a calibration target lies outside its
+    bracket, an eigensolve did not converge, or a bus is not passive."""
 
 
 @dataclass(frozen=True)
@@ -229,7 +216,7 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int) -> tuple[np.ndarray, 
     try:
         return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
 def _tridiagonal_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -253,7 +240,7 @@ def _ground_state(diag: np.ndarray, off: np.ndarray, shift: float, tol: float) -
     """
     factor_d, factor_e, info = dpttrf(diag - shift, off)
     if info != 0:
-        raise ConvergenceError(f"shift {shift:.6g} GHz is not below the parity sector's spectrum")
+        raise NumericalError(f"shift {shift:.6g} GHz is not below the parity sector's spectrum")
     x = np.full(diag.size, 1.0 / math.sqrt(diag.size))
     for _ in range(_INVERSE_ITERATIONS):
         y, _ = dpttrs(factor_d, factor_e, x)
@@ -262,7 +249,7 @@ def _ground_state(diag: np.ndarray, off: np.ndarray, shift: float, tol: float) -
         energy = float(x @ hx)
         if np.linalg.norm(hx - energy * x) <= tol:
             return np.array([energy]), x[:, None]
-    raise ConvergenceError(f"inverse iteration did not converge in {_INVERSE_ITERATIONS} steps")
+    raise NumericalError(f"inverse iteration did not converge in {_INVERSE_ITERATIONS} steps")
 
 
 def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -337,12 +324,13 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
 
     Raises
     ------
-    WindowTooSmallError
+    ValueError
+        if ``k`` is below 2.
+    NumericalError
         if a returned wavefunction carries more than 1e-6 probability mass in
-        the outer 5% of the grid, or the potential minimum sits at the edge.
-    ConvergenceError
-        if the eigensolver fails, inverse iteration does not converge, or
-        residuals exceed tolerance.
+        the outer 5% of the grid, the potential minimum sits at the edge, the
+        eigensolver fails, inverse iteration does not converge, or residuals
+        exceed tolerance.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -356,7 +344,7 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
 
     edge = max(1, int(0.05 * n))
     if np.argmin(u) < edge or np.argmin(u) >= n - edge:
-        raise WindowTooSmallError("potential minimum at the grid edge; widen the window")
+        raise NumericalError("potential minimum at the grid edge; widen the window")
 
     kin = KINETIC_GHZ_FF / params.c_ff
     diag = u + 2.0 * kin / dphi**2
@@ -391,13 +379,13 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
         v = vectors[:, j]
         residual = np.linalg.norm(_tridiagonal_matvec(diag, off, v) - energies[j] * v)
         if residual > tol:
-            raise ConvergenceError(f"eigen-residual {residual:.2e} exceeds {tol:.2e} for level {j}")
+            raise NumericalError(f"eigen-residual {residual:.2e} exceeds {tol:.2e} for level {j}")
 
     # Outer-mass check: wavefunctions must not press against the walls.
     for j in range(k):
         mass = float(np.sum(psi[j, :edge] ** 2) + np.sum(psi[j, n - edge:] ** 2)) * dphi
         if mass > _EDGE_MASS_LIMIT:
-            raise WindowTooSmallError(
+            raise NumericalError(
                 f"level {j} has {mass:.2e} probability mass in the outer 5% of the window"
             )
 
@@ -413,10 +401,10 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
     the circulating-current magnitude |<well| (Phi - Phi_x)/L_eff |well>| of
     the localized combinations (psi0 +- psi1)/sqrt(2).
 
-    Raises ``NoDoubleWellError`` when beta_L <= 1.
+    Raises ``NumericalError`` when beta_L <= 1.
     """
     if beta_l(params) <= 1.0:
-        raise NoDoubleWellError(
+        raise NumericalError(
             f"beta_L = {beta_l(params):.3f} <= 1: potential has a single well"
         )
 
@@ -458,7 +446,9 @@ def calibrate_critical_current(
     bracket width bound keeps Ic well determined), or after
     ``_CALIBRATION_STEPS`` steps.
 
-    Raises ``BracketError`` if the target is not enclosed by the bracket.
+    Raises ``ValueError`` for a target that is not positive or a bracket that
+    breaks 0 <= lo < hi, and ``NumericalError`` if the target is not enclosed
+    by the bracket.
     """
     if target_delta_ghz <= 0:
         raise ValueError("target splitting must be positive")
@@ -472,7 +462,7 @@ def calibrate_critical_current(
     d_lo = delta_of(lo)
     d_hi = delta_of(hi)
     if not (d_hi <= target_delta_ghz <= d_lo):
-        raise BracketError(
+        raise NumericalError(
             f"target {target_delta_ghz:.4g} GHz outside [{d_hi:.4g}, {d_lo:.4g}] GHz "
             f"reachable on Ic bracket [{lo}, {hi}] uA"
         )

@@ -9,7 +9,6 @@ import pytest
 from fluxbus import cli
 from fluxbus import squid as squidmod
 from fluxbus.cli import (
-    ConfigError,
     cmd_calibrate,
     cmd_design,
     cmd_reproduce_paper,
@@ -68,15 +67,15 @@ class TestConfigParsing:
         assert cfg == {"a": 1, "b": 2.5, "c": "text", "d": True, "e": False}
 
     def test_missing_file(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^cannot read config /nonexistent/path.cfg: "):
             parse_config("/nonexistent/path.cfg")
 
     def test_bad_line(self, cfg_file):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="1: expected `key = value`, got 'just words'"):
             parse_config(cfg_file("just words\n"))
 
     def test_missing_key_reported(self):
-        with pytest.raises(ConfigError, match="L_pH"):
+        with pytest.raises(ValueError, match=r"^missing config key\(s\): L_pH$"):
             cmd_calibrate({"C_fF": 80.0, "Ic_uA": 3.0})
 
 
@@ -201,7 +200,7 @@ class TestSimulate:
         assert record["mode"] == "physical"
 
     def test_circuit_out_of_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^circuit addresses a logical qubit outside the register$"):
             cmd_simulate(parse_config_text(SIM_CFG), "X 5\n")
 
 
@@ -211,10 +210,12 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "beta_L" in out
 
-    def test_missing_config_file(self, capsys):
-        assert main(["calibrate", "--config", "/nope.cfg"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error[config]:")
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        assert main(["calibrate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error[config]: cannot read config {path}: [Errno 2] No such file or directory: '{path}'\n"
+        )
 
     def test_bad_config_value(self, cfg_file, capsys):
         path = cfg_file("L_pH = -5\nC_fF = 80\nIc_uA = 3\n")
@@ -462,8 +463,56 @@ class TestMainExitCodes:
     def test_inverse_iteration_failure_is_numerical(self, cfg_file, capsys, monkeypatch):
         monkeypatch.setattr(squidmod, "_INVERSE_ITERATIONS", 1)
         assert main(["calibrate", "--config", cfg_file(SQUID_CFG)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error[numerical]:") and "inverse iteration did not converge" in err
+        assert capsys.readouterr().err == "error[numerical]: inverse iteration did not converge in 1 steps\n"
+
+    @pytest.mark.parametrize(
+        "command, text, circuit, code, err",
+        [
+            pytest.param("calibrate", SQUID_CFG + "phi_window_lo = 0.45\nphi_window_hi = 0.55\n", None, 3,
+                         "error[numerical]: potential minimum at the grid edge; widen the window", id="window-edge"),
+            pytest.param("design", DESIGN_CFG.replace("Ic_uA = 3.0", "Ic_uA = 0.5"), None, 3,
+                         "error[numerical]: beta_L = 0.228 <= 1: potential has a single well", id="no-double-well"),
+            pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = 100\n", None, 3,
+                         "error[numerical]: target 100 GHz outside [3.226e-08, 26.34] GHz reachable on Ic bracket "
+                         "[1.5, 3.0] uA", id="bracket"),
+            pytest.param("design", SQUID_CFG + "M_pH = 10\nL_b_nH = 0.1\nN = 200\n", None, 3,
+                         "error[numerical]: L_b - N M^2/L = -33.33 pH with N = 200: the bus is not passive "
+                         "(N M^2 must stay below L*L_b = 1.5e+04 pH^2)", id="not-passive"),
+            pytest.param("design", DESIGN_CFG.replace("N = 1000", "N = 3"), None, 2,
+                         "error[config]: N must be even and at least 2", id="bus-params"),
+            pytest.param("simulate", SIM_CFG, "X 5\n", 2,
+                         "error[config]: circuit addresses a logical qubit outside the register",
+                         id="operand-simulate"),
+            pytest.param("compile", SIM_CFG, "X 5\n", 2,
+                         "error[config]: circuit addresses a logical qubit outside the register", id="operand-compile"),
+            pytest.param("simulate", SIM_CFG.replace("initial_bits = 00", "initial_bits = 0x"), "X 5\n", 2,
+                         "error[config]: circuit addresses a logical qubit outside the register",
+                         id="operand-before-bits"),
+            pytest.param("simulate", SIM_CFG, "X 0,1,2\n", 2, "error[config]: line 1: X takes 1 operand(s)",
+                         id="circuit-line"),
+        ],
+    )
+    def test_failure_model(self, cfg_file, tmp_path, capsys, command, text, circuit, code, err):
+        # One trigger per kind of failure: a solve that fails on valid input
+        # exits 3 (NumericalError), bad input exits 2 (ValueError), each with
+        # its message unchanged.
+        args = [command, "--config", cfg_file(text)]
+        if circuit is not None:
+            (tmp_path / "c.circuit").write_text(circuit)
+            args += ["--circuit", str(tmp_path / "c.circuit")]
+        assert main(args) == code
+        assert capsys.readouterr().err == err + "\n"
+
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        # The output is printed first; a path that cannot be written is then
+        # refused like an unreadable config, not raised as an OSError.
+        assert main(["reproduce-paper"]) == 0
+        table = capsys.readouterr().out
+        path = tmp_path / "missing" / "table.txt"
+        assert main(["reproduce-paper", "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == table
+        assert err == f"error[config]: cannot write output {path}: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def _field_default(cls, name):

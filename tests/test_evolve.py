@@ -204,6 +204,8 @@ class TestIdealOps:
             ("z_rot", 1, "a"),
             ("z_rot", 0, math.nan),
             ("x_rot", 1, math.inf),
+            ("x_rot", 0, True),
+            ("z_rot", 1, False),
         ],
         ids=repr,
     )

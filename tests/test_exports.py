@@ -1,6 +1,7 @@
 """The package's public names: every ``__all__`` entry exists, and the
 package root re-exports only names its modules declare public, and the
-public options are counted."""
+public options are counted.  Its modules define one exception class and
+import nothing they do not use."""
 
 import ast
 import dataclasses
@@ -65,3 +66,36 @@ def test_public_option_count():
     # that adds or removes one changes these numbers on purpose.
     defaults = option_defaults()
     assert (len(defaults), sum(defaults)) == (139, 36)
+
+
+def test_one_exception_class():
+    # Bad input raises ValueError and a failed solve NumericalError; the CLI
+    # maps those two types to its exit codes, so no module defines another.
+    defined = sorted(
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr, obj in vars(importlib.import_module(f"fluxbus.{name}")).items()
+        if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == f"fluxbus.{name}"
+    )
+    assert defined == ["squid.NumericalError"]
+    assert issubclass(fluxbus.NumericalError, RuntimeError) and not issubclass(fluxbus.NumericalError, ValueError)
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by a module-level import that the module never reads
+    (``from __future__`` is exempt)."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # MODULES leaves out __init__, whose imports are re-exports.
+    path = Path(fluxbus.__file__).with_name(f"{name}.py")
+    assert unused_imports(path.read_text()) == []
