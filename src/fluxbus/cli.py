@@ -267,9 +267,12 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
     report.flags["double_well"] = beta > 1.0
 
     if beta <= 1.0:
-        harmonic = 1.0 / (2.0 * math.pi * math.sqrt(params.l_ph * 1e-12 * params.c_ff * 1e-15)) / 1e9
         sol = squidmod.solve_levels(params, grid=grid)
-        report.derived["harmonic_spacing_GHz"] = harmonic
+        lc_s2 = params.l_ph * 1e-12 * params.c_ff * 1e-15
+        if lc_s2 > 0.0:
+            report.derived["harmonic_spacing_GHz"] = 1.0 / (2.0 * math.pi * math.sqrt(lc_s2)) / 1e9
+        else:
+            report.notes.append("L C underflows to 0 s^2: no harmonic spacing")
         report.derived["level_gap_GHz"] = sol.gap
         report.notes.append("no double well (beta_L <= 1): harmonic-limit report")
     else:
@@ -334,7 +337,10 @@ def cmd_design(cfg: dict) -> DesignReport:
         j_mhz = busmod.coupling_strength(tlp, bus)
         report.derived["i_p_uA"] = tlp.i_p_ua
         report.derived["J_MHz"] = j_mhz
-        report.derived["cphase_wait_ns"] = 1.0 / (32.0 * j_mhz * 1e-3)
+        if j_mhz > 0.0:
+            report.derived["cphase_wait_ns"] = 1.0 / (32.0 * j_mhz * 1e-3)
+        else:
+            report.notes.append("coupling underflows to 0: no CPHASE wait")
 
     ratio = busmod.weak_coupling_ratio(squid, bus)
     report.derived["weak_coupling_ratio"] = ratio

@@ -383,6 +383,26 @@ class TestMainExitCodes:
         assert "pi_pulse_ns" not in records
         assert "no pi pulse" in records["note"]
 
+    def test_zero_coupling_design(self, cfg_file, capsys):
+        # M > 0 whose J underflows to exactly 0: no CPHASE wait, still exit 0
+        path = cfg_file(DESIGN_CFG.replace("M_pH = 2", "M_pH = 1e-200"))
+        assert main(["design", "--config", path, "--format", "records"]) == 0
+        records = {r["key"]: r["value"] for r in map(json.loads, capsys.readouterr().out.splitlines())}
+        assert records["J_MHz"] == 0.0
+        assert "cphase_wait_ns" not in records
+        assert records["note"] == "coupling underflows to 0: no CPHASE wait"
+
+    def test_harmonic_spacing_underflow(self, cfg_file, capsys):
+        # L C underflows to 0 s^2 while the scaled solve still succeeds: the
+        # level gap is reported and the harmonic spacing is left out
+        path = cfg_file("L_pH = 1e-150\nC_fF = 1e-150\nIc_uA = 0\n")
+        assert main(["calibrate", "--config", path, "--format", "records"]) == 0
+        rows = list(map(json.loads, capsys.readouterr().out.splitlines()))
+        derived = {r["key"]: r["value"] for r in rows if r["section"] == "derived"}
+        assert "harmonic_spacing_GHz" not in derived
+        assert derived["level_gap_GHz"] == pytest.approx(5.0328e153, rel=1e-4)
+        assert [r["value"] for r in rows if r["section"] == "note"][0] == "L C underflows to 0 s^2: no harmonic spacing"
+
     @pytest.mark.parametrize("value, reason", [("1000000000000", "exceeds"), ("4097.5", "must be an integer")])
     def test_grid_points_bound(self, cfg_file, capsys, monkeypatch, value, reason):
         # rejected before any grid array is allocated or any level solved
@@ -490,18 +510,27 @@ class TestMainExitCodes:
                          id="operand-before-bits"),
             pytest.param("simulate", SIM_CFG, "X 0,1,2\n", 2, "error[config]: line 1: X takes 1 operand(s)",
                          id="circuit-line"),
+            pytest.param("calibrate", SQUID_CFG.replace("C_fF = 80", "C_fF = 1e-300"), None, 3,
+                         "error[numerical]: inverse iteration step 1 gave an iterate of norm 0.0: "
+                         "the levels are out of double-precision range", id="iterate-underflow"),
+            pytest.param("calibrate", "L_pH = 1e-300\nC_fF = 80\nIc_uA = 2.0\n", None, 3,
+                         "error[numerical]: inverse iteration step 1 gave an iterate of norm 0.0: "
+                         "the levels are out of double-precision range", id="harmonic-underflow"),
+            pytest.param("design", DESIGN_CFG.replace("M_pH = 2", "M_pH = 1e-200"), None, 0, "",
+                         id="coupling-underflow"),
         ],
     )
     def test_failure_model(self, cfg_file, tmp_path, capsys, command, text, circuit, code, err):
         # One trigger per kind of failure: a solve that fails on valid input
         # exits 3 (NumericalError), bad input exits 2 (ValueError), each with
-        # its message unchanged.
+        # its message unchanged; a value that underflows to 0 only drops what
+        # it would divide (exit 0, nothing on stderr).
         args = [command, "--config", cfg_file(text)]
         if circuit is not None:
             (tmp_path / "c.circuit").write_text(circuit)
             args += ["--circuit", str(tmp_path / "c.circuit")]
         assert main(args) == code
-        assert capsys.readouterr().err == err + "\n"
+        assert capsys.readouterr().err == (err and err + "\n")
 
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
         # The output is printed first; a path that cannot be written is then

@@ -17,10 +17,12 @@ def test_all_four_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
-    # run in tmp_path: demo 01 saves its figure to the working directory
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # run in tmp_path: demo 01 saves its figure to the working directory; a
+    # numpy RuntimeWarning is an error, and nothing else reaches stderr
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning")
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert done.stderr == ""

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from fluxbus import squid as squidmod
-from fluxbus.constants import JOSEPHSON_GHZ_PER_UA
+from fluxbus.constants import JOSEPHSON_GHZ_PER_UA, PHI0_PH_UA
 from fluxbus.squid import (
+    MIN_GRID_POINTS,
     FluxGrid,
     NumericalError,
     SquidParams,
@@ -200,6 +202,78 @@ class TestSectorGroundState:
         monkeypatch.setattr(squidmod, "_INVERSE_ITERATIONS", 1)
         with pytest.raises(NumericalError, match="did not converge"):
             solve_levels(P_SUPPRESSED)
+
+    @pytest.mark.parametrize(
+        "block, norm",
+        [((CHAIN[0] * 1e-300, CHAIN[1] * 1e-300), "inf"), ((CHAIN[0] * 1e300, CHAIN[1] * 1e300), "0.0")],
+        ids=["overflow", "underflow"],
+    )
+    def test_iterate_out_of_range_raises_at_once(self, monkeypatch, block, norm):
+        # refused at the first solve, before any NaN step or numpy warning
+        calls = []
+        monkeypatch.setattr(squidmod, "dpttrs", lambda *args: calls.append(1) or dpttrs(*args))
+        with pytest.raises(NumericalError, match=f"step 1 gave an iterate of norm {norm}:"):
+            _ground_state(*block, 0.0, 1e-14)
+        assert len(calls) == 1
+
+
+def _exact_test_every_step(diag, off, shift, tol):
+    """The inverse iteration with the exact residual test on every step.
+
+    Returns the energy, the vector, the number of solves, and each step's
+    exact residual and the residual read from its solve."""
+    factor_d, factor_e, _ = dpttrf(diag - shift, off)
+    x = np.full(diag.size, 1.0 / math.sqrt(diag.size))
+    exact, read = [], []
+    for _ in range(squidmod._INVERSE_ITERATIONS):
+        y, _ = dpttrs(factor_d, factor_e, x)
+        x_prev, x = x, y / np.linalg.norm(y)
+        read.append(np.linalg.norm(x_prev - (x @ x_prev) * x) / np.linalg.norm(y))
+        hx = squidmod._tridiagonal_matvec(diag, off, x)
+        energy = float(x @ hx)
+        exact.append(np.linalg.norm(hx - energy * x))
+        if exact[-1] <= tol:
+            return energy, x, len(exact), np.array(exact), np.array(read)
+    raise AssertionError("reference iteration did not converge")
+
+
+def test_screened_iteration_matches_exact_test_on_every_step(monkeypatch):
+    # 300 random symmetric SQUIDs (600 parity sectors).  The residual read
+    # from each solve tracks the exact one to 1% of tol, and the exact test
+    # alone decides: the energy, vector and solve count equal those of the
+    # loop that runs it on every step, also at a tol placed between the two
+    # residuals of a step, where a screen that decided alone would differ.
+    sectors = []
+    monkeypatch.setattr(squidmod, "_ground_state", lambda *args: sectors.append(args) or _ground_state(*args))
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        l_ph, c_ff, beta = rng.uniform(100.0, 400.0), rng.uniform(20.0, 500.0), rng.uniform(1.0, 1.6)
+        params = SquidParams(l_ph, c_ff, beta * PHI0_PH_UA / (2.0 * math.pi * l_ph))
+        grid = FluxGrid(n_points=int(rng.integers(MIN_GRID_POINTS, 4099)))
+        try:
+            solve_levels(params, grid)
+        except NumericalError:
+            pass  # a window too small for this SQUID; its sectors were still solved
+    assert len(sectors) >= 600
+
+    solves = []
+    monkeypatch.setattr(squidmod, "dpttrs", lambda *args: solves.append(1) or dpttrs(*args))
+    straddled = 0
+    for diag, off, shift, tol in sectors:
+        reference = _exact_test_every_step(diag, off, shift, tol)
+        exact, read = reference[3:]
+        assert np.max(np.abs(read - exact)) <= 1e-2 * tol
+        cases = [(tol, reference)]
+        if exact[-1] != read[-1]:
+            mid = 0.5 * (exact[-1] + read[-1])
+            cases.append((mid, _exact_test_every_step(diag, off, shift, mid)))
+            straddled += 1
+        for tol_case, (energy, vector, steps, _, _) in cases:
+            solves.clear()
+            energies, vectors = _ground_state(diag, off, shift, tol_case)
+            assert len(solves) == steps
+            assert np.array_equal(energies, [energy]) and np.array_equal(vectors[:, 0], vector)
+    assert straddled >= 500
 
 
 class TestExtractTwoLevel:
