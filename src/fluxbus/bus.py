@@ -59,13 +59,13 @@ class BusParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.l_b_nh <= 0:
-            raise ValueError("L_b must be positive")
+            raise ValueError(f"l_b_nh must be positive, got {self.l_b_nh!r}")
         if self.m_ph < 0:
-            raise ValueError("M must be non-negative")
+            raise ValueError(f"m_ph must be non-negative, got {self.m_ph!r}")
         if self.n_qubits < 2 or self.n_qubits % 2 != 0:
-            raise ValueError("N must be even and at least 2")
+            raise ValueError(f"n_qubits must be even and at least 2, got {self.n_qubits!r}")
         if not 0.0 < self.k_geom <= 1.0:
-            raise ValueError("k_geom must lie in (0, 1]")
+            raise ValueError(f"k_geom must lie in (0, 1], got {self.k_geom!r}")
 
     @property
     def l_b_ph(self) -> float:
@@ -209,15 +209,19 @@ def weak_coupling_ratio(squid: SquidParams, bus: BusParams) -> float:
 def max_qubits(bus: BusParams) -> int:
     """Geometric bound on the number of attachable qubits, floor(k L_b / M).
 
-    Each coupling section of the bus spans at least M / k of its length.
+    Each coupling section of the bus spans at least M / k of its length.  A
+    bound beyond double precision (a subnormal M) raises ``NumericalError``.
     """
     if bus.m_ph <= 0:
-        raise ValueError("the geometric bound needs M > 0")
-    return math.floor(bus.k_geom * bus.l_b_ph / bus.m_ph)
+        raise ValueError(f"m_ph must be positive for the geometric bound, got {bus.m_ph!r}")
+    bound = bus.k_geom * bus.l_b_ph / bus.m_ph
+    if not math.isfinite(bound):
+        raise NumericalError(f"k L_b / M overflows double precision at M = {bus.m_ph!r} pH: no geometric bound")
+    return math.floor(bound)
 
 
 def residual_decay_time(l_b_nh: float, r_uohm: float) -> float:
     """L_b/R decay time (ms) of residual bus current through a series resistor."""
-    if r_uohm <= 0:
-        raise ValueError("series resistance must be positive")
+    if not r_uohm > 0:
+        raise ValueError(f"r_uohm must be positive, got {r_uohm!r}")
     return l_b_nh / r_uohm

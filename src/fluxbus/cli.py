@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -109,38 +110,59 @@ def _number(cfg: dict, key: str, default=None):
     return value
 
 
-def _checked(cfg: dict, key: str, ok, rule: str):
-    """A config number that must satisfy ``ok``; the error names the key and
-    states the ``rule``, so a bad value is refused before any solve."""
+def _integer(cfg: dict, key: str, count: bool = False) -> int:
+    """A config number that must be an integer (an integral float such as
+    4097.0 is accepted), and non-negative if it is a ``count`` that no library
+    type bounds."""
     value = _number(cfg, key)
-    if value is not None and not ok(value):
-        raise ValueError(f"config key {key} must {rule}, got {value!r}")
-    return value
-
-
-def _positive(cfg: dict, key: str):
-    return _checked(cfg, key, lambda v: v > 0, "be positive")
-
-
-def _non_negative(cfg: dict, key: str):
-    return _checked(cfg, key, lambda v: v >= 0, "be non-negative")
-
-
-def _set(**values) -> dict:
-    """The keyword arguments whose config key is set (read as not None); the
-    others are left out, so they keep the library's defaults."""
-    return {name: value for name, value in values.items() if value is not None}
-
-
-def _integer(cfg: dict, key: str, default=None) -> int:
-    """A config number that must be a non-negative integer (an integral
-    float such as 4097.0 is accepted)."""
-    value = _number(cfg, key, default)
     if value != int(value):
         raise ValueError(f"config key {key} must be an integer, got {value!r}")
-    if value < 0:
+    if count and value < 0:
         raise ValueError(f"config key {key} must be non-negative, got {value!r}")
     return int(value)
+
+
+def _from_config(cfg: dict, build, keys: dict, **args):
+    """``build(**args)``, also passing the number of each config key in
+    ``keys`` (parameter -> key) that the config sets and ``args`` does not.
+
+    ``build`` states its own rules as ``ValueError("<param> must <rule>, got
+    <value>")``; such an error is re-raised with each parameter it names
+    replaced by its config key.  ``LinAlgError``, a ``ValueError`` from a
+    failed solve, passes through unchanged.
+    """
+    values = {name: _number(cfg, key) for name, key in keys.items() if key in cfg and name not in args}
+    try:
+        return build(**values, **args)
+    except ValueError as exc:
+        names = re.compile(rf"\b({'|'.join(keys)})\b")
+        if isinstance(exc, np.linalg.LinAlgError) or not names.match(str(exc)):
+            raise
+        raise ValueError("config key " + names.sub(lambda m: keys[m[1]], str(exc))) from exc
+
+
+# Library parameters and their config keys; the Ic bracket is built from two.
+_SQUID_KEYS = {"l_ph": "L_pH", "c_ff": "C_fF", "ic_ua": "Ic_uA", "phi_x": "phi_x_Phi0"}
+_GRID_KEYS = {"phi_min": "phi_window_lo", "phi_max": "phi_window_hi", "n_points": "grid_points"}
+_CALIBRATION_KEYS = {"target_delta_ghz": "target_delta_GHz", "bracket": "(bracket_lo_uA, bracket_hi_uA)"}
+_BUS_KEYS = {"l_b_nh": "L_b_nH", "m_ph": "M_pH", "n_qubits": "N", "k_geom": "k_geom"}
+_CONTROL_KEYS = {"delta_ghz": "delta_GHz", "epsilon_ghz": "epsilon_GHz", "j_mhz": "J_MHz", "mode": "mode"}
+
+# The keys each command reads.  Any other key is refused, so a misspelt key
+# cannot silently leave a default in place.
+_COMMAND_KEYS = {
+    "calibrate": {*_SQUID_KEYS.values(), *_GRID_KEYS.values(), "target_delta_GHz", "bracket_lo_uA", "bracket_hi_uA",
+                  "sweep_Ic_lo_uA", "sweep_Ic_hi_uA", "sweep_points"},
+    "design": {*_SQUID_KEYS.values(), *_GRID_KEYS.values(), *_BUS_KEYS.values(), "R_uOhm"},
+    "simulate": {*_CONTROL_KEYS.values(), "n_logical", "initial_bits"},
+}
+_COMMAND_KEYS["compile"] = _COMMAND_KEYS["simulate"]
+
+
+def _refuse_unread(cfg: dict, command: str) -> None:
+    unread = [key for key in cfg if key not in _COMMAND_KEYS[command]]
+    if unread:
+        raise ValueError(f"config key {unread[0]} is not read by {command}")
 
 
 @dataclass
@@ -190,32 +212,18 @@ _MAX_GRID_POINTS = 2**30 // (16 * 8)
 
 
 def _grid_from_config(cfg: dict) -> FluxGrid:
-    default = FluxGrid()
-    n_points = _integer(cfg, "grid_points", default.n_points)
-    if n_points > _MAX_GRID_POINTS:
+    points = {"n_points": _integer(cfg, "grid_points")} if "grid_points" in cfg else {}
+    if points.get("n_points", 0) > _MAX_GRID_POINTS:
         raise ValueError(
-            f"grid_points = {n_points} exceeds {_MAX_GRID_POINTS}: the flux solver's ~16 float64 arrays "
+            f"grid_points = {points['n_points']} exceeds {_MAX_GRID_POINTS}: the flux solver's ~16 float64 arrays "
             "of grid_points entries must fit in 1 GiB"
         )
-    if n_points < squidmod.MIN_GRID_POINTS:
-        raise ValueError(f"config key grid_points must be at least {squidmod.MIN_GRID_POINTS}, got {n_points}")
-    lo, hi = _number(cfg, "phi_window_lo", default.phi_min), _number(cfg, "phi_window_hi", default.phi_max)
-    if not lo < hi:
-        raise ValueError(
-            f"config keys phi_window_lo = {lo!r}, phi_window_hi = {hi!r} "
-            "must satisfy phi_window_lo < phi_window_hi"
-        )
-    return FluxGrid(phi_min=lo, phi_max=hi, n_points=n_points)
+    return _from_config(cfg, FluxGrid, _GRID_KEYS, **points)
 
 
 def _squid_from_config(cfg: dict) -> SquidParams:
     _require(cfg, "L_pH", "C_fF", "Ic_uA")
-    return SquidParams(
-        l_ph=_positive(cfg, "L_pH"),
-        c_ff=_positive(cfg, "C_fF"),
-        ic_ua=_non_negative(cfg, "Ic_uA"),
-        **_set(phi_x=_checked(cfg, "phi_x_Phi0", lambda v: 0.0 <= v < 1.0, "lie in [0, 1) flux quanta")),
-    )
+    return _from_config(cfg, SquidParams, _SQUID_KEYS)
 
 
 # Each sweep point adds two report entries; the report and its output text
@@ -228,7 +236,7 @@ def _sweep_from_config(cfg: dict) -> np.ndarray | None:
     if "sweep_Ic_lo_uA" not in cfg:
         return None
     _require(cfg, "sweep_Ic_hi_uA", "sweep_points")
-    points = _integer(cfg, "sweep_points")
+    points = _integer(cfg, "sweep_points", count=True)
     if points > _MAX_SWEEP_POINTS:
         raise ValueError(
             f"sweep_points = {points} exceeds {_MAX_SWEEP_POINTS}: the report's two entries per point "
@@ -243,18 +251,17 @@ def _sweep_from_config(cfg: dict) -> np.ndarray | None:
 def cmd_calibrate(cfg: dict) -> DesignReport:
     """Two-level parameters at the configured bias; optional inverse
     calibration of Ic against a target tunneling splitting and Ic sweep."""
+    _refuse_unread(cfg, "calibrate")
     params = _squid_from_config(cfg)
     grid = _grid_from_config(cfg)
-    target = _positive(cfg, "target_delta_GHz")
-    if target is not None:
+    sweep = _sweep_from_config(cfg)
+    # The calibration checks its target and bracket before its first solve,
+    # so it runs before any other level is solved.
+    if "target_delta_GHz" in cfg:
         lo, hi = squidmod.IC_BRACKET_UA
         bracket = (_number(cfg, "bracket_lo_uA", lo), _number(cfg, "bracket_hi_uA", hi))
-        if not 0 <= bracket[0] < bracket[1]:
-            raise ValueError(
-                f"config keys bracket_lo_uA = {bracket[0]!r}, bracket_hi_uA = {bracket[1]!r} "
-                "must satisfy 0 <= bracket_lo_uA < bracket_hi_uA"
-            )
-    sweep = _sweep_from_config(cfg)
+        calibrate = squidmod.calibrate_critical_current
+        calibrated_ic = _from_config(cfg, calibrate, _CALIBRATION_KEYS, params=params, bracket=bracket, grid=grid)
     report = DesignReport(kind="calibrate")
     report.inputs = {
         "L_pH": params.l_ph,
@@ -286,10 +293,9 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
             report.notes.append("splitting underflows to 0 at the solver floor: no pi pulse")
         report.flags["delta_at_solver_floor"] = tlp.at_solver_floor
 
-    if target is not None:
-        ic = squidmod.calibrate_critical_current(params, target, bracket=bracket, grid=grid)
-        report.derived["target_delta_GHz"] = target
-        report.derived["calibrated_Ic_uA"] = ic
+    if "target_delta_GHz" in cfg:
+        report.derived["target_delta_GHz"] = cfg["target_delta_GHz"]
+        report.derived["calibrated_Ic_uA"] = calibrated_ic
 
     if sweep is not None:
         for idx, ic in enumerate(sweep):
@@ -302,15 +308,14 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
 def cmd_design(cfg: dict) -> DesignReport:
     """Bus design arithmetic: effective mutual, coupling strength, weak
     coupling ratio, geometric qubit bound, residual decay time."""
+    _refuse_unread(cfg, "design")
     _require(cfg, "M_pH", "L_b_nH", "N")
-    r_uohm = _positive(cfg, "R_uOhm")
-    bus = BusParams(
-        l_b_nh=_positive(cfg, "L_b_nH"),
-        m_ph=_non_negative(cfg, "M_pH"),
-        n_qubits=_integer(cfg, "N"),
-        **_set(k_geom=_number(cfg, "k_geom")),
-    )
+    bus = _from_config(cfg, BusParams, _BUS_KEYS, n_qubits=_integer(cfg, "N"))
     squid = _squid_from_config(cfg)
+    grid = _grid_from_config(cfg)
+    # The decay time checks R before any level is solved.
+    if "R_uOhm" in cfg:
+        decay_ms = _from_config(cfg, busmod.residual_decay_time, {"r_uohm": "R_uOhm"}, l_b_nh=bus.l_b_nh)
     renorm = 1.0 + bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
     squid = replace(squid, l_renorm_factor=renorm)
     busmod.passive_schur_complement(squid, bus)
@@ -333,7 +338,7 @@ def cmd_design(cfg: dict) -> DesignReport:
     if bus.m_ph == 0.0:
         report.derived["J_MHz"] = 0.0
     else:
-        tlp = squidmod.extract_two_level(squid)
+        tlp = squidmod.extract_two_level(squid, grid=grid)
         j_mhz = busmod.coupling_strength(tlp, bus)
         report.derived["i_p_uA"] = tlp.i_p_ua
         report.derived["J_MHz"] = j_mhz
@@ -350,22 +355,9 @@ def cmd_design(cfg: dict) -> DesignReport:
         report.derived["N_max"] = n_max
         report.flags["N_exceeds_max"] = bus.n_qubits > n_max
 
-    if r_uohm is not None:
-        report.derived["residual_decay_ms"] = busmod.residual_decay_time(bus.l_b_nh, r_uohm)
+    if "R_uOhm" in cfg:
+        report.derived["residual_decay_ms"] = decay_ms
     return report
-
-
-def _control_from_config(cfg: dict, mode: str | None) -> ControlParams:
-    strengths = _set(
-        delta_ghz=_positive(cfg, "delta_GHz"),
-        epsilon_ghz=_positive(cfg, "epsilon_GHz"),
-        j_mhz=_positive(cfg, "J_MHz"),
-    )
-    if not mode:
-        mode = cfg.get("mode", "ideal")
-        if mode not in ("ideal", "physical"):
-            raise ValueError(f"config key mode must be ideal or physical, got {mode!r}")
-    return ControlParams(**strengths, mode=mode)
 
 
 # A simulation holds its states, the logical unitary and run_schedule's working
@@ -381,13 +373,15 @@ _MAX_LOGICAL = int(math.log(2**30 / _BYTES_PER_AMPLITUDE, 4))
 def _circuit_inputs(cfg: dict, circuit_text: str, mode: str | None) -> tuple:
     """Register, controls and circuit shared by ``simulate`` and ``compile``."""
     _require(cfg, "n_logical")
-    n_logical = _integer(cfg, "n_logical")
+    n_logical = _integer(cfg, "n_logical", count=True)
     if n_logical > _MAX_LOGICAL:
         raise ValueError(
             f"n_logical = {n_logical} exceeds {_MAX_LOGICAL}: the simulation's {_BYTES_PER_AMPLITUDE} B "
             "for each of its 4^n_logical amplitudes must fit in 1 GiB"
         )
-    params = _control_from_config(cfg, mode)
+    # --mode wins over the config's mode, which defaults to ideal on the
+    # command line (ControlParams itself defaults to physical).
+    params = _from_config(cfg, ControlParams, _CONTROL_KEYS, mode=mode or cfg.get("mode", "ideal"))
     return LogicalRegister.default(n_logical), params, parse_circuit(circuit_text)
 
 
@@ -401,6 +395,7 @@ def _bitstrings(n_logical: int) -> tuple:
 def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     """Compile and run a logical circuit; report fidelity against the exact
     logical unitary, code-space leakage, and spectator disturbance."""
+    _refuse_unread(cfg, "simulate")
     reg, params, circuit = _circuit_inputs(cfg, circuit_text, mode)
     n_logical = reg.n_logical
     schedule = compile_circuit(circuit, reg, params)
@@ -408,9 +403,7 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     # bitstrings of 0/1 digits survive the int round trip except for leading
     # zeros, which zfill restores
     initial_bits = str(cfg.get("initial_bits", "0" * n_logical)).zfill(n_logical)
-    if len(initial_bits) != n_logical or (initial_bits and set(initial_bits) - {"0", "1"}):
-        raise ValueError(f"initial_bits must be a {n_logical}-bit string of 0s and 1s")
-    state0 = encode(initial_bits, reg)
+    state0 = _from_config(cfg, encode, {"bits": "initial_bits"}, bits=initial_bits, reg=reg)
     final = run_schedule(state0, schedule)
 
     idx = reg.code_indices()
@@ -453,6 +446,7 @@ def cmd_simulate(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
 
 def cmd_compile(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     """Compile a circuit to its pulse schedule without running it."""
+    _refuse_unread(cfg, "compile")
     reg, params, circuit = _circuit_inputs(cfg, circuit_text, mode)
     schedule = compile_circuit(circuit, reg, params)
 

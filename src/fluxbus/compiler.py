@@ -115,7 +115,7 @@ class LogicalRegister:
 def encode(bits: str, reg: LogicalRegister) -> QuantumState:
     """Product code state for a logical bitstring."""
     if len(bits) != reg.n_logical or (bits and set(bits) - {"0", "1"}):
-        raise ValueError(f"need a {reg.n_logical}-character bitstring of 0s and 1s")
+        raise ValueError(f"bits must be a {reg.n_logical}-bit string of 0s and 1s, got {bits!r}")
     return QuantumState.basis(reg.n_physical, reg.code_indices()[int(bits or "0", 2)])
 
 
@@ -139,10 +139,10 @@ class ControlParams:
         for name in ("delta_ghz", "epsilon_ghz", "j_mhz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.delta_ghz <= 0 or self.epsilon_ghz <= 0 or self.j_mhz <= 0:
-            raise ValueError("control strengths must be positive")
-        if self.mode not in ("physical", "ideal"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.mode not in ("ideal", "physical"):
+            raise ValueError(f"mode must be ideal or physical, got {self.mode!r}")
 
     @property
     def j_ghz(self) -> float:

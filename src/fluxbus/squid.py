@@ -118,14 +118,13 @@ class SquidParams:
         for name in ("l_ph", "c_ff", "ic_ua", "l_renorm_factor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.l_ph <= 0 or self.c_ff <= 0:
-            raise ValueError("L and C must be positive")
+        for name in ("l_ph", "c_ff", "l_renorm_factor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.ic_ua < 0:
-            raise ValueError("Ic must be non-negative")
+            raise ValueError(f"ic_ua must be non-negative, got {self.ic_ua!r}")
         if not 0.0 <= self.phi_x < 1.0:
-            raise ValueError("phi_x must lie in [0, 1) flux quanta")
-        if self.l_renorm_factor <= 0:
-            raise ValueError("l_renorm_factor must be positive")
+            raise ValueError(f"phi_x must lie in [0, 1) flux quanta, got {self.phi_x!r}")
 
     @property
     def josephson_energy_ghz(self) -> float:
@@ -149,9 +148,9 @@ class FluxGrid:
 
     def __post_init__(self):
         if not self.phi_min < self.phi_max:
-            raise ValueError("phi_min must be below phi_max")
+            raise ValueError(f"phi_min must be below phi_max = {self.phi_max!r}, got {self.phi_min!r}")
         if self.n_points < MIN_GRID_POINTS:
-            raise ValueError(f"n_points must be at least {MIN_GRID_POINTS}")
+            raise ValueError(f"n_points must be at least {MIN_GRID_POINTS}, got {self.n_points!r}")
 
     @property
     def points(self) -> np.ndarray:
@@ -476,11 +475,11 @@ def calibrate_critical_current(
     breaks 0 <= lo < hi, and ``NumericalError`` if the target is not enclosed
     by the bracket.
     """
-    if target_delta_ghz <= 0:
-        raise ValueError("target splitting must be positive")
+    if not target_delta_ghz > 0:
+        raise ValueError(f"target_delta_ghz must be positive, got {target_delta_ghz!r}")
     lo, hi = bracket
     if not 0 <= lo < hi:
-        raise ValueError("bracket must satisfy 0 <= lo < hi")
+        raise ValueError(f"bracket must satisfy 0 <= lo < hi, got ({lo!r}, {hi!r})")
 
     def delta_of(ic: float) -> float:
         return solve_levels(replace(params, ic_ua=ic, phi_x=0.5), grid=grid).gap

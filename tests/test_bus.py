@@ -233,14 +233,29 @@ class TestDesignFormulas:
         assert residual_decay_time(2.0, math.inf) == 0.0
 
     def test_bus_params_validation(self):
-        with pytest.raises(ValueError):
-            BusParams(l_b_nh=0.0, m_ph=2.0, n_qubits=4)
-        with pytest.raises(ValueError):
-            BusParams(l_b_nh=2.0, m_ph=-1.0, n_qubits=4)
-        with pytest.raises(ValueError):
-            BusParams(l_b_nh=2.0, m_ph=2.0, n_qubits=3)
-        with pytest.raises(ValueError):
-            BusParams(l_b_nh=2.0, m_ph=2.0, n_qubits=4, k_geom=1.5)
+        # Each rule leads with its field and ends with the value it refused.
+        for field, value, rule in [
+            ("l_b_nh", 0.0, "be positive"),
+            ("m_ph", -1.0, "be non-negative"),
+            ("n_qubits", 3, "be even and at least 2"),
+            ("n_qubits", 0, "be even and at least 2"),
+            ("k_geom", 1.5, "lie in (0, 1]"),
+        ]:
+            kwargs = {"l_b_nh": 2.0, "m_ph": 2.0, "n_qubits": 4, field: value}
+            with pytest.raises(ValueError) as info:
+                BusParams(**kwargs)
+            assert str(info.value) == f"{field} must {rule}, got {value!r}"
+
+    def test_residual_decay_rejects_a_resistance_that_is_not_positive(self):
+        for r_uohm in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^r_uohm must be positive, got {r_uohm!r}$"):
+                residual_decay_time(2.0, r_uohm)
+
+    def test_max_qubits_overflow_is_numerical(self):
+        # k L_b / M overflows at a subnormal M: a failed evaluation on valid
+        # input, not an OverflowError from math.floor
+        with pytest.raises(NumericalError, match=r"^k L_b / M overflows double precision at M = 1e-320 pH"):
+            max_qubits(BusParams(2.0, 1e-320, 2))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["l_b_nh", "m_ph", "phi_bx", "k_geom"])

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fluxbus import cli
@@ -260,6 +261,7 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", cfg, "--circuit", str(circuit), "--format", "records"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["fidelity"] >= 1.0 - 1e-6
+        # compile reads the key list of simulate, initial_bits included
         assert main(["compile", "--config", cfg, "--circuit", str(circuit)]) == 0
         assert "segments" in capsys.readouterr().out
 
@@ -426,19 +428,31 @@ class TestMainExitCodes:
             pytest.param("design", DESIGN_CFG.replace("N = 1000", "N = 1000.7"), "config key N must be an integer",
                          id="N-fraction"),
             pytest.param("design", DESIGN_CFG.replace("N = 1000", "N = -2"),
-                         "config key N must be non-negative, got -2", id="N-negative"),
+                         "config key N must be even and at least 2, got -2", id="N-negative"),
+            pytest.param("design", DESIGN_CFG.replace("N = 1000", "N = 3"),
+                         "config key N must be even and at least 2, got 3", id="N-odd"),
+            pytest.param("design", DESIGN_CFG.replace("k_geom = 1.0", "k_geom = 2"),
+                         "config key k_geom must lie in (0, 1], got 2", id="k_geom-outside"),
+            pytest.param("simulate", SIM_CFG.replace("mode = ideal", "mode = fast"),
+                         "config key mode must be ideal or physical, got 'fast'", id="mode-unknown"),
+            pytest.param("simulate", SIM_CFG.replace("initial_bits = 00", "initial_bits = 0x"),
+                         "config key initial_bits must be a 2-bit string of 0s and 1s, got '0x'",
+                         id="initial_bits-digit"),
             pytest.param("simulate", SIM_CFG.replace("n_logical = 2", "n_logical = 2.5"),
                          "config key n_logical must be an integer", id="n_logical-fraction"),
             pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = -1\n",
                          "config key target_delta_GHz must be positive", id="target-negative"),
             pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = 2.6\nbracket_lo_uA = 3.0\nbracket_hi_uA = 1.5\n",
-                         "bracket_lo_uA = 3.0, bracket_hi_uA = 1.5", id="bracket-reversed"),
+                         "config key (bracket_lo_uA, bracket_hi_uA) must satisfy 0 <= lo < hi, got (3.0, 1.5)",
+                         id="bracket-reversed"),
             pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = 2.6\nbracket_lo_uA = -1\n",
-                         "bracket_lo_uA = -1", id="bracket-negative"),
+                         "config key (bracket_lo_uA, bracket_hi_uA) must satisfy 0 <= lo < hi, got (-1, 3.0)",
+                         id="bracket-negative"),
             pytest.param("calibrate", SWEEP_CFG.replace("sweep_Ic_lo_uA = 2.0", "sweep_Ic_lo_uA = -1")
                          + "sweep_points = 3\n", "sweep_Ic_lo_uA = -1", id="sweep_Ic-negative"),
             pytest.param("calibrate", SQUID_CFG + "phi_window_lo = 1.25\nphi_window_hi = -0.25\n",
-                         "phi_window_lo = 1.25, phi_window_hi = -0.25", id="phi_window-reversed"),
+                         "config key phi_window_lo must be below phi_window_hi = -0.25, got 1.25",
+                         id="phi_window-reversed"),
             pytest.param("calibrate", SQUID_CFG + "grid_points = 100\n", "config key grid_points must be at least 257",
                          id="grid_points-small"),
             pytest.param("calibrate", SQUID_CFG.replace("L_pH = 150", "L_pH = -1"), "config key L_pH must be positive",
@@ -473,6 +487,104 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[config]:") and reason in err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("calibrate", "L_pH", "-1"),
+            ("calibrate", "C_fF", "0"),
+            ("calibrate", "Ic_uA", "-0.1"),
+            ("calibrate", "phi_x_Phi0", "1"),
+            ("calibrate", "grid_points", "100"),
+            ("calibrate", "grid_points", "-5"),
+            ("calibrate", "phi_window_lo", "2"),
+            ("calibrate", "phi_window_hi", "-1"),
+            ("calibrate", "target_delta_GHz", "0"),
+            ("calibrate", "bracket_lo_uA", "-1"),
+            ("calibrate", "bracket_hi_uA", "1"),
+            ("design", "L_pH", "0"),
+            ("design", "C_fF", "-80"),
+            ("design", "Ic_uA", "-3"),
+            ("design", "phi_x_Phi0", "-0.5"),
+            ("design", "grid_points", "256"),
+            ("design", "phi_window_lo", "1.25"),
+            ("design", "phi_window_hi", "-0.25"),
+            ("design", "M_pH", "-2"),
+            ("design", "L_b_nH", "0"),
+            ("design", "N", "1"),
+            ("design", "k_geom", "0"),
+            ("design", "R_uOhm", "-1"),
+            ("simulate", "delta_GHz", "-2.6"),
+            ("simulate", "epsilon_GHz", "0"),
+            ("compile", "J_MHz", "-25"),
+            ("compile", "mode", "Ideal"),
+            ("simulate", "initial_bits", "21"),
+        ],
+    )
+    def test_every_library_key_named(self, cfg_file, tmp_path, capsys, monkeypatch, command, key, value):
+        # A value that breaks a rule of the type or function it reaches exits 2
+        # with the config key leading the message, before any level is solved
+        # or any state evolved.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve reached")
+
+        monkeypatch.setattr(squidmod, "solve_levels", unreachable)
+        monkeypatch.setattr(cli, "run_schedule", unreachable)
+        base = {"calibrate": SQUID_CFG + "target_delta_GHz = 2.6\n", "design": DESIGN_CFG, "simulate": SIM_CFG}
+        cfg = parse_config_text(base.get(command, SIM_CFG)) | {key: value}
+        args = [command, "--config", cfg_file("".join(f"{k} = {v}\n" for k, v in cfg.items()))]
+        if command in ("simulate", "compile"):
+            (tmp_path / "bell.circuit").write_text(BELL_CIRCUIT)
+            args += ["--circuit", str(tmp_path / "bell.circuit")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        subject, _, rule = err.partition(" must ")
+        assert subject.startswith("error[config]: config key "), err
+        # the window rule leads with its lower end and names the upper one
+        assert key in subject or key in rule.partition(", got ")[0], err
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("calibrate", SQUID_CFG + "target_delta_GHZ = 2.6\n", "target_delta_GHZ"),
+            ("calibrate", SQUID_CFG + "grid_point = 257\n", "grid_point"),
+            ("calibrate", DESIGN_CFG, "M_pH"),
+            ("design", DESIGN_CFG + "target_delta_GHz = 2.6\n", "target_delta_GHz"),
+            ("simulate", SIM_CFG + "L_pH = 150\n", "L_pH"),
+            ("compile", SIM_CFG.replace("J_MHz", "J_mhz"), "J_mhz"),
+        ],
+    )
+    def test_unread_key_refused(self, cfg_file, tmp_path, capsys, command, text, key):
+        # A key the command never reads (a misspelt one would otherwise leave
+        # its default silently in place) is refused by name, first in the file.
+        args = [command, "--config", cfg_file(text)]
+        if command in ("simulate", "compile"):
+            (tmp_path / "bell.circuit").write_text(BELL_CIRCUIT)
+            args += ["--circuit", str(tmp_path / "bell.circuit")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error[config]: config key {key} is not read by {command}\n"
+
+    def test_design_reads_the_grid_keys(self, cfg_file, capsys):
+        # design solves its SQUID on the configured grid, as calibrate does
+        records = []
+        for extra in ("", "grid_points = 257\n", "phi_window_lo = -0.2\nphi_window_hi = 1.2\n"):
+            assert main(["design", "--config", cfg_file(DESIGN_CFG + extra), "--format", "records"]) == 0
+            records.append({r["key"]: r["value"] for r in map(json.loads, capsys.readouterr().out.splitlines())})
+        default, coarse, narrow = records
+        assert coarse["i_p_uA"] != default["i_p_uA"] and narrow["i_p_uA"] != default["i_p_uA"]
+        assert coarse["i_p_uA"] == pytest.approx(default["i_p_uA"], rel=1e-2)
+        assert coarse["M_eff_fH"] == default["M_eff_fH"]
+
+    def test_linalg_error_in_calibration_is_numerical(self, cfg_file, capsys, monkeypatch):
+        # LinAlgError is a ValueError, but it comes from a failed solve: it
+        # exits 3 with its message as raised, even one that leads with a
+        # parameter name the CLI maps to a config key.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("target_delta_ghz must be solved, got a singular matrix")
+
+        monkeypatch.setattr(squidmod, "solve_levels", failing)
+        assert main(["calibrate", "--config", cfg_file(SQUID_CFG + "target_delta_GHz = 2.6\n")]) == 3
+        assert capsys.readouterr().err == "error[numerical]: target_delta_ghz must be solved, got a singular matrix\n"
+
     def test_duplicate_config_key_refused(self, cfg_file, capsys):
         # Two values for one key are refused, naming both lines, so the later
         # line cannot silently replace the earlier one.
@@ -499,7 +611,7 @@ class TestMainExitCodes:
                          "error[numerical]: L_b - N M^2/L = -33.33 pH with N = 200: the bus is not passive "
                          "(N M^2 must stay below L*L_b = 1.5e+04 pH^2)", id="not-passive"),
             pytest.param("design", DESIGN_CFG.replace("N = 1000", "N = 3"), None, 2,
-                         "error[config]: N must be even and at least 2", id="bus-params"),
+                         "error[config]: config key N must be even and at least 2, got 3", id="bus-params"),
             pytest.param("simulate", SIM_CFG, "X 5\n", 2,
                          "error[config]: circuit addresses a logical qubit outside the register",
                          id="operand-simulate"),
@@ -518,6 +630,9 @@ class TestMainExitCodes:
                          "the levels are out of double-precision range", id="harmonic-underflow"),
             pytest.param("design", DESIGN_CFG.replace("M_pH = 2", "M_pH = 1e-200"), None, 0, "",
                          id="coupling-underflow"),
+            pytest.param("design", DESIGN_CFG.replace("M_pH = 2", "M_pH = 1e-320"), None, 3,
+                         "error[numerical]: k L_b / M overflows double precision at M = 1e-320 pH: "
+                         "no geometric bound", id="geometric-bound-overflow"),
         ],
     )
     def test_failure_model(self, cfg_file, tmp_path, capsys, command, text, circuit, code, err):
@@ -572,12 +687,17 @@ class TestLibraryDefaults:
             (cmd_calibrate, _SQUID, {"phi_x_Phi0": _field_default(SquidParams, "phi_x")}),
             (cmd_design, {**_SQUID, "M_pH": 2, "L_b_nH": 2, "N": 1000}, {"k_geom": _field_default(BusParams, "k_geom")}),
             (
+                cmd_design,
+                {**_SQUID, "M_pH": 2, "L_b_nH": 2, "N": 1000},
+                {"grid_points": _GRID.n_points, "phi_window_lo": _GRID.phi_min, "phi_window_hi": _GRID.phi_max},
+            ),
+            (
                 lambda cfg: cmd_simulate(cfg, BELL_CIRCUIT, mode="physical"),
                 {"n_logical": 2},
                 {"delta_GHz": _CONTROL.delta_ghz, "epsilon_GHz": _CONTROL.epsilon_ghz, "J_MHz": _CONTROL.j_mhz},
             ),
         ],
-        ids=["grid", "bracket", "phi_x", "k_geom", "controls"],
+        ids=["grid", "bracket", "phi_x", "k_geom", "design-grid", "controls"],
     )
     def test_omitted_key_gives_the_default_output(self, command, cfg, defaults):
         def output(config):

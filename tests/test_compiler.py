@@ -62,9 +62,9 @@ class TestEncoding:
         assert encode("01", REG2).amplitudes[0b0110] == 1.0
 
     def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bits must be a 2-bit string of 0s and 1s, got '0'$"):
             encode("0", REG2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bits must be a 2-bit string of 0s and 1s, got '02'$"):
             encode("02", REG2)
 
     def test_register_validation(self):
@@ -100,6 +100,21 @@ class TestControlParams:
         # through to the first segment that carries them.
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             ControlParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("delta_ghz", 0.0, "be positive"),
+            ("epsilon_ghz", -2.7, "be positive"),
+            ("j_mhz", 0.0, "be positive"),
+            ("mode", "Physical", "be ideal or physical"),
+        ],
+    )
+    def test_bad_controls_rejected(self, field, value, rule):
+        # Each rule leads with its field and ends with the value it refused.
+        with pytest.raises(ValueError) as info:
+            ControlParams(**{field: value})
+        assert str(info.value) == f"{field} must {rule}, got {value!r}"
 
 
 class TestPiPulse:

@@ -1,14 +1,25 @@
-"""Every demo script runs from a source checkout and prints its report."""
+"""Every demo script runs from a source checkout and prints its report, and
+every README command on the demo configs exits 0."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from fluxbus.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*.py"))
+
+
+def readme_config_commands() -> list:
+    """The argument lists of the README's command-line block that read a
+    config file."""
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("fluxbus ") and "--config" in line]
 
 
 def test_all_four_demos_found():
@@ -26,3 +37,15 @@ def test_demo_runs(demo, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
     assert done.stderr == ""
+
+
+def test_all_four_readme_config_commands_found():
+    assert [args[0] for args in readme_config_commands()] == ["calibrate", "design", "simulate", "compile"]
+
+
+@pytest.mark.parametrize("args", readme_config_commands(), ids=lambda args: args[0])
+def test_readme_command_runs(args, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out.strip() and err == ""

@@ -362,8 +362,13 @@ class TestValidation:
         ],
     )
     def test_bad_params_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # Each rule leads with its field and ends with the value it refused.
+        rules = {"l_ph": "be positive", "c_ff": "be positive", "ic_ua": "be non-negative",
+                 "phi_x": "lie in [0, 1) flux quanta", "l_renorm_factor": "be positive"}
+        (field,) = [k for k, v in kwargs.items() if v != {"l_ph": 150.0, "c_ff": 80.0, "ic_ua": 3.0}.get(k)]
+        with pytest.raises(ValueError) as info:
             SquidParams(**kwargs)
+        assert str(info.value) == f"{field} must {rules[field]}, got {kwargs[field]!r}"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["l_ph", "c_ff", "ic_ua", "phi_x", "l_renorm_factor"])
@@ -375,10 +380,31 @@ class TestValidation:
             SquidParams(**kwargs)
 
     def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
+        # The window rule names both ends, the lower one first.
+        with pytest.raises(ValueError, match=r"^phi_min must be below phi_max = 0\.0, got 1\.0$"):
             FluxGrid(1.0, 0.0, 513)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^phi_min must be below phi_max = nan, got 0\.0$"):
+            FluxGrid(0.0, math.nan, 513)
+        with pytest.raises(ValueError, match=r"^n_points must be at least 257, got 128$"):
             FluxGrid(0.0, 1.0, 128)
+
+    @pytest.mark.parametrize(
+        "target, bracket, message",
+        [
+            (0.0, (1.5, 3.0), "target_delta_ghz must be positive, got 0.0"),
+            (math.nan, (1.5, 3.0), "target_delta_ghz must be positive, got nan"),
+            (2.6, (3.0, 1.5), "bracket must satisfy 0 <= lo < hi, got (3.0, 1.5)"),
+            (2.6, (-1.0, 3.0), "bracket must satisfy 0 <= lo < hi, got (-1.0, 3.0)"),
+        ],
+    )
+    def test_bad_calibration_rejected_before_any_solve(self, monkeypatch, target, bracket, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve_levels reached")
+
+        monkeypatch.setattr(squidmod, "solve_levels", unreachable)
+        with pytest.raises(ValueError) as info:
+            calibrate_critical_current(SquidParams(150.0, 80.0, 3.0), target, bracket=bracket)
+        assert str(info.value) == message
 
     def test_default_grid(self):
         g = FluxGrid()
