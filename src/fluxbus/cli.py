@@ -157,12 +157,19 @@ _COMMAND_KEYS = {
     "simulate": {*_CONTROL_KEYS.values(), "n_logical", "initial_bits"},
 }
 _COMMAND_KEYS["compile"] = _COMMAND_KEYS["simulate"]
+# Keys read only when another key is set: the bracket belongs to the Ic
+# calibration and the sweep's end and size to its start.
+_READ_ONLY_WITH = {"bracket_lo_uA": "target_delta_GHz", "bracket_hi_uA": "target_delta_GHz",
+                   "sweep_Ic_hi_uA": "sweep_Ic_lo_uA", "sweep_points": "sweep_Ic_lo_uA"}
 
 
 def _refuse_unread(cfg: dict, command: str) -> None:
-    unread = [key for key in cfg if key not in _COMMAND_KEYS[command]]
-    if unread:
-        raise ValueError(f"config key {unread[0]} is not read by {command}")
+    for key in cfg:
+        if key not in _COMMAND_KEYS[command]:
+            raise ValueError(f"config key {key} is not read by {command}")
+        gate = _READ_ONLY_WITH.get(key)
+        if gate is not None and gate not in cfg:
+            raise ValueError(f"config key {key} is not read by {command} without {gate}")
 
 
 @dataclass
@@ -255,8 +262,9 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
     params = _squid_from_config(cfg)
     grid = _grid_from_config(cfg)
     sweep = _sweep_from_config(cfg)
-    # The calibration checks its target and bracket before its first solve,
-    # so it runs before any other level is solved.
+    # The calibration refuses a bad target or bracket value before its first
+    # solve, so it runs before any other level is solved.  Whether the bracket
+    # encloses the target is found by its bisection.
     if "target_delta_GHz" in cfg:
         lo, hi = squidmod.IC_BRACKET_UA
         bracket = (_number(cfg, "bracket_lo_uA", lo), _number(cfg, "bracket_hi_uA", hi))

@@ -471,9 +471,19 @@ def calibrate_critical_current(
     bracket width bound keeps Ic well determined), or after
     ``_CALIBRATION_STEPS`` steps.
 
+    The target must lie in [delta(hi), delta(lo)] of the given bracket.  The
+    bisection proves that at each end it moves off: lo moves only to a
+    midpoint whose delta exceeds the target, hi only to one whose delta is at
+    most the target, and delta(Ic) is monotone.  So an end is solved only if
+    the bisection never moved off it.  If the target is not enclosed, or a
+    midpoint solve fails, both ends are solved in the order an up-front check
+    would solve them, which raises the same error.  At the solver floor the
+    computed delta need not be monotone, so there a target just outside the
+    bracket can calibrate.
+
     Raises ``ValueError`` for a target that is not positive or a bracket that
-    breaks 0 <= lo < hi, and ``NumericalError`` if the target is not enclosed
-    by the bracket.
+    breaks 0 <= lo < hi, before any solve, and ``NumericalError`` if the
+    target is not enclosed by the bracket.
     """
     if not target_delta_ghz > 0:
         raise ValueError(f"target_delta_ghz must be positive, got {target_delta_ghz!r}")
@@ -484,23 +494,33 @@ def calibrate_critical_current(
     def delta_of(ic: float) -> float:
         return solve_levels(replace(params, ic_ua=ic, phi_x=0.5), grid=grid).gap
 
-    d_lo = delta_of(lo)
-    d_hi = delta_of(hi)
-    if not (d_hi <= target_delta_ghz <= d_lo):
-        raise NumericalError(
-            f"target {target_delta_ghz:.4g} GHz outside [{d_hi:.4g}, {d_lo:.4g}] GHz "
-            f"reachable on Ic bracket [{lo}, {hi}] uA"
-        )
+    def check_enclosed() -> None:
+        d_lo, d_hi = delta_of(bracket[0]), delta_of(bracket[1])
+        if not (d_hi <= target_delta_ghz <= d_lo):
+            raise NumericalError(
+                f"target {target_delta_ghz:.4g} GHz outside [{d_hi:.4g}, {d_lo:.4g}] GHz "
+                f"reachable on Ic bracket [{bracket[0]}, {bracket[1]}] uA"
+            )
 
-    for _ in range(_CALIBRATION_STEPS):
-        mid = 0.5 * (lo + hi)
-        d_mid = delta_of(mid)
-        if abs(d_mid - target_delta_ghz) <= _CALIBRATION_REL_TOL * target_delta_ghz:
-            return mid
-        if d_mid > target_delta_ghz:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6:
-            return 0.5 * (lo + hi)
+    try:
+        for _ in range(_CALIBRATION_STEPS):
+            mid = 0.5 * (lo + hi)
+            d_mid = delta_of(mid)
+            if abs(d_mid - target_delta_ghz) <= _CALIBRATION_REL_TOL * target_delta_ghz:
+                break
+            if d_mid > target_delta_ghz:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-6:
+                mid = 0.5 * (lo + hi)
+                break
+        enclosed = (lo != bracket[0] or target_delta_ghz <= delta_of(lo)) and (
+            hi != bracket[1] or delta_of(hi) <= target_delta_ghz
+        )
+    except NumericalError:
+        check_enclosed()
+        raise
+    if not enclosed:
+        check_enclosed()
     return mid

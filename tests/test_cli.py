@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,6 +565,26 @@ class TestMainExitCodes:
         assert main(args) == 2
         assert capsys.readouterr().err == f"error[config]: config key {key} is not read by {command}\n"
 
+    @pytest.mark.parametrize(
+        "text, key, gate",
+        [
+            ("bracket_lo_uA = -5\nsweep_points = 3\n", "bracket_lo_uA", "target_delta_GHz"),
+            ("bracket_hi_uA = 3.0\n", "bracket_hi_uA", "target_delta_GHz"),
+            ("sweep_points = 3\nbracket_lo_uA = -5\n", "sweep_points", "sweep_Ic_lo_uA"),
+            ("sweep_Ic_hi_uA = 3.0\nsweep_points = 3\ntarget_delta_GHz = 2.6\n", "sweep_Ic_hi_uA", "sweep_Ic_lo_uA"),
+        ],
+    )
+    def test_key_read_only_with_another_refused(self, cfg_file, capsys, monkeypatch, text, key, gate):
+        # A bracket without a target, or a sweep end or size without its
+        # start, would be ignored, whatever its value: it is refused by name,
+        # first in the file, before any level is solved.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve reached")
+
+        monkeypatch.setattr(squidmod, "solve_levels", unreachable)
+        assert main(["calibrate", "--config", cfg_file(SQUID_CFG + text)]) == 2
+        assert capsys.readouterr().err == f"error[config]: config key {key} is not read by calibrate without {gate}\n"
+
     def test_design_reads_the_grid_keys(self, cfg_file, capsys):
         # design solves its SQUID on the configured grid, as calibrate does
         records = []
@@ -705,6 +727,42 @@ class TestLibraryDefaults:
             return result.to_records() if isinstance(result, cli.DesignReport) else json.dumps(result, sort_keys=True)
 
         assert output(cfg) == output({**cfg, **defaults})
+
+
+def _readme_key_table() -> dict:
+    """README's per-command key table: each command's required keys, its
+    optional keys and, for a key in parentheses, the key it is read with."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| command | required | optional |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for row in rows.splitlines():
+        commands, required, optional = row.strip("|").split("|")
+        entries = re.findall(r"`(\w+)`(?: \(with ([^)]*)\))?", optional)
+        gates = {key: gate for gate, inner in entries for key in re.findall(r"`(\w+)`", inner)}
+        for command in re.findall(r"`(\w+)`", commands):
+            table[command] = (set(re.findall(r"`(\w+)`", required)), {key for key, _ in entries} | set(gates), gates)
+    return table
+
+
+_REQUIRED_VALUES = {"L_pH": 150, "C_fF": 80, "Ic_uA": 3.0, "M_pH": 2, "L_b_nH": 2, "N": 1000, "n_logical": 1}
+_COMMANDS = {"calibrate": cmd_calibrate, "design": cmd_design,
+             "simulate": lambda cfg: cmd_simulate(cfg, ""), "compile": lambda cfg: cli.cmd_compile(cfg, "")}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_readme_key_table_matches_the_cli(command):
+    # A key added to a command, or made required or read only with another
+    # key, without its README entry fails here.
+    table = _readme_key_table()
+    assert set(table) == set(cli._COMMAND_KEYS) == set(_COMMANDS)
+    required, optional, gates = table[command]
+    assert required | optional == cli._COMMAND_KEYS[command] and not required & optional
+    assert gates == {key: gate for key, gate in cli._READ_ONLY_WITH.items() if key in optional}
+    run = _COMMANDS[command]
+    run({key: _REQUIRED_VALUES[key] for key in required})
+    for missing in required:
+        with pytest.raises(ValueError, match=rf"^missing config key\(s\): {missing}$"):
+            run({key: _REQUIRED_VALUES[key] for key in required - {missing}})
 
 
 class TestReproducePaper:

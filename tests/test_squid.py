@@ -349,6 +349,116 @@ class TestCalibration:
         ]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_an_end_the_bisection_never_left_is_solved_once(self, monkeypatch, end):
+        # A target equal to delta at one end keeps every midpoint on the
+        # other side of it, so the bisection never moves off that end.
+        bracket = (1.5, 3.0)
+        target = solve_levels(replace(P_UNSUPPRESSED, ic_ua=bracket[end])).gap
+        solved = []
+
+        def counting(params, grid=None, k=2):
+            solved.append(params.ic_ua)
+            return solve_levels(params, grid, k)
+
+        monkeypatch.setattr(squidmod, "solve_levels", counting)
+        eager = _eager_calibration(P_UNSUPPRESSED, target, bracket, None)
+        midpoints = len(solved) - 2
+        solved.clear()
+        assert calibrate_critical_current(P_UNSUPPRESSED, target, bracket).hex() == eager.hex()
+        assert [ic for ic in solved if ic in bracket] == [bracket[end]]
+        assert len(solved) == midpoints + 1
+
+    def test_enclosure_proven_by_the_bisection_needs_no_end_solve(self, monkeypatch):
+        # The design target moves both ends, so a bracket end whose own solve
+        # fails no longer stops the calibration.
+        expected = calibrate_critical_current(P_UNSUPPRESSED, 2.6, (1.5, 3.0))
+
+        def ends_fail(params, grid=None, k=2):
+            if params.ic_ua in (1.5, 3.0):
+                raise NumericalError("end solve reached")
+            return solve_levels(params, grid, k)
+
+        monkeypatch.setattr(squidmod, "solve_levels", ends_fail)
+        assert calibrate_critical_current(P_UNSUPPRESSED, 2.6, (1.5, 3.0)) == expected
+
+    @pytest.mark.parametrize("target, message", [(2.6, "midpoint failed"), (100.0, "target 100 GHz outside")])
+    def test_failed_midpoint_raises_what_the_up_front_check_would(self, monkeypatch, target, message):
+        # The bracket check comes first when the target is not enclosed;
+        # otherwise the midpoint's own error stands.
+        def midpoint_fails(params, grid=None, k=2):
+            if params.ic_ua not in (1.5, 3.0):
+                raise NumericalError("midpoint failed")
+            return solve_levels(params, grid, k)
+
+        monkeypatch.setattr(squidmod, "solve_levels", midpoint_fails)
+        with pytest.raises(NumericalError, match=message):
+            calibrate_critical_current(P_UNSUPPRESSED, target, (1.5, 3.0))
+
+
+def _eager_calibration(params, target, bracket, grid):
+    """Reference: the calibration that solves and checks both bracket ends
+    before it bisects."""
+    lo, hi = bracket
+
+    def delta_of(ic):
+        return squidmod.solve_levels(replace(params, ic_ua=ic, phi_x=0.5), grid=grid).gap
+
+    d_lo, d_hi = delta_of(lo), delta_of(hi)
+    if not (d_hi <= target <= d_lo):
+        raise NumericalError(
+            f"target {target:.4g} GHz outside [{d_hi:.4g}, {d_lo:.4g}] GHz reachable on Ic bracket [{lo}, {hi}] uA"
+        )
+    for _ in range(squidmod._CALIBRATION_STEPS):
+        mid = 0.5 * (lo + hi)
+        d_mid = delta_of(mid)
+        if abs(d_mid - target) <= squidmod._CALIBRATION_REL_TOL * target:
+            return mid
+        if d_mid > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-6:
+            return 0.5 * (lo + hi)
+    return mid
+
+
+def _outcome(calibrate, *args):
+    try:
+        return calibrate(*args).hex()
+    except NumericalError as exc:
+        return f"NumericalError: {exc}"
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(["inside", "above", "below", "floor"]))
+def test_calibration_matches_eager_bracket_check(seed, kind):
+    # Seeded random SQUIDs and brackets around beta_L = 1, targets drawn
+    # log-uniform inside the bracket's splittings, above and below them, and
+    # near the solver floor on deep-well brackets (beta_L 1.25-1.6).
+    grid = FluxGrid(n_points=1025)
+    rng = np.random.default_rng(seed)
+    raised = set()
+    for _ in range(16):
+        l_ph, c_ff = rng.uniform(100.0, 200.0), rng.uniform(40.0, 120.0)
+        unit = PHI0_PH_UA / (2.0 * math.pi * l_ph)  # Ic at beta_L = 1
+        params = SquidParams(l_ph, c_ff, 1.0)
+        if kind == "floor":
+            bracket = tuple(np.sort(rng.uniform(1.25, 1.6, 2)) * unit)
+            target = 10.0 ** rng.uniform(-12.0, -7.0)
+        else:
+            bracket = tuple(np.sort(rng.uniform(0.9, 1.4, 2)) * unit)
+            d_lo, d_hi = (solve_levels(replace(params, ic_ua=ic), grid).gap for ic in bracket)
+            exponent = {"inside": (math.log10(d_hi), math.log10(d_lo)),
+                        "above": (math.log10(d_lo), math.log10(d_lo) + 1.0),
+                        "below": (math.log10(d_hi) - 2.0, math.log10(d_hi))}[kind]
+            target = 10.0 ** rng.uniform(*exponent)
+        bracket = tuple(float(ic) for ic in bracket)
+        expected = _outcome(_eager_calibration, params, target, bracket, grid)
+        assert _outcome(calibrate_critical_current, params, target, bracket, grid) == expected
+        raised.add(expected.startswith("NumericalError"))
+    # Near the floor some targets are enclosed and some are not.
+    assert raised == {"inside": {False}, "above": {True}, "below": {True}, "floor": {False, True}}[kind]
+
 
 class TestValidation:
     @pytest.mark.parametrize(
