@@ -18,15 +18,19 @@ exact parity, however near-degenerate its partner.
 A sector that supplies a single level (both sectors for the two-level
 reduction, which is every solve of ``extract_two_level`` and of the
 calibration) finds its ground state by inverse iteration: the sector block
-minus min U is factored once (LAPACK ``dpttrf``) and solved repeatedly from a
-positive start vector.  min U is a lower bound on every level because the
-Dirichlet kinetic term is positive definite and each sector is an invariant
-subspace; the start vector overlaps the ground state because the negative
-bonds make that state positive (Perron-Frobenius).  Each step is screened
-with the residual read from the solve it already made, and convergence is
-confirmed by the exact residual, so only the last step or two pay for a
-product with the sector block.  Sectors that supply several levels, and the
-biased full grid, use LAPACK bisection.
+minus a shift is factored once (LAPACK ``dpttrf``) and solved repeatedly from
+a positive start vector.  The even sector is shifted to min U, a lower bound
+on every level because the Dirichlet kinetic term is positive definite and
+each sector is an invariant subspace.  The odd sector's level lies above the
+even ground energy just found, so it is shifted a few tolerances below that
+energy: much nearer its level, which cuts its steps (to 2 for a deep-well
+doublet).  ``dpttrf`` fails unless a shift lies below its sector's spectrum,
+so it certifies both.  The start vector overlaps the ground state because the
+negative bonds make that state positive (Perron-Frobenius).  Each step is
+screened with the residual read from the solve it already made, and
+convergence is confirmed by the exact residual, so only the last step or two
+pay for a product with the sector block.  Sectors that supply several levels,
+and the biased full grid, use LAPACK bisection.
 
 Conventions
 -----------
@@ -82,8 +86,10 @@ _RESIDUAL_PER_NORM = 1.3e-14
 # Inverse-iteration steps allowed per parity sector.  Shifted to min U, the
 # error shrinks each step by the sector's (E0 - U_min)/(E1 - U_min), about 1/5
 # in a harmonic well and 1/3 in a deep double well.  Over 600 random symmetric
-# SQUIDs (L 100-400 pH, C 20-500 fF, Ic 0-3.5 uA, 257-4098 points) a sector
-# took 12-32 steps.
+# SQUIDs (L 100-400 pH, C 20-500 fF, Ic 0-3.5 uA, 257-4098 points) the even
+# sector took 11-26 steps.  The odd sector, shifted just below the even ground
+# energy, took 2-25 (mean 10.8; 17-32, mean 23.5, from min U): 2 where its
+# level is a deep-well doublet partner, most where the well is harmonic.
 _INVERSE_ITERATIONS = 100
 
 # Fewest points of a FluxGrid; the Ic calibration's default bracket (uA),
@@ -242,14 +248,16 @@ def _ground_state(diag: np.ndarray, off: np.ndarray, shift: float, tol: float) -
 
     Each step is screened with the residual read from its own solve: since
     (T - shift) y = x, the new iterate x' = y/|y| has the residual
-    T x' - (x'.T x') x' = (x - (x'.x) x')/|y|, with no product with T.  The
-    two agree to ~2e-3 ``tol`` (600 random SQUID sectors), so a step whose
-    screen exceeds 2 ``tol`` cannot pass and goes straight on; on the others
-    the exact residual, from a product with T, decides convergence and the
-    Rayleigh quotient gives the energy, so the screen changes no iterate,
-    step count or output bit.  An iterate of norm 0 or not finite
-    (the sector's scale under- or overflows double precision) raises
-    ``NumericalError``.
+    T x' - (x'.T x') x' = (x - (x'.x) x')/|y|, with no product with T.  Over
+    600 random SQUID sectors the two agree to ~1.3e-3 ``tol`` on every step
+    that has not converged, and the read residual never exceeds the exact one
+    by more; only a step that jumps below ``tol`` to the rounding floor can
+    read ~1e-2 ``tol`` under it.  So a step whose screen exceeds 2 ``tol``
+    cannot pass and goes straight on; on the others the exact residual, from
+    a product with T, decides convergence and the Rayleigh quotient gives the
+    energy, so the screen changes no iterate, step count or output bit.  An
+    iterate of norm 0 or not finite (the sector's scale under- or overflows
+    double precision) raises ``NumericalError``.
     """
     factor_d, factor_e, info = dpttrf(diag - shift, off)
     if info != 0:
@@ -289,6 +297,10 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
     levels are the lowest ceil(k/2) even and floor(k/2) odd ones, returned
     sorted by energy.  A sector that supplies one level solves by inverse
     iteration to a residual of ``tol``; one that supplies more by bisection.
+    The even sector is shifted to min U.  The odd sector's lowest level lies
+    above the even ground energy, which the Rayleigh quotient or bisection
+    misses only by rounding (~eps |T|, about ``tol``/30), so it is shifted
+    4 ``tol`` below that energy, which ``dpttrf`` certifies as it factors.
     """
     n = diag.size
     m = n // 2
@@ -302,13 +314,13 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
         even_diag[-1] += off
         odd_diag[-1] -= off
         even, odd = (even_diag, bonds), (odd_diag, bonds)
-    shift = float(np.min(diag)) + 2.0 * off  # min U, below every level
+    min_u = float(np.min(diag)) + 2.0 * off  # below every level
 
-    def sector(block, count):
+    def sector(block, count, shift):
         return _ground_state(*block, shift, tol) if count == 1 else _lowest(*block, count)
 
-    e_even, x_even = sector(even, (k + 1) // 2)
-    e_odd, x_odd = sector(odd, k // 2)
+    e_even, x_even = sector(even, (k + 1) // 2, min_u)
+    e_odd, x_odd = sector(odd, k // 2, float(e_even[0]) - 4.0 * tol)
 
     # Mirror each half back onto the full grid.
     vectors = np.zeros((n, k))
@@ -337,15 +349,17 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
     solver floor.
 
     A parity sector that supplies one level (both sectors at k = 2, the odd
-    one at k = 3) finds it by inverse iteration shifted to min U, which lies
-    below every level because the kinetic term is positive definite, from a
-    positive start vector, which overlaps the sector's ground state because
-    the negative bonds make that state positive.  Its steps are screened with
-    the residual read from each solve, and convergence is confirmed by the
-    exact residual.  The other sectors and the biased full grid, which must
-    resolve several close levels in one problem, use LAPACK bisection
-    (``eigh_tridiagonal``).  Every level then passes the same residual and
-    edge-mass checks.
+    one at k = 3) finds it by inverse iteration from a positive start vector,
+    which overlaps the sector's ground state because the negative bonds make
+    that state positive.  The even sector is shifted to min U, which lies
+    below every level because the kinetic term is positive definite; the odd
+    one 4 tolerances below the even ground energy, which lies below its level
+    and much nearer it.  ``dpttrf`` certifies each shift.  The steps are
+    screened with the residual read from each solve, and convergence is
+    confirmed by the exact residual.  The other sectors and the biased full
+    grid, which must resolve several close levels in one problem, use LAPACK
+    bisection (``eigh_tridiagonal``).  Every level then passes the same
+    residual and edge-mass checks.
 
     Raises
     ------

@@ -1,6 +1,7 @@
-"""Every demo script runs from a source checkout and prints its report, and
-every README command on the demo configs exits 0."""
+"""Every demo script and ``python -m fluxbus`` run from a source checkout and
+print their reports, and every README command on the demo configs exits 0."""
 
+import json
 import os
 import shlex
 import subprocess
@@ -49,3 +50,14 @@ def test_readme_command_runs(args, monkeypatch, capsys):
     assert main(args) == 0
     out, err = capsys.readouterr()
     assert out.strip() and err == ""
+
+
+def test_module_entry_point_runs_from_source():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "fluxbus", "reproduce-paper", "--format", "records"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    *rows, summary = (json.loads(line) for line in done.stdout.splitlines())
+    assert len(rows) == 7 and summary == {"overall": True, "rows": 7}
