@@ -17,8 +17,7 @@ suppressed = fb.extract_two_level(replace(squid, ic_ua=2.375))
 biased = fb.extract_two_level(replace(squid, phi_x=0.5 + 0.15e-3))
 
 rows = [
-    ("tunneling, barrier up", f"{barrier_up.delta_ghz * 1e9:.1f} Hz", "~30 Hz",
-     "flagged 'at solver floor'" if barrier_up.at_solver_floor else ""),
+    ("tunneling, barrier up", f"{barrier_up.delta_ghz * 1e9:.1f} Hz", "~30 Hz", ""),
     ("tunneling, Ic = 2.375 uA", f"{suppressed.delta_ghz:.3f} GHz", "~2.6 GHz", ""),
     ("bias splitting, 0.15 mPhi0", f"{biased.epsilon_ghz:.3f} GHz", "~2.7 GHz", "barrier up"),
     ("effective mutual M^2/L_b", f"{fb.effective_mutual(bus):.3f} fH", "~2 fH", ""),

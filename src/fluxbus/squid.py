@@ -8,29 +8,19 @@ on a uniform flux grid with Dirichlet boundaries and reduces the two lowest
 levels to two-level qubit parameters: tunneling splitting ``delta``, bias
 asymmetry ``epsilon`` and persistent current ``i_p``.
 
-At the symmetric bias (Phi_x at the grid centre) the discrete operator is
-mirror symmetric, so it is solved as two independent half-size tridiagonal
-problems, one per parity sector.  Level j has parity (-1)^j, so each sector
-supplies every other level; the energies are sorted on return because the two
-partners of a deep-well doublet agree only to rounding.  Every level then has
-exact parity, however near-degenerate its partner.
-
-A sector that supplies a single level (both sectors for the two-level
-reduction, which is every solve of ``extract_two_level`` and of the
-calibration) finds its ground state by inverse iteration: the sector block
-minus a shift is factored once (LAPACK ``dpttrf``) and solved repeatedly from
-a positive start vector.  The even sector is shifted to min U, a lower bound
-on every level because the Dirichlet kinetic term is positive definite and
-each sector is an invariant subspace.  The odd sector's level lies above the
-even ground energy just found, so it is shifted a few tolerances below that
-energy: much nearer its level, which cuts its steps (to 2 for a deep-well
-doublet).  ``dpttrf`` fails unless a shift lies below its sector's spectrum,
-so it certifies both.  The start vector overlaps the ground state because the
-negative bonds make that state positive (Perron-Frobenius).  Each step is
-screened with the residual read from the solve it already made, and
-convergence is confirmed by the exact residual, so only the last step or two
-pay for a product with the sector block.  Sectors that supply several levels,
-and the biased full grid, use LAPACK bisection.
+Every grid is centred on Phi0/2, so at the symmetric bias the discrete
+operator is mirror symmetric and is solved as two independent half-size
+tridiagonal problems, one per parity sector.  Level j has parity (-1)^j, so
+each sector supplies every other level, with exact parity however
+near-degenerate its partner.  The splitting ``delta`` is not the difference
+of two ~1300 GHz level energies, which would lose a deep-well splitting to
+rounding: the two sector blocks differ only at the mirror plane, so it
+follows from the two sector ground vectors alone (the discrete form of
+Herring's flux formula for a symmetric double well; Landau and Lifshitz,
+*Quantum Mechanics*, Sec. 50), with full relative precision at any depth.
+A sector that supplies one level (both, in every two-level solve) finds it
+by inverse iteration (see ``solve_levels``); the other sectors and the
+biased full grid use LAPACK bisection.
 
 Conventions
 -----------
@@ -73,10 +63,9 @@ __all__ = [
     "IC_BRACKET_UA",
 ]
 
-# Splittings smaller than this, relative to the absolute level energies, sit
-# at the double-precision noise floor of the eigensolver and are flagged.
-SOLVER_FLOOR_REL = 1e-9
-
+# How far (Phi0) a window's centre may sit from Phi0/2, and the bias from that
+# centre, for the mirror-symmetric solve.
+_CENTRE_TOL = 1e-12
 # Probability mass allowed in the outer 5% of the grid before the window is
 # declared too small.
 _EDGE_MASS_LIMIT = 1e-6
@@ -146,7 +135,8 @@ def beta_l(params: SquidParams) -> float:
 class FluxGrid:
     """Uniform flux grid (units of Phi0) for the discretized Hamiltonian.  The
     default window [-0.25, 1.25] Phi0 holds both wells at the symmetric point,
-    and 4097 points resolve near-degenerate splittings."""
+    and 4097 points resolve near-degenerate splittings.  Every window is
+    centred on Phi0/2, so the symmetric bias is mirror symmetric on it."""
 
     phi_min: float = -0.25
     phi_max: float = 1.25
@@ -155,6 +145,8 @@ class FluxGrid:
     def __post_init__(self):
         if not self.phi_min < self.phi_max:
             raise ValueError(f"phi_min must be below phi_max = {self.phi_max!r}, got {self.phi_min!r}")
+        if not abs(self.center - 0.5) < _CENTRE_TOL:
+            raise ValueError(f"phi_min must mirror phi_max = {self.phi_max!r} about 0.5 Phi0, got {self.phi_min!r}")
         if self.n_points < MIN_GRID_POINTS:
             raise ValueError(f"n_points must be at least {MIN_GRID_POINTS}, got {self.n_points!r}")
 
@@ -176,30 +168,24 @@ class EigenSolution:
     """Lowest-k eigenpairs on a flux grid.
 
     ``energies`` ascend and are E/h in GHz; ``wavefunctions`` has one row per
-    level, normalized so that sum(psi^2) * dphi = 1.
+    level, normalized so that sum(psi^2) * dphi = 1.  ``gap`` is E1 - E0; at
+    the symmetric bias it is the splitting from the parity ground vectors,
+    exact however small, and ``energies[1]`` is ``energies[0] + gap``.
     """
 
     energies: np.ndarray
     wavefunctions: np.ndarray
     grid: FluxGrid
-
-    @property
-    def gap(self) -> float:
-        return float(self.energies[1] - self.energies[0])
+    gap: float
 
 
 @dataclass(frozen=True)
 class TwoLevelParams:
-    """Two-level reduction of one rf-SQUID.
-
-    ``at_solver_floor`` marks tunneling splittings too small relative to the
-    absolute level energies to be trusted beyond a factor ~2.
-    """
+    """Two-level reduction of one rf-SQUID."""
 
     delta_ghz: float
     epsilon_ghz: float
     i_p_ua: float
-    at_solver_floor: bool = False
 
 
 def potential(params: SquidParams, phi) -> np.ndarray | float:
@@ -235,6 +221,14 @@ def _tridiagonal_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.
     return tx
 
 
+def _factor_below(diag: np.ndarray, off: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """``dpttrf`` of a block minus ``shift``; fails unless the shift is below every level."""
+    factor_d, factor_e, info = dpttrf(diag - shift, off)
+    if info != 0:
+        raise NumericalError(f"shift {shift:.6g} GHz is not below the parity sector's spectrum")
+    return factor_d, factor_e
+
+
 def _ground_state(diag: np.ndarray, off: np.ndarray, shift: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenpair of a tridiagonal block with negative bonds, by inverse
     iteration with a fixed ``shift`` below its spectrum.
@@ -259,9 +253,7 @@ def _ground_state(diag: np.ndarray, off: np.ndarray, shift: float, tol: float) -
     iterate of norm 0 or not finite (the sector's scale under- or overflows
     double precision) raises ``NumericalError``.
     """
-    factor_d, factor_e, info = dpttrf(diag - shift, off)
-    if info != 0:
-        raise NumericalError(f"shift {shift:.6g} GHz is not below the parity sector's spectrum")
+    factor_d, factor_e = _factor_below(diag, off, shift)
     x = np.full(diag.size, 1.0 / math.sqrt(diag.size))
     # An overflowing norm is refused below, so it need not warn.
     with np.errstate(over="ignore"):
@@ -283,9 +275,9 @@ def _ground_state(diag: np.ndarray, off: np.ndarray, shift: float, tol: float) -
     raise NumericalError(f"inverse iteration did not converge in {_INVERSE_ITERATIONS} steps")
 
 
-def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``k`` eigenpairs of a mirror-symmetric tridiagonal matrix with
-    constant off-diagonal ``off``, solved in its even and odd sectors.
+def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lowest ``k`` eigenpairs and the gap E1 - E0 of a mirror-symmetric
+    tridiagonal matrix with constant off-diagonal ``off``, by parity sector.
 
     In the basis (e_i +- e_{n-1-i})/sqrt(2) of mirror pairs the matrix splits
     into two half-size tridiagonal blocks.  For odd n the centre point belongs
@@ -301,6 +293,13 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
     above the even ground energy, which the Rayleigh quotient or bisection
     misses only by rounding (~eps |T|, about ``tol``/30), so it is shifted
     4 ``tol`` below that energy, which ``dpttrf`` certifies as it factors.
+
+    The two blocks differ only at the mirror plane, so applying both to their
+    ground vectors u (even) and v (odd) leaves (E1 - E0) u.v equal to that
+    border term alone, with no energies subtracted: delta = -sqrt(2) off u[m]
+    v[m-1] / (u[:m].v) for odd n, -2 off u[m-1] v[m-1] / (u.v) for even n.
+    Each vector first takes one more step, shifted 4 ``tol`` below its own
+    energy, which strips the higher levels it still carries at residual ``tol``.
     """
     n = diag.size
     m = n // 2
@@ -317,10 +316,20 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
     min_u = float(np.min(diag)) + 2.0 * off  # below every level
 
     def sector(block, count, shift):
-        return _ground_state(*block, shift, tol) if count == 1 else _lowest(*block, count)
+        energies, vectors = _ground_state(*block, shift, tol) if count == 1 else _lowest(*block, count)
+        # 4 tol, the level's distance to the shift, keeps |y| near 1 at any scale.
+        y, _ = dpttrs(*_factor_below(*block, float(energies[0]) - 4.0 * tol), 4.0 * tol * vectors[:, 0])
+        vectors[:, 0] = y / np.linalg.norm(y)
+        return energies, vectors
 
     e_even, x_even = sector(even, (k + 1) // 2, min_u)
     e_odd, x_odd = sector(odd, k // 2, float(e_even[0]) - 4.0 * tol)
+    u, v = x_even[:, 0], x_odd[:, 0]
+    if n % 2:
+        gap = -math.sqrt(2.0) * off * u[m] * v[m - 1] / (u[:m] @ v)
+    else:
+        gap = -2.0 * off * u[m - 1] * v[m - 1] / (u @ v)
+    e_odd[0] = e_even[0] + gap
 
     # Mirror each half back onto the full grid.
     vectors = np.zeros((n, k))
@@ -333,7 +342,12 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
 
     energies = np.concatenate([e_even, e_odd])
     order = np.argsort(energies, kind="stable")
-    return energies[order], vectors[:, order]
+    return energies[order], vectors[:, order], float(gap)
+
+
+def _symmetric_bias(params: SquidParams, grid: FluxGrid) -> bool:
+    """Whether the bias sits at the grid's centre, where the potential is mirror symmetric."""
+    return abs(params.phi_x - grid.center) < _CENTRE_TOL
 
 
 def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) -> EigenSolution:
@@ -341,12 +355,11 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
 
     Symmetric three-point finite differences with Dirichlet boundaries; the
     resulting real symmetric tridiagonal problem is solved exactly for the
-    requested levels.  For a mirror-symmetric potential (bias at the grid
-    centre) the problem splits into independent even and odd sectors of half
-    the size; each returned level then has exact parity about the centre,
-    which keeps near-degenerate doublets clean, and the energies are sorted
-    because the sectors' doublet partners agree only to rounding at the
-    solver floor.
+    requested levels.  At the symmetric bias (Phi0/2, the grid centre) it
+    splits into even and odd sectors of half the size: each level has exact
+    parity, which keeps near-degenerate doublets clean, and the gap comes
+    from the two sectors' ground vectors with no energies subtracted, so it
+    keeps full relative precision at any depth.
 
     A parity sector that supplies one level (both sectors at k = 2, the odd
     one at k = 3) finds it by inverse iteration from a positive start vector,
@@ -358,8 +371,9 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
     screened with the residual read from each solve, and convergence is
     confirmed by the exact residual.  The other sectors and the biased full
     grid, which must resolve several close levels in one problem, use LAPACK
-    bisection (``eigh_tridiagonal``).  Every level then passes the same
-    residual and edge-mass checks.
+    bisection (``eigh_tridiagonal``).  Each sector's ground vector takes one
+    more step, 4 tolerances below its own energy, before the gap is formed.
+    Every level then passes the same residual and edge-mass checks.
 
     Raises
     ------
@@ -393,14 +407,11 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
     # to its max-row-sum norm (which grows as 1/dphi^2 with the grid).
     tol = _RESIDUAL_PER_NORM * (float(np.max(np.abs(diag))) + 2.0 * kin / dphi**2)
 
-    symmetric = (
-        abs(params.phi_x - grid.center) < 1e-12
-        and float(np.max(np.abs(u - u[::-1]))) <= 1e-9 * (float(np.max(np.abs(u))) + 1.0)
-    )
-    if symmetric:
-        energies, vectors = _lowest_mirror_symmetric(diag, off[0], k, 0.5 * tol)
+    if _symmetric_bias(params, grid):
+        energies, vectors, gap = _lowest_mirror_symmetric(diag, off[0], k, 0.5 * tol)
     else:
         energies, vectors = _lowest(diag, off, k)
+        gap = float(energies[1] - energies[0])
 
     # Sign convention: positive at the left well (fall back to the dominant
     # component for states with a node there).
@@ -428,7 +439,7 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
                 f"level {j} has {mass:.2e} probability mass in the outer 5% of the window"
             )
 
-    return EigenSolution(energies=np.asarray(energies, dtype=float), wavefunctions=psi, grid=grid)
+    return EigenSolution(energies=np.asarray(energies, dtype=float), wavefunctions=psi, grid=grid, gap=gap)
 
 
 def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoLevelParams:
@@ -436,7 +447,7 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
 
     ``delta`` is the splitting at the symmetric point Phi0/2 (same L, C, Ic);
     ``epsilon`` is recovered from the biased gap via
-    epsilon = sqrt(gap^2 - delta^2), zero at the symmetric point; ``i_p`` is
+    epsilon = sqrt(gap^2 - delta^2), zero within 1e-12 Phi0 of that point; ``i_p`` is
     the circulating-current magnitude |<well| (Phi - Phi_x)/L_eff |well>| of
     the localized combinations (psi0 +- psi1)/sqrt(2).
 
@@ -449,8 +460,6 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
 
     sym = solve_levels(replace(params, phi_x=0.5), grid=grid)
     delta = sym.gap
-    scale = float(np.max(np.abs(sym.energies[:2])))
-    at_floor = delta < SOLVER_FLOOR_REL * max(scale, 1.0)
 
     phi = sym.grid.points
     dphi = sym.grid.spacing
@@ -461,13 +470,11 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
         ips.append(abs(float(np.sum(well**2 * current_ua) * dphi)))
     i_p = 0.5 * (ips[0] + ips[1])
 
-    if abs(params.phi_x - 0.5) < 1e-15:
-        epsilon = 0.0
-    else:
-        gap_biased = solve_levels(params, grid=grid).gap
-        epsilon = math.sqrt(max(gap_biased**2 - delta**2, 0.0))
+    epsilon = 0.0
+    if not _symmetric_bias(params, sym.grid):
+        epsilon = math.sqrt(max(solve_levels(params, grid=grid).gap ** 2 - delta**2, 0.0))
 
-    return TwoLevelParams(delta_ghz=delta, epsilon_ghz=epsilon, i_p_ua=i_p, at_solver_floor=at_floor)
+    return TwoLevelParams(delta_ghz=delta, epsilon_ghz=epsilon, i_p_ua=i_p)
 
 
 def calibrate_critical_current(
@@ -481,9 +488,7 @@ def calibrate_critical_current(
     delta(Ic) is monotone decreasing on the bistable branch, so a sign-safe
     bisection over ``bracket`` (uA) suffices.  Stops at |delta - target| <=
     ``_CALIBRATION_REL_TOL`` * target, when the Ic bracket narrows below 1e-6
-    uA (targets near the solver floor never satisfy the delta test; the
-    bracket width bound keeps Ic well determined), or after
-    ``_CALIBRATION_STEPS`` steps.
+    uA, or after ``_CALIBRATION_STEPS`` steps.
 
     The target must lie in [delta(hi), delta(lo)] of the given bracket.  The
     bisection proves that at each end it moves off: lo moves only to a
@@ -491,9 +496,7 @@ def calibrate_critical_current(
     most the target, and delta(Ic) is monotone.  So an end is solved only if
     the bisection never moved off it.  If the target is not enclosed, or a
     midpoint solve fails, both ends are solved in the order an up-front check
-    would solve them, which raises the same error.  At the solver floor the
-    computed delta need not be monotone, so there a target just outside the
-    bracket can calibrate.
+    would solve them, which raises the same error.
 
     Raises ``ValueError`` for a target that is not positive or a bracket that
     breaks 0 <= lo < hi, before any solve, and ``NumericalError`` if the

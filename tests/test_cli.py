@@ -95,12 +95,14 @@ class TestCalibrate:
         report = cmd_calibrate(cfg)
         assert abs(report.derived["delta_GHz"] - 2.6) <= 0.52
         assert abs(report.derived["calibrated_Ic_uA"] - 2.375) <= 0.24
-        assert report.flags["double_well"]
-        assert not report.flags["delta_at_solver_floor"]
+        assert report.flags == {"double_well": True}
 
-    def test_unsuppressed_flags_floor(self):
+    def test_unsuppressed_reports_its_pi_pulse(self):
+        # The 32 Hz splitting is exact, so it is reported like any other.
         report = cmd_calibrate({"L_pH": 150.0, "C_fF": 80.0, "Ic_uA": 3.0})
-        assert report.flags["delta_at_solver_floor"]
+        assert report.derived["delta_GHz"] == pytest.approx(3.2265624686e-08, rel=1e-9)
+        assert report.derived["pi_pulse_ns"] == 1.0 / (2.0 * report.derived["delta_GHz"])
+        assert report.flags == {"double_well": True} and report.notes == []
 
     def test_harmonic_branch(self):
         report = cmd_calibrate({"L_pH": 150.0, "C_fF": 80.0, "Ic_uA": 0.0})
@@ -108,6 +110,15 @@ class TestCalibrate:
         assert report.derived["harmonic_spacing_GHz"] == pytest.approx(45.944, abs=0.01)
         assert report.derived["level_gap_GHz"] == pytest.approx(45.944, rel=1e-3)
         assert "delta_GHz" not in report.derived
+
+    def test_deep_well_sweep_strictly_decreasing(self):
+        # Ic 3.1-3.5 uA takes the splitting from ~1 nGHz to ~3e-16 GHz, far
+        # below the rounding of the ~1300 GHz level energies.
+        cfg = {"L_pH": 150.0, "C_fF": 80.0, "Ic_uA": 3.0, "sweep_Ic_lo_uA": 3.1, "sweep_Ic_hi_uA": 3.5,
+               "sweep_points": 41}
+        report = cmd_calibrate(cfg)
+        deltas = np.array([report.derived[f"sweep[{i}].delta_GHz"] for i in range(41)])
+        assert np.all(deltas > 0.0) and np.all(np.diff(deltas) < 0.0)
 
     def test_sweep_monotone(self):
         cfg = {
@@ -246,15 +257,16 @@ class TestMainExitCodes:
         assert fine["calibrated_Ic_uA"] == pytest.approx(default["calibrated_Ic_uA"], rel=1e-3)
 
     def test_any_grid_key_builds_the_grid(self, cfg_file, capsys):
-        # phi_window_hi alone narrows the window like it does next to grid_points.
+        # grid_points alone coarsens the grid like it does next to the window keys.
         deltas = []
-        for extra in ("", "phi_window_hi = 0.9\n", "phi_window_hi = 0.9\ngrid_points = 4097\n"):
+        window = "phi_window_lo = -0.25\nphi_window_hi = 1.25\n"
+        for extra in ("", "grid_points = 2049\n", "grid_points = 2049\n" + window):
             assert main(["calibrate", "--config", cfg_file(SQUID_CFG + extra), "--format", "records"]) == 0
             records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
             deltas.append(next(r["value"] for r in records if r["section"] == "derived" and r["key"] == "delta_GHz"))
-        default, window, window_and_points = deltas
-        assert window == window_and_points == pytest.approx(3.206309884262737e-08, rel=1e-12)
-        assert window != default
+        default, points, points_and_window = deltas
+        assert points == points_and_window == pytest.approx(3.2310218992245635e-08, rel=1e-12)
+        assert points != default
 
     def test_simulate_and_compile(self, cfg_file, tmp_path, capsys):
         cfg = cfg_file(SIM_CFG)
@@ -363,8 +375,8 @@ class TestMainExitCodes:
         assert main(["design", "--config", path]) == 3
         assert capsys.readouterr().err.startswith("error[numerical]:")
 
-    def test_solver_floor_calibrate(self, cfg_file, capsys):
-        # a ~5e-11 GHz splitting: flagged at the solver floor, still exit 0 and valid JSON
+    def test_deep_well_calibrate(self, cfg_file, capsys):
+        # a ~2.4e-11 GHz splitting: exit 0 and valid JSON, with its pi pulse
         path = cfg_file("L_pH = 135.6\nC_fF = 99.9\nIc_uA = 3.4\n")
         assert main(["calibrate", "--config", path, "--format", "records"]) == 0
 
@@ -373,12 +385,13 @@ class TestMainExitCodes:
 
         lines = capsys.readouterr().out.splitlines()
         records = {r["key"]: r["value"] for r in (json.loads(line, parse_constant=reject) for line in lines)}
-        assert records["delta_at_solver_floor"] is True
+        assert 1e-11 < records["delta_GHz"] < 1e-10
+        assert records["pi_pulse_ns"] == 1.0 / (2.0 * records["delta_GHz"])
 
     def test_zero_splitting_calibrate(self, cfg_file, capsys, monkeypatch):
         # a splitting that underflows to exactly 0: no pi pulse, still exit 0
         def underflowed(params, grid=None):
-            return TwoLevelParams(delta_ghz=0.0, epsilon_ghz=0.0, i_p_ua=2.9, at_solver_floor=True)
+            return TwoLevelParams(delta_ghz=0.0, epsilon_ghz=0.0, i_p_ua=2.9)
 
         monkeypatch.setattr(squidmod, "extract_two_level", underflowed)
         assert main(["calibrate", "--config", cfg_file(SQUID_CFG), "--format", "records"]) == 0
@@ -455,6 +468,9 @@ class TestMainExitCodes:
             pytest.param("calibrate", SQUID_CFG + "phi_window_lo = 1.25\nphi_window_hi = -0.25\n",
                          "config key phi_window_lo must be below phi_window_hi = -0.25, got 1.25",
                          id="phi_window-reversed"),
+            pytest.param("calibrate", SQUID_CFG + "phi_window_hi = 0.9\n",
+                         "config key phi_window_lo must mirror phi_window_hi = 0.9 about 0.5 Phi0, got -0.25",
+                         id="phi_window-off-centre"),
             pytest.param("calibrate", SQUID_CFG + "grid_points = 100\n", "config key grid_points must be at least 257",
                          id="grid_points-small"),
             pytest.param("calibrate", SQUID_CFG.replace("L_pH = 150", "L_pH = -1"), "config key L_pH must be positive",
@@ -627,7 +643,7 @@ class TestMainExitCodes:
             pytest.param("design", DESIGN_CFG.replace("Ic_uA = 3.0", "Ic_uA = 0.5"), None, 3,
                          "error[numerical]: beta_L = 0.228 <= 1: potential has a single well", id="no-double-well"),
             pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = 100\n", None, 3,
-                         "error[numerical]: target 100 GHz outside [3.226e-08, 26.34] GHz reachable on Ic bracket "
+                         "error[numerical]: target 100 GHz outside [3.227e-08, 26.34] GHz reachable on Ic bracket "
                          "[1.5, 3.0] uA", id="bracket"),
             pytest.param("design", SQUID_CFG + "M_pH = 10\nL_b_nH = 0.1\nN = 200\n", None, 3,
                          "error[numerical]: L_b - N M^2/L = -33.33 pH with N = 200: the bus is not passive "
@@ -773,7 +789,8 @@ class TestReproducePaper:
         by_name = {r["name"]: r for r in rows}
         assert by_name["effective_mutual_fH"]["computed"] == pytest.approx(2.0, abs=1e-9)
         assert by_name["N_max"]["computed"] == 1000
-        assert by_name["tunneling_unsuppressed_Hz"]["note"] == "at solver floor"
+        assert by_name["tunneling_unsuppressed_Hz"]["computed"] == pytest.approx(32.2656, rel=1e-5)
+        assert by_name["tunneling_unsuppressed_Hz"]["note"] == ""
         assert all(r["ok"] for r in rows)
 
     def test_cli_exit_zero_and_table(self, capsys):

@@ -599,7 +599,7 @@ def symmetric_squids(draw):
 
 @settings(PROPERTY, max_examples=60)
 @given(symmetric_squids())
-@example((SquidParams(157.5, 85.0, 3.0), FluxGrid(-0.25, 1.25, 4097), 2))  # a doublet at the solver floor
+@example((SquidParams(157.5, 85.0, 3.0), FluxGrid(-0.25, 1.25, 4097), 2))  # a doublet below the energies' rounding
 def test_parity_sectors_match_full_grid_spectrum(case):
     params, grid, k = case
     sol = solve_levels(params, grid, k=k)

@@ -1,12 +1,13 @@
 """Flux eigensolver and two-level extraction."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
+from splitting_oracle import splitting
 
 from fluxbus import squid as squidmod
 from fluxbus.constants import JOSEPHSON_GHZ_PER_UA, KINETIC_GHZ_FF, PHI0_PH_UA
@@ -80,7 +81,8 @@ class TestSolveLevels:
     def test_suppressed_splitting_near_2p6_ghz(self):
         sol = solve_levels(P_SUPPRESSED)
         assert abs(sol.gap - 2.6) <= 0.2 * 2.6
-        assert sol.gap == pytest.approx(2.570995640416868, rel=1e-6)
+        # splitting_oracle.splitting on this grid (2.5 s)
+        assert sol.gap == pytest.approx(2.570995640537408, rel=1e-12)
 
     def test_wavefunction_normalization_and_gram(self):
         sol = solve_levels(P_UNSUPPRESSED, k=4)
@@ -135,8 +137,9 @@ class TestSolveLevels:
             solve_levels(SquidParams(150.0, 80.0, 0.0), FluxGrid(0.42, 0.58, 513))
 
     def test_window_missing_well(self):
+        # the bias, and with it the only well, lies outside the window
         with pytest.raises(NumericalError, match="potential minimum at the grid edge"):
-            solve_levels(SquidParams(150.0, 80.0, 0.0), FluxGrid(0.6, 1.2, 513))
+            solve_levels(SquidParams(150.0, 80.0, 0.0, phi_x=0.9), FluxGrid(0.2, 0.8, 513))
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -144,7 +147,8 @@ class TestSolveLevels:
 
 
 class TestDeepWellDoublets:
-    """Deep symmetric double wells, whose doublet partners agree to rounding."""
+    """Deep symmetric double wells, whose doublet partners' energies agree to
+    rounding."""
 
     @pytest.mark.parametrize(
         "params, grid, k",
@@ -157,7 +161,7 @@ class TestDeepWellDoublets:
     def test_doublet_solves_with_exact_parity(self, params, grid, k):
         sol = solve_levels(params, grid, k=k)
         assert np.all(np.diff(sol.energies) >= 0.0) and sol.gap >= 0.0
-        assert sol.gap < 1e-9 * sol.energies[0]  # a doublet at the solver floor
+        assert 0.0 < sol.gap < 1e-9 * sol.energies[0]  # a doublet below the energies' rounding
         parities = [
             1 if np.array_equal(psi[::-1], psi) else -1 if np.array_equal(psi[::-1], -psi) else 0
             for psi in sol.wavefunctions
@@ -165,6 +169,15 @@ class TestDeepWellDoublets:
         assert sorted(parities) == sorted([1] * ((k + 1) // 2) + [-1] * (k // 2))
         gram = sol.wavefunctions @ sol.wavefunctions.T * sol.grid.spacing
         assert np.max(np.abs(gram - np.eye(k))) < 1e-12
+
+
+@pytest.mark.parametrize("n_points", [513, 514])
+@pytest.mark.parametrize("ic_ua", [2.375, 3.0, 3.5])
+def test_gap_matches_exact_splitting(ic_ua, n_points):
+    # From 2.57 GHz down to 3e-16 GHz, 16 orders below the level energies:
+    # the gap agrees with the full grid's 40-digit Sturm bisection.
+    params, grid = replace(P_UNSUPPRESSED, ic_ua=ic_ua), FluxGrid(n_points=n_points)
+    assert solve_levels(params, grid).gap == pytest.approx(splitting(params, grid), rel=1e-12)
 
 
 class TestSectorGroundState:
@@ -370,18 +383,25 @@ def test_screened_iteration_matches_exact_test_on_every_step(monkeypatch):
 
 
 class TestExtractTwoLevel:
-    def test_unsuppressed_at_solver_floor(self):
+    def test_unsuppressed_splitting_is_exact(self):
+        # 32.2656 Hz, splitting_oracle.splitting on the default grid (the
+        # level energies' difference read 32.2625 Hz)
         tlp = extract_two_level(P_UNSUPPRESSED)
-        assert tlp.at_solver_floor
-        assert 10e-9 <= tlp.delta_ghz <= 90e-9
+        assert tlp.delta_ghz == pytest.approx(3.2265624686460354e-08, rel=1e-12)
 
-    def test_suppressed_not_flagged(self):
+    def test_suppressed_splitting_near_2p6_ghz(self):
         tlp = extract_two_level(P_SUPPRESSED)
-        assert not tlp.at_solver_floor
         assert abs(tlp.delta_ghz - 2.6) <= 0.52
 
-    def test_epsilon_zero_at_symmetry(self):
-        assert extract_two_level(P_UNSUPPRESSED).epsilon_ghz == 0.0
+    def test_epsilon_zero_at_symmetry(self, monkeypatch):
+        # A bias within 1e-12 of Phi0/2 is the symmetric point, as it is for
+        # solve_levels: one solve, and no biased one.
+        solves = []
+        monkeypatch.setattr(squidmod, "solve_levels", lambda *args, **kw: solves.append(1) or solve_levels(*args, **kw))
+        for phi_x in (0.5, 0.5 + 5e-13):
+            solves.clear()
+            assert extract_two_level(replace(P_UNSUPPRESSED, phi_x=phi_x)).epsilon_ghz == 0.0
+            assert len(solves) == 1
 
     def test_epsilon_at_design_offset_barrier_up(self):
         # Barrier up (Ic = 3 uA): the 0.15 mPhi0 offset splits the wells by
@@ -436,11 +456,12 @@ class TestCalibration:
             calibrate_critical_current(P_UNSUPPRESSED, 100.0, bracket=(2.0, 3.0))
 
     def test_monotone_decreasing_on_design_bracket(self):
-        deltas = [
-            solve_levels(replace(P_UNSUPPRESSED, ic_ua=ic)).gap
-            for ic in (2.0, 2.2, 2.375, 2.5, 2.7, 3.0)
-        ]
-        assert all(a > b for a, b in zip(deltas, deltas[1:]))
+        # Ic 2.8-3.5 uA takes the splitting from 3e-5 to 3e-16 GHz, below the
+        # rounding of the level energies, where only the exact splitting is
+        # strictly decreasing.
+        ics = np.concatenate([[2.0, 2.2, 2.375, 2.5, 2.7], np.linspace(2.8, 3.5, 71)])
+        deltas = np.array([solve_levels(replace(P_UNSUPPRESSED, ic_ua=ic)).gap for ic in ics])
+        assert np.all(deltas > 0.0) and np.all(np.diff(np.log(deltas)) < 0.0)
 
     @pytest.mark.parametrize("end", [0, 1])
     def test_an_end_the_bisection_never_left_is_solved_once(self, monkeypatch, end):
@@ -527,7 +548,8 @@ def _outcome(calibrate, *args):
 def test_calibration_matches_eager_bracket_check(seed, kind):
     # Seeded random SQUIDs and brackets around beta_L = 1, targets drawn
     # log-uniform inside the bracket's splittings, above and below them, and
-    # near the solver floor on deep-well brackets (beta_L 1.25-1.6).
+    # of 1e-12-1e-7 GHz on deep-well brackets (beta_L 1.25-1.6).  Every
+    # returned Ic re-solves within the calibration's tolerance of its target.
     grid = FluxGrid(n_points=1025)
     rng = np.random.default_rng(seed)
     raised = set()
@@ -549,7 +571,10 @@ def test_calibration_matches_eager_bracket_check(seed, kind):
         expected = _outcome(_eager_calibration, params, target, bracket, grid)
         assert _outcome(calibrate_critical_current, params, target, bracket, grid) == expected
         raised.add(expected.startswith("NumericalError"))
-    # Near the floor some targets are enclosed and some are not.
+        if not expected.startswith("NumericalError"):
+            resolved = solve_levels(replace(params, ic_ua=float.fromhex(expected)), grid).gap
+            assert abs(resolved - target) <= squidmod._CALIBRATION_REL_TOL * target
+    # On the deep-well brackets some targets are enclosed and some are not.
     assert raised == {"inside": {False}, "above": {True}, "below": {True}, "floor": {False, True}}[kind]
 
 
@@ -590,6 +615,12 @@ class TestValidation:
             FluxGrid(0.0, math.nan, 513)
         with pytest.raises(ValueError, match=r"^n_points must be at least 257, got 128$"):
             FluxGrid(0.0, 1.0, 128)
+        # every window is centred on Phi0/2, within 1e-12
+        with pytest.raises(ValueError, match=r"^phi_min must mirror phi_max = 0\.9 about 0\.5 Phi0, got -0\.25$"):
+            FluxGrid(-0.25, 0.9, 513)
+        with pytest.raises(ValueError, match=r"^phi_min must mirror phi_max = inf about 0\.5 Phi0, got 0\.0$"):
+            FluxGrid(0.0, math.inf, 513)
+        assert FluxGrid(-0.25 + 4e-13, 1.25 + 4e-13, 513).n_points == 513
 
     @pytest.mark.parametrize(
         "target, bracket, message",
@@ -615,4 +646,4 @@ class TestValidation:
 
     def test_two_level_params_fields(self):
         tlp = TwoLevelParams(2.6, 0.0, 2.85)
-        assert tlp.delta_ghz == 2.6 and not tlp.at_solver_floor
+        assert astuple(tlp) == (2.6, 0.0, 2.85)
