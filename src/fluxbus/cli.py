@@ -481,10 +481,12 @@ def cmd_compile(cfg: dict, circuit_text: str, mode: str | None = None) -> dict:
     }
 
 
-# Quoted design values of the reproduced parameter study, with tolerances.
-_DESIGN_SQUID = {"L_pH": 150.0, "C_fF": 80.0, "Ic_uA": 3.0}
+# The paper's design point, as demos/design.cfg states it, and the two
+# variants of its SQUID that the splitting rows read.
+_DESIGN_POINT = {"L_pH": 150, "C_fF": 80, "Ic_uA": 3.0, "M_pH": 2, "L_b_nH": 2, "N": 1000, "k_geom": 1.0, "R_uOhm": 1.0}
 _IC_SUPPRESSED = 2.375
 _BIAS_OFFSET = 0.15e-3
+# Quoted design values of the reproduced parameter study.
 _QUOTED = {
     "tunneling_unsuppressed_Hz": 30.0,
     "tunneling_suppressed_GHz": 2.6,
@@ -497,25 +499,20 @@ _QUOTED = {
 
 
 def cmd_reproduce_paper() -> tuple[list, bool]:
-    """Recompute the quoted design numbers and compare at their tolerances.
+    """Compare the quoted design numbers, at their tolerances, with the
+    ``calibrate`` and ``design`` reports of the design point; returns the rows
+    and the overall verdict.
 
-    Returns the rows and the overall verdict.  The pi-pulse row compares
-    2 x (1/(2 delta)) against the quoted 0.4 ns: the quoted time corresponds
-    to 1/delta, a factor-2 convention gap that is flagged, not hidden.
+    The splittings and the pi pulse come from ``calibrate`` (the design SQUID
+    0.15 mPhi0 off Phi0/2, and at the suppressed Ic), M_eff, J and N_max from
+    ``design``.  The pi-pulse row compares 2 x (1/(2 delta)) against the
+    quoted 0.4 ns: the quoted time corresponds to 1/delta, a factor-2
+    convention gap that is flagged, not hidden.
     """
-    squid = SquidParams(_DESIGN_SQUID["L_pH"], _DESIGN_SQUID["C_fF"], _DESIGN_SQUID["Ic_uA"])
-    bus = BusParams(l_b_nh=2.0, m_ph=2.0, n_qubits=1000)
-
-    tlp_unsuppressed = squidmod.extract_two_level(squid)
-    suppressed = replace(squid, ic_ua=_IC_SUPPRESSED)
-    tlp_suppressed = squidmod.extract_two_level(suppressed)
-    biased = replace(squid, phi_x=0.5 + _BIAS_OFFSET)
-    tlp_biased = squidmod.extract_two_level(biased)
-
-    m_eff = busmod.effective_mutual(bus)
-    j_mhz = busmod.coupling_strength(tlp_unsuppressed, bus)
-    n_max = busmod.max_qubits(bus)
-    pi_pulse = 1.0 / (2.0 * tlp_suppressed.delta_ghz)
+    squid = {key: _DESIGN_POINT[key] for key in ("L_pH", "C_fF", "Ic_uA")}
+    biased = cmd_calibrate({**squid, "phi_x_Phi0": 0.5 + _BIAS_OFFSET}).derived
+    suppressed = cmd_calibrate({**squid, "Ic_uA": _IC_SUPPRESSED}).derived
+    design = cmd_design(_DESIGN_POINT).derived
 
     def ratio_within(factor):
         return lambda c, q: c > 0 and 1.0 / factor <= c / q <= factor
@@ -526,15 +523,15 @@ def cmd_reproduce_paper() -> tuple[list, bool]:
         return {"name": name, "computed": computed, "quoted": quoted, "tolerance": tolerance, "ok": ok, "note": note}
 
     rows = [
-        compare("tunneling_unsuppressed_Hz", tlp_unsuppressed.delta_ghz * 1e9, "x/3 to x3", ratio_within(3.0)),
-        compare("tunneling_suppressed_GHz", tlp_suppressed.delta_ghz, "+-20%", lambda c, q: abs(c - q) <= 0.2 * q,
+        compare("tunneling_unsuppressed_Hz", biased["delta_GHz"] * 1e9, "x/3 to x3", ratio_within(3.0)),
+        compare("tunneling_suppressed_GHz", suppressed["delta_GHz"], "+-20%", lambda c, q: abs(c - q) <= 0.2 * q,
                 f"Ic = {_IC_SUPPRESSED} uA"),
-        compare("bias_splitting_GHz", tlp_biased.epsilon_ghz, "x/2 to x2", ratio_within(2.0),
+        compare("bias_splitting_GHz", biased["epsilon_GHz"], "x/2 to x2", ratio_within(2.0),
                 "0.15 mPhi0 offset, barrier up"),
-        compare("effective_mutual_fH", m_eff, "exact", lambda c, q: abs(c - q) <= 1e-9),
-        compare("coupling_J_MHz", j_mhz, "x/2 to x2", ratio_within(2.0), f"i_p = {tlp_unsuppressed.i_p_ua:.4g} uA"),
-        compare("N_max", n_max, "exact", lambda c, q: c == q),
-        compare("pi_pulse_ns", pi_pulse, "+-25% after x2", lambda c, q: abs(2.0 * c - q) <= 0.25 * q,
+        compare("effective_mutual_fH", design["M_eff_fH"], "exact", lambda c, q: abs(c - q) <= 1e-9),
+        compare("coupling_J_MHz", design["J_MHz"], "x/2 to x2", ratio_within(2.0), f"i_p = {design['i_p_uA']:.4g} uA"),
+        compare("N_max", design["N_max"], "exact", lambda c, q: c == q),
+        compare("pi_pulse_ns", suppressed["pi_pulse_ns"], "+-25% after x2", lambda c, q: abs(2.0 * c - q) <= 0.25 * q,
                 "convention factor <= 2"),
     ]
     return rows, all(row["ok"] for row in rows)

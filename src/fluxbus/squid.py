@@ -451,6 +451,12 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
     the circulating-current magnitude |<well| (Phi - Phi_x)/L_eff |well>| of
     the localized combinations (psi0 +- psi1)/sqrt(2).
 
+    The biased gap is E1 - E0 of the full grid, whose subtraction of two
+    ~1300 GHz energies carries ~1e-10 GHz of rounding.  So epsilon loses
+    relative precision at offsets below ~1e-10 Phi0: for the design SQUID
+    (150 pH, 80 fF, 3 uA) epsilon/offset holds to 1e-6 from 1e-4 down to
+    1e-9 Phi0, and is 4.7e-4 off at 1e-11 Phi0.
+
     Raises ``NumericalError`` when beta_L <= 1.
     """
     if beta_l(params) <= 1.0:

@@ -23,6 +23,8 @@ from fluxbus.bus import BusParams
 from fluxbus.compiler import ControlParams, LogicalRegister
 from fluxbus.squid import FluxGrid, SquidParams, TwoLevelParams
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
 SQUID_CFG = """
 # design-point rf-SQUID
 L_pH = 150
@@ -792,6 +794,42 @@ class TestReproducePaper:
         assert by_name["tunneling_unsuppressed_Hz"]["computed"] == pytest.approx(32.2656, rel=1e-5)
         assert by_name["tunneling_unsuppressed_Hz"]["note"] == ""
         assert all(r["ok"] for r in rows)
+
+    def test_rows_are_the_calibrate_and_design_values(self):
+        # The table runs the commands users run: calibrate on the design SQUID
+        # 0.15 mPhi0 off Phi0/2 and at the suppressed Ic, and design on
+        # demos/design.cfg, whose J includes the bus loading of the SQUID.
+        design_cfg = parse_config(DEMOS / "design.cfg")
+        squid = {key: design_cfg[key] for key in ("L_pH", "C_fF", "Ic_uA")}
+        biased = cmd_calibrate({**squid, "phi_x_Phi0": 0.5 + 0.15e-3}).derived
+        suppressed = cmd_calibrate({**squid, "Ic_uA": 2.375}).derived
+        design = cmd_design(design_cfg).derived
+        rows = {row["name"]: row for row in cmd_reproduce_paper()[0]}
+        computed = {name: row["computed"] for name, row in rows.items()}
+        assert computed == {
+            "tunneling_unsuppressed_Hz": biased["delta_GHz"] * 1e9,
+            "tunneling_suppressed_GHz": suppressed["delta_GHz"],
+            "bias_splitting_GHz": biased["epsilon_GHz"],
+            "effective_mutual_fH": design["M_eff_fH"],
+            "coupling_J_MHz": design["J_MHz"],
+            "N_max": design["N_max"],
+            "pi_pulse_ns": suppressed["pi_pulse_ns"],
+        }
+        assert rows["coupling_J_MHz"]["note"] == f"i_p = {design['i_p_uA']:.4g} uA"
+        assert cli._DESIGN_POINT == design_cfg
+
+    def test_four_eigensolves(self, monkeypatch):
+        # Three symmetric solves (Ic 3.0 uA, 2.375 uA and the bus-loaded 3.0
+        # uA) and the one biased solve that epsilon needs.
+        biases, solve = [], squidmod.solve_levels
+
+        def spy(params, **kw):
+            biases.append(params.phi_x)
+            return solve(params, **kw)
+
+        monkeypatch.setattr(squidmod, "solve_levels", spy)
+        cmd_reproduce_paper()
+        assert sorted(biases) == [0.5, 0.5, 0.5, 0.5 + 0.15e-3]
 
     def test_cli_exit_zero_and_table(self, capsys):
         assert main(["reproduce-paper"]) == 0

@@ -410,6 +410,14 @@ class TestExtractTwoLevel:
         assert 2.7 / 2.0 <= tlp.epsilon_ghz <= 2.7 * 2.0
         assert tlp.epsilon_ghz == pytest.approx(2.670567846292215, rel=1e-5)
 
+    def test_epsilon_linear_in_small_offsets(self):
+        # epsilon comes from the biased grid's E1 - E0, whose ~1e-10 GHz of
+        # rounding stays below 1e-5 of epsilon down to a 1e-9 Phi0 offset
+        # (largest deviation 6.1e-7; at 1e-11 Phi0 it is 4.7e-4).
+        offsets = 10.0 ** -np.arange(4, 10)
+        per_offset = [extract_two_level(replace(P_UNSUPPRESSED, phi_x=0.5 + off)).epsilon_ghz / off for off in offsets]
+        assert np.max(np.abs(np.array(per_offset) / per_offset[0] - 1.0)) <= 1e-5
+
     def test_epsilon_at_design_offset_barrier_lowered(self):
         # With Ic suppressed to 2.375 uA the wells are shallow and carry a
         # smaller persistent current; the same offset gives ~1.06 GHz.

@@ -1,9 +1,12 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md names, and every
-script, console command and extra it calls exists."""
+"""The CI workflow runs the tier-1 command that ROADMAP.md names, every
+script, config, console command and extra it calls exists, and its
+``fluxbus`` steps exit 0."""
 
 import re
 import shlex
 from pathlib import Path
+
+from fluxbus.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
@@ -32,11 +35,22 @@ def test_every_called_script_exists():
     for command in runs.values():
         words = shlex.split(command)
         for word in words:
-            if word.endswith(".py"):
+            if word.endswith((".py", ".cfg")):
                 assert (ROOT / word).is_file(), word
         if words[0] == "fluxbus":
             assert 'fluxbus = "fluxbus.cli:main"' in PYPROJECT
     assert "pip install -e '.[test]'" in runs.values() and re.search(r"^test = \[", PYPROJECT, re.M)
+
+
+def test_every_fluxbus_step_runs(monkeypatch, capsys):
+    # The design step checks the bus arithmetic of the point whose J the
+    # reproduction table reports.
+    monkeypatch.chdir(ROOT)
+    commands = [shlex.split(run)[1:] for run in steps().values() if run.startswith("fluxbus ")]
+    assert [args[0] for args in commands] == ["reproduce-paper", "design"]
+    for args in commands:
+        assert main(args) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_oldest_pins_are_the_pyproject_floors():
