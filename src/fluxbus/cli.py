@@ -143,7 +143,7 @@ def _from_config(cfg: dict, build, keys: dict, **args):
 
 # Library parameters and their config keys; the Ic bracket is built from two.
 _SQUID_KEYS = {"l_ph": "L_pH", "c_ff": "C_fF", "ic_ua": "Ic_uA", "phi_x": "phi_x_Phi0"}
-_GRID_KEYS = {"phi_min": "phi_window_lo", "phi_max": "phi_window_hi", "n_points": "grid_points"}
+_GRID_KEYS = {"half_width": "phi_half_width_Phi0", "n_points": "grid_points"}
 _CALIBRATION_KEYS = {"target_delta_ghz": "target_delta_GHz", "bracket": "(bracket_lo_uA, bracket_hi_uA)"}
 _BUS_KEYS = {"l_b_nh": "L_b_nH", "m_ph": "M_pH", "n_qubits": "N", "k_geom": "k_geom"}
 _CONTROL_KEYS = {"delta_ghz": "delta_GHz", "epsilon_ghz": "epsilon_GHz", "j_mhz": "J_MHz", "mode": "mode"}

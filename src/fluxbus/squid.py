@@ -27,8 +27,8 @@ Conventions
 * ``delta`` is the observable splitting (E1 - E0)/h at the symmetric bias
   point Phi_x = Phi0/2; the qubit Hamiltonian uses -(delta/2) sigma_x so the
   gap equals ``delta``.
-* ``epsilon`` is the full well splitting produced by a bias offset, so the
-  biased two-level gap is sqrt(delta^2 + epsilon^2).
+* ``epsilon`` = 2 i_p |Phi_x - Phi0/2| is the full well splitting produced
+  by a bias offset, so the biased two-level gap is sqrt(delta^2 + epsilon^2).
 * A pi pulse at tunneling ``delta`` takes 1/(2 delta).
 """
 
@@ -36,12 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .constants import (
+    ENERGY_GHZ_PER_PH_UA2,
     FLUX_ENERGY_GHZ_PH,
     JOSEPHSON_GHZ_PER_UA,
     KINETIC_GHZ_FF,
@@ -63,8 +65,7 @@ __all__ = [
     "IC_BRACKET_UA",
 ]
 
-# How far (Phi0) a window's centre may sit from Phi0/2, and the bias from that
-# centre, for the mirror-symmetric solve.
+# How far (Phi0) the bias may sit from Phi0/2 for the mirror-symmetric solve.
 _CENTRE_TOL = 1e-12
 # Probability mass allowed in the outer 5% of the grid before the window is
 # declared too small.
@@ -133,34 +134,30 @@ def beta_l(params: SquidParams) -> float:
 
 @dataclass(frozen=True)
 class FluxGrid:
-    """Uniform flux grid (units of Phi0) for the discretized Hamiltonian.  The
-    default window [-0.25, 1.25] Phi0 holds both wells at the symmetric point,
-    and 4097 points resolve near-degenerate splittings.  Every window is
-    centred on Phi0/2, so the symmetric bias is mirror symmetric on it."""
+    """Uniform flux grid (units of Phi0) for the discretized Hamiltonian,
+    centred on Phi0/2 so that the symmetric bias is mirror symmetric on it.
+    The default half-width 0.75, the window [-0.25, 1.25] Phi0, holds both
+    wells at the symmetric point, and 4097 points resolve near-degenerate
+    splittings."""
 
-    phi_min: float = -0.25
-    phi_max: float = 1.25
+    half_width: float = 0.75
     n_points: int = 4097
 
     def __post_init__(self):
-        if not self.phi_min < self.phi_max:
-            raise ValueError(f"phi_min must be below phi_max = {self.phi_max!r}, got {self.phi_min!r}")
-        if not abs(self.center - 0.5) < _CENTRE_TOL:
-            raise ValueError(f"phi_min must mirror phi_max = {self.phi_max!r} about 0.5 Phi0, got {self.phi_min!r}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width!r}")
+        if not isinstance(self.n_points, Integral) or isinstance(self.n_points, bool):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < MIN_GRID_POINTS:
             raise ValueError(f"n_points must be at least {MIN_GRID_POINTS}, got {self.n_points!r}")
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(self.phi_min, self.phi_max, self.n_points)
+        return np.linspace(0.5 - self.half_width, 0.5 + self.half_width, self.n_points)
 
     @property
     def spacing(self) -> float:
-        return (self.phi_max - self.phi_min) / (self.n_points - 1)
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.phi_min + self.phi_max)
+        return 2.0 * self.half_width / (self.n_points - 1)
 
 
 @dataclass(frozen=True)
@@ -345,11 +342,6 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
     return energies[order], vectors[:, order], float(gap)
 
 
-def _symmetric_bias(params: SquidParams, grid: FluxGrid) -> bool:
-    """Whether the bias sits at the grid's centre, where the potential is mirror symmetric."""
-    return abs(params.phi_x - grid.center) < _CENTRE_TOL
-
-
 def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) -> EigenSolution:
     """Lowest ``k`` eigenpairs of the discretized loop Hamiltonian.
 
@@ -407,7 +399,7 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
     # to its max-row-sum norm (which grows as 1/dphi^2 with the grid).
     tol = _RESIDUAL_PER_NORM * (float(np.max(np.abs(diag))) + 2.0 * kin / dphi**2)
 
-    if _symmetric_bias(params, grid):
+    if abs(params.phi_x - 0.5) < _CENTRE_TOL:  # mirror symmetric about the grid's centre
         energies, vectors, gap = _lowest_mirror_symmetric(diag, off[0], k, 0.5 * tol)
     else:
         energies, vectors = _lowest(diag, off, k)
@@ -443,19 +435,14 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
 
 
 def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoLevelParams:
-    """Reduce the SQUID to two-level parameters.
+    """Reduce the SQUID to two-level parameters from one solve at the
+    symmetric point Phi0/2 (same L, C, Ic).
 
-    ``delta`` is the splitting at the symmetric point Phi0/2 (same L, C, Ic);
-    ``epsilon`` is recovered from the biased gap via
-    epsilon = sqrt(gap^2 - delta^2), zero within 1e-12 Phi0 of that point; ``i_p`` is
-    the circulating-current magnitude |<well| (Phi - Phi_x)/L_eff |well>| of
-    the localized combinations (psi0 +- psi1)/sqrt(2).
-
-    The biased gap is E1 - E0 of the full grid, whose subtraction of two
-    ~1300 GHz energies carries ~1e-10 GHz of rounding.  So epsilon loses
-    relative precision at offsets below ~1e-10 Phi0: for the design SQUID
-    (150 pH, 80 fF, 3 uA) epsilon/offset holds to 1e-6 from 1e-4 down to
-    1e-9 Phi0, and is 4.7e-4 off at 1e-11 Phi0.
+    ``delta`` is that solve's splitting; ``i_p`` is the circulating-current
+    magnitude |<well| (Phi - Phi_x)/L_eff |well>| of the localized
+    combinations (psi0 +- psi1)/sqrt(2); ``epsilon`` = 2 i_p |Phi_x - Phi0/2|
+    is the bias energy projected onto those two wells (Orlando et al., Phys.
+    Rev. B 60, 15398 (1999)), exactly linear in the offset and 0 at Phi0/2.
 
     Raises ``NumericalError`` when beta_L <= 1.
     """
@@ -475,10 +462,7 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
     for well in ((psi0 + psi1) / math.sqrt(2.0), (psi0 - psi1) / math.sqrt(2.0)):
         ips.append(abs(float(np.sum(well**2 * current_ua) * dphi)))
     i_p = 0.5 * (ips[0] + ips[1])
-
-    epsilon = 0.0
-    if not _symmetric_bias(params, sym.grid):
-        epsilon = math.sqrt(max(solve_levels(params, grid=grid).gap ** 2 - delta**2, 0.0))
+    epsilon = 2.0 * i_p * abs(params.phi_x - 0.5) * PHI0_PH_UA * ENERGY_GHZ_PER_PH_UA2
 
     return TwoLevelParams(delta_ghz=delta, epsilon_ghz=epsilon, i_p_ua=i_p)
 

@@ -19,8 +19,8 @@ DIGITS = 40
 def operator(params, grid):
     """The diagonal and the squared bond of the grid's tridiagonal operator,
     in mpmath at the working precision."""
-    lo = mp.mpf(grid.phi_min)
-    dphi = (mp.mpf(grid.phi_max) - lo) / (grid.n_points - 1)
+    lo = mp.mpf(0.5) - mp.mpf(grid.half_width)
+    dphi = 2 * mp.mpf(grid.half_width) / (grid.n_points - 1)
     kin = mp.mpf(KINETIC_GHZ_FF) / mp.mpf(params.c_ff) / dphi**2
     inductive = mp.mpf(FLUX_ENERGY_GHZ_PH) * mp.mpf(params.l_renorm_factor) / (2 * mp.mpf(params.l_ph))
     e_j = mp.mpf(JOSEPHSON_GHZ_PER_UA) * mp.mpf(params.ic_ua)

@@ -143,6 +143,11 @@ class TestCalibrate:
         keys = {r["key"] for r in records}
         assert {"delta_GHz", "beta_L", "i_p_uA"} <= keys
 
+    def test_biased_squid_solves_once(self, monkeypatch):
+        # epsilon is 2 i_p dPhi, from the one symmetric solve
+        cfg = {"L_pH": 150, "C_fF": 80, "Ic_uA": 3.0, "phi_x_Phi0": 0.50015}
+        assert _count_solves(monkeypatch, cmd_calibrate, cfg).derived["epsilon_GHz"] > 0.0
+
 
 class TestDesign:
     def test_design_point(self):
@@ -178,6 +183,18 @@ class TestDesign:
         assert main(["design", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error[numerical]:") and "not passive" in err and "N = 200" in err
+
+    def test_biased_design_solves_once(self, monkeypatch):
+        _count_solves(monkeypatch, cmd_design, parse_config(DEMOS / "design.cfg") | {"phi_x_Phi0": 0.50015})
+
+
+def _count_solves(monkeypatch, command, cfg):
+    """``command(cfg)``, asserting that it makes exactly one eigensolve."""
+    solves, solve = [], squidmod.solve_levels
+    monkeypatch.setattr(squidmod, "solve_levels", lambda *args, **kw: solves.append(1) or solve(*args, **kw))
+    report = command(cfg)
+    assert len(solves) == 1
+    return report
 
 
 def parse_config_text(text):
@@ -259,9 +276,9 @@ class TestMainExitCodes:
         assert fine["calibrated_Ic_uA"] == pytest.approx(default["calibrated_Ic_uA"], rel=1e-3)
 
     def test_any_grid_key_builds_the_grid(self, cfg_file, capsys):
-        # grid_points alone coarsens the grid like it does next to the window keys.
+        # grid_points alone coarsens the grid like it does next to the window key.
         deltas = []
-        window = "phi_window_lo = -0.25\nphi_window_hi = 1.25\n"
+        window = "phi_half_width_Phi0 = 0.75\n"
         for extra in ("", "grid_points = 2049\n", "grid_points = 2049\n" + window):
             assert main(["calibrate", "--config", cfg_file(SQUID_CFG + extra), "--format", "records"]) == 0
             records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -467,12 +484,16 @@ class TestMainExitCodes:
                          id="bracket-negative"),
             pytest.param("calibrate", SWEEP_CFG.replace("sweep_Ic_lo_uA = 2.0", "sweep_Ic_lo_uA = -1")
                          + "sweep_points = 3\n", "sweep_Ic_lo_uA = -1", id="sweep_Ic-negative"),
-            pytest.param("calibrate", SQUID_CFG + "phi_window_lo = 1.25\nphi_window_hi = -0.25\n",
-                         "config key phi_window_lo must be below phi_window_hi = -0.25, got 1.25",
+            pytest.param("calibrate", SQUID_CFG + "phi_half_width_Phi0 = -0.75\n",
+                         "config key phi_half_width_Phi0 must be positive and finite, got -0.75",
                          id="phi_window-reversed"),
+            # a window is centred on Phi0/2 by construction: an end of it is
+            # not a key
             pytest.param("calibrate", SQUID_CFG + "phi_window_hi = 0.9\n",
-                         "config key phi_window_lo must mirror phi_window_hi = 0.9 about 0.5 Phi0, got -0.25",
-                         id="phi_window-off-centre"),
+                         "config key phi_window_hi is not read by calibrate", id="phi_window-off-centre"),
+            pytest.param("calibrate", SQUID_CFG + "phi_half_width_Phi0 = 0\n",
+                         "config key phi_half_width_Phi0 must be positive and finite, got 0",
+                         id="phi_window-empty"),
             pytest.param("calibrate", SQUID_CFG + "grid_points = 100\n", "config key grid_points must be at least 257",
                          id="grid_points-small"),
             pytest.param("calibrate", SQUID_CFG.replace("L_pH = 150", "L_pH = -1"), "config key L_pH must be positive",
@@ -516,8 +537,8 @@ class TestMainExitCodes:
             ("calibrate", "phi_x_Phi0", "1"),
             ("calibrate", "grid_points", "100"),
             ("calibrate", "grid_points", "-5"),
-            ("calibrate", "phi_window_lo", "2"),
-            ("calibrate", "phi_window_hi", "-1"),
+            ("calibrate", "phi_half_width_Phi0", "0"),
+            ("calibrate", "phi_half_width_Phi0", "-1"),
             ("calibrate", "target_delta_GHz", "0"),
             ("calibrate", "bracket_lo_uA", "-1"),
             ("calibrate", "bracket_hi_uA", "1"),
@@ -526,8 +547,8 @@ class TestMainExitCodes:
             ("design", "Ic_uA", "-3"),
             ("design", "phi_x_Phi0", "-0.5"),
             ("design", "grid_points", "256"),
-            ("design", "phi_window_lo", "1.25"),
-            ("design", "phi_window_hi", "-0.25"),
+            ("design", "phi_half_width_Phi0", "-0.75"),
+            ("design", "phi_half_width_Phi0", "inf"),
             ("design", "M_pH", "-2"),
             ("design", "L_b_nH", "0"),
             ("design", "N", "1"),
@@ -557,10 +578,8 @@ class TestMainExitCodes:
             args += ["--circuit", str(tmp_path / "bell.circuit")]
         assert main(args) == 2
         err = capsys.readouterr().err
-        subject, _, rule = err.partition(" must ")
-        assert subject.startswith("error[config]: config key "), err
-        # the window rule leads with its lower end and names the upper one
-        assert key in subject or key in rule.partition(", got ")[0], err
+        subject, _, _ = err.partition(" must ")
+        assert subject.startswith("error[config]: config key ") and key in subject, err
 
     @pytest.mark.parametrize(
         "command, text, key",
@@ -571,6 +590,8 @@ class TestMainExitCodes:
             ("design", DESIGN_CFG + "target_delta_GHz = 2.6\n", "target_delta_GHz"),
             ("simulate", SIM_CFG + "L_pH = 150\n", "L_pH"),
             ("compile", SIM_CFG.replace("J_MHz", "J_mhz"), "J_mhz"),
+            # the window's two ends are one key, phi_half_width_Phi0
+            ("design", DESIGN_CFG + "phi_window_lo = -0.25\n", "phi_window_lo"),
         ],
     )
     def test_unread_key_refused(self, cfg_file, tmp_path, capsys, command, text, key):
@@ -606,7 +627,7 @@ class TestMainExitCodes:
     def test_design_reads_the_grid_keys(self, cfg_file, capsys):
         # design solves its SQUID on the configured grid, as calibrate does
         records = []
-        for extra in ("", "grid_points = 257\n", "phi_window_lo = -0.2\nphi_window_hi = 1.2\n"):
+        for extra in ("", "grid_points = 257\n", "phi_half_width_Phi0 = 0.7\n"):
             assert main(["design", "--config", cfg_file(DESIGN_CFG + extra), "--format", "records"]) == 0
             records.append({r["key"]: r["value"] for r in map(json.loads, capsys.readouterr().out.splitlines())})
         default, coarse, narrow = records
@@ -640,7 +661,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "command, text, circuit, code, err",
         [
-            pytest.param("calibrate", SQUID_CFG + "phi_window_lo = 0.45\nphi_window_hi = 0.55\n", None, 3,
+            pytest.param("calibrate", SQUID_CFG + "phi_half_width_Phi0 = 0.05\n", None, 3,
                          "error[numerical]: potential minimum at the grid edge; widen the window", id="window-edge"),
             pytest.param("design", DESIGN_CFG.replace("Ic_uA = 3.0", "Ic_uA = 0.5"), None, 3,
                          "error[numerical]: beta_L = 0.228 <= 1: potential has a single well", id="no-double-well"),
@@ -717,7 +738,7 @@ class TestLibraryDefaults:
             (
                 cmd_calibrate,
                 _SQUID,
-                {"grid_points": _GRID.n_points, "phi_window_lo": _GRID.phi_min, "phi_window_hi": _GRID.phi_max},
+                {"grid_points": _GRID.n_points, "phi_half_width_Phi0": _GRID.half_width},
             ),
             (
                 cmd_calibrate,
@@ -729,7 +750,7 @@ class TestLibraryDefaults:
             (
                 cmd_design,
                 {**_SQUID, "M_pH": 2, "L_b_nH": 2, "N": 1000},
-                {"grid_points": _GRID.n_points, "phi_window_lo": _GRID.phi_min, "phi_window_hi": _GRID.phi_max},
+                {"grid_points": _GRID.n_points, "phi_half_width_Phi0": _GRID.half_width},
             ),
             (
                 lambda cfg: cmd_simulate(cfg, BELL_CIRCUIT, mode="physical"),
@@ -818,9 +839,9 @@ class TestReproducePaper:
         assert rows["coupling_J_MHz"]["note"] == f"i_p = {design['i_p_uA']:.4g} uA"
         assert cli._DESIGN_POINT == design_cfg
 
-    def test_four_eigensolves(self, monkeypatch):
-        # Three symmetric solves (Ic 3.0 uA, 2.375 uA and the bus-loaded 3.0
-        # uA) and the one biased solve that epsilon needs.
+    def test_three_symmetric_eigensolves(self, monkeypatch):
+        # Ic 3.0 uA, 2.375 uA and the bus-loaded 3.0 uA: the biased row's
+        # epsilon is 2 i_p dPhi, from its symmetric solve.
         biases, solve = [], squidmod.solve_levels
 
         def spy(params, **kw):
@@ -829,7 +850,7 @@ class TestReproducePaper:
 
         monkeypatch.setattr(squidmod, "solve_levels", spy)
         cmd_reproduce_paper()
-        assert sorted(biases) == [0.5, 0.5, 0.5, 0.5 + 0.15e-3]
+        assert biases == [0.5, 0.5, 0.5]
 
     def test_cli_exit_zero_and_table(self, capsys):
         assert main(["reproduce-paper"]) == 0

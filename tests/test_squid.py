@@ -118,14 +118,14 @@ class TestSolveLevels:
 
     @pytest.mark.parametrize("params", [P_SUPPRESSED, P_UNSUPPRESSED])
     def test_grid_convergence(self, params):
-        coarse = solve_levels(params, FluxGrid(-0.25, 1.25, 4097))
-        fine = solve_levels(params, FluxGrid(-0.25, 1.25, 8193))
+        coarse = solve_levels(params, FluxGrid(n_points=4097))
+        fine = solve_levels(params, FluxGrid(n_points=8193))
         for a, b in zip(coarse.energies, fine.energies):
             assert abs(a - b) / abs(b) < 1e-6
 
     def test_near_degenerate_splitting_stable_under_refinement(self):
-        coarse = solve_levels(P_UNSUPPRESSED, FluxGrid(-0.25, 1.25, 4097))
-        fine = solve_levels(P_UNSUPPRESSED, FluxGrid(-0.25, 1.25, 8193))
+        coarse = solve_levels(P_UNSUPPRESSED, FluxGrid(n_points=4097))
+        fine = solve_levels(P_UNSUPPRESSED, FluxGrid(n_points=8193))
         assert 0.5 <= coarse.gap / fine.gap <= 2.0
 
     def test_energies_ascending(self):
@@ -134,12 +134,12 @@ class TestSolveLevels:
 
     def test_window_too_small_mass(self):
         with pytest.raises(NumericalError, match="probability mass in the outer 5% of the window"):
-            solve_levels(SquidParams(150.0, 80.0, 0.0), FluxGrid(0.42, 0.58, 513))
+            solve_levels(SquidParams(150.0, 80.0, 0.0), FluxGrid(0.08, 513))
 
     def test_window_missing_well(self):
         # the bias, and with it the only well, lies outside the window
         with pytest.raises(NumericalError, match="potential minimum at the grid edge"):
-            solve_levels(SquidParams(150.0, 80.0, 0.0, phi_x=0.9), FluxGrid(0.2, 0.8, 513))
+            solve_levels(SquidParams(150.0, 80.0, 0.0, phi_x=0.9), FluxGrid(0.3, 513))
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -154,7 +154,7 @@ class TestDeepWellDoublets:
         "params, grid, k",
         [
             (SquidParams(400.0, 80.0, 3.0), None, 3),
-            (SquidParams(150.0, 500.0, 3.0), FluxGrid(-0.25, 1.25, 30000), 3),  # even n
+            (SquidParams(150.0, 500.0, 3.0), FluxGrid(n_points=30000), 3),  # even n
             (SquidParams(157.5, 85.0, 3.0), None, 2),
         ],
     )
@@ -285,7 +285,7 @@ class TestOddSectorShift:
             l_ph, c_ff, beta = rng.uniform(100.0, 400.0), rng.uniform(20.0, 500.0), rng.uniform(1.0, 1.6)
             params = SquidParams(l_ph, c_ff, beta * PHI0_PH_UA / (2.0 * math.pi * l_ph))
             half_width = rng.uniform(0.2, 0.75)
-            grid = FluxGrid(0.5 - half_width, 0.5 + half_width, int(rng.integers(MIN_GRID_POINTS, 4099)))
+            grid = FluxGrid(half_width, int(rng.integers(MIN_GRID_POINTS, 4099)))
             k = int(rng.integers(2, 4))
             kin = KINETIC_GHZ_FF / c_ff / grid.spacing**2
             diag = potential(params, grid.points) + 2.0 * kin
@@ -394,13 +394,14 @@ class TestExtractTwoLevel:
         assert abs(tlp.delta_ghz - 2.6) <= 0.52
 
     def test_epsilon_zero_at_symmetry(self, monkeypatch):
-        # A bias within 1e-12 of Phi0/2 is the symmetric point, as it is for
-        # solve_levels: one solve, and no biased one.
+        # epsilon is exactly 0 at Phi0/2 alone, and every bias costs the one
+        # symmetric solve.
         solves = []
         monkeypatch.setattr(squidmod, "solve_levels", lambda *args, **kw: solves.append(1) or solve_levels(*args, **kw))
-        for phi_x in (0.5, 0.5 + 5e-13):
+        for phi_x in (0.5, 0.5 + 5e-13, 0.5 + BIAS_OFFSET, 0.1):
             solves.clear()
-            assert extract_two_level(replace(P_UNSUPPRESSED, phi_x=phi_x)).epsilon_ghz == 0.0
+            epsilon = extract_two_level(replace(P_UNSUPPRESSED, phi_x=phi_x)).epsilon_ghz
+            assert (epsilon == 0.0) == (phi_x == 0.5) and epsilon >= 0.0
             assert len(solves) == 1
 
     def test_epsilon_at_design_offset_barrier_up(self):
@@ -411,18 +412,38 @@ class TestExtractTwoLevel:
         assert tlp.epsilon_ghz == pytest.approx(2.670567846292215, rel=1e-5)
 
     def test_epsilon_linear_in_small_offsets(self):
-        # epsilon comes from the biased grid's E1 - E0, whose ~1e-10 GHz of
-        # rounding stays below 1e-5 of epsilon down to a 1e-9 Phi0 offset
-        # (largest deviation 6.1e-7; at 1e-11 Phi0 it is 4.7e-4).
-        offsets = 10.0 ** -np.arange(4, 10)
-        per_offset = [extract_two_level(replace(P_UNSUPPRESSED, phi_x=0.5 + off)).epsilon_ghz / off for off in offsets]
-        assert np.max(np.abs(np.array(per_offset) / per_offset[0] - 1.0)) <= 1e-5
+        # epsilon = 2 i_p dPhi: over seeded double-well SQUIDs, epsilon per
+        # unit offset is constant to 1e-12 from 1e-11 to 1e-3 Phi0 on either
+        # side.  The offset is the one 0.5 + off represents: rounding moves a
+        # nominal 1e-11 by up to ~5e-6 of itself.
+        rng = np.random.default_rng(31)
+        nominal = 10.0 ** -np.arange(3, 12)
+        grid = FluxGrid(n_points=1025)
+        for _ in range(4):
+            l_ph, c_ff, beta = rng.uniform(100.0, 200.0), rng.uniform(40.0, 120.0), rng.uniform(1.05, 1.5)
+            params = SquidParams(l_ph, c_ff, beta * PHI0_PH_UA / (2.0 * math.pi * l_ph))
+            per_offset = []
+            for phi_x in np.concatenate([0.5 + nominal, 0.5 - nominal]):
+                tlp = extract_two_level(replace(params, phi_x=float(phi_x)), grid)
+                per_offset.append(tlp.epsilon_ghz / abs(phi_x - 0.5))
+            assert np.max(np.abs(np.array(per_offset) / per_offset[0] - 1.0)) <= 1e-12
+
+    def test_epsilon_matches_biased_gap_where_higher_levels_are_far(self):
+        # At Ic 3.0 uA levels 2 and 3 lie ~36 GHz above the doublet, so the
+        # biased grid's sqrt(gap^2 - delta^2) is the same two-level splitting
+        # (6.4e-7 apart at 0.15 mPhi0).
+        params = replace(P_UNSUPPRESSED, phi_x=0.5 + BIAS_OFFSET)
+        tlp = extract_two_level(params)
+        biased_gap = solve_levels(params).gap
+        assert tlp.epsilon_ghz == pytest.approx(math.sqrt(biased_gap**2 - tlp.delta_ghz**2), rel=1e-5)
 
     def test_epsilon_at_design_offset_barrier_lowered(self):
         # With Ic suppressed to 2.375 uA the wells are shallow and carry a
-        # smaller persistent current; the same offset gives ~1.06 GHz.
+        # smaller persistent current; the same offset gives 2 i_p dPhi ~ 1.10
+        # GHz.  That is 3.3% above the biased grid's sqrt(gap^2 - delta^2),
+        # 1.0631 GHz, which also takes in the repulsion of levels 2 and 3.
         tlp = extract_two_level(replace(P_SUPPRESSED, phi_x=0.5 + BIAS_OFFSET))
-        assert tlp.epsilon_ghz == pytest.approx(1.0630893883503547, rel=1e-4)
+        assert tlp.epsilon_ghz == pytest.approx(1.0983401925468779, rel=1e-9)
 
     def test_persistent_current_consistent_with_design_coupling(self):
         # Back-computed from J ~ 25 MHz at M_eff = 2 fH: sqrt(J h / M_eff) ~ 2.9 uA.
@@ -616,19 +637,23 @@ class TestValidation:
             SquidParams(**kwargs)
 
     def test_bad_grid_rejected(self):
-        # The window rule names both ends, the lower one first.
-        with pytest.raises(ValueError, match=r"^phi_min must be below phi_max = 0\.0, got 1\.0$"):
-            FluxGrid(1.0, 0.0, 513)
-        with pytest.raises(ValueError, match=r"^phi_min must be below phi_max = nan, got 0\.0$"):
-            FluxGrid(0.0, math.nan, 513)
+        # Every window is centred on Phi0/2; a reversed, empty or unbounded
+        # one is a half-width that is not positive and finite.
+        for half_width in (-0.75, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as info:
+                FluxGrid(half_width, 513)
+            assert str(info.value) == f"half_width must be positive and finite, got {half_width!r}"
         with pytest.raises(ValueError, match=r"^n_points must be at least 257, got 128$"):
-            FluxGrid(0.0, 1.0, 128)
-        # every window is centred on Phi0/2, within 1e-12
-        with pytest.raises(ValueError, match=r"^phi_min must mirror phi_max = 0\.9 about 0\.5 Phi0, got -0\.25$"):
-            FluxGrid(-0.25, 0.9, 513)
-        with pytest.raises(ValueError, match=r"^phi_min must mirror phi_max = inf about 0\.5 Phi0, got 0\.0$"):
-            FluxGrid(0.0, math.inf, 513)
-        assert FluxGrid(-0.25 + 4e-13, 1.25 + 4e-13, 513).n_points == 513
+            FluxGrid(0.5, 128)
+
+    @pytest.mark.parametrize("n_points", [300.5, 1e4, True])
+    def test_non_integer_n_points_rejected(self, n_points):
+        # refused where the grid is built, not as a TypeError from np.linspace
+        # at the first solve
+        with pytest.raises(ValueError) as info:
+            FluxGrid(n_points=n_points)
+        assert str(info.value) == f"n_points must be an integer, got {n_points!r}"
+        assert FluxGrid(n_points=np.int64(513)).points.size == 513
 
     @pytest.mark.parametrize(
         "target, bracket, message",
@@ -650,7 +675,9 @@ class TestValidation:
 
     def test_default_grid(self):
         g = FluxGrid()
-        assert (g.phi_min, g.phi_max, g.n_points) == (-0.25, 1.25, 4097)
+        assert (g.half_width, g.n_points) == (0.75, 4097)
+        assert g.points.tobytes() == np.linspace(-0.25, 1.25, 4097).tobytes()
+        assert g.spacing == 1.5 / 4096
 
     def test_two_level_params_fields(self):
         tlp = TwoLevelParams(2.6, 0.0, 2.85)
