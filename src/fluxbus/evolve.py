@@ -23,8 +23,8 @@ values, so blocks with equal slices are grouped exactly and each distinct
 one is diagonalised once.  ``run_schedule`` folds one amplitude array over
 the schedule and checks its norm once, at the end.  It sends one-qubit
 drives through the kernel and keeps the last k >= 2 block decomposition, so
-a flip that repeats the previous one's (bias, drive, duration), as the two
-flips of a CPHASE do, is not diagonalised again.  No 2^N x 2^N operator is
+a flip segment that repeats the previous one, as the compiler repeats a
+CPHASE's flip object, is not diagonalised again.  No 2^N x 2^N operator is
 built; the dense ``spin.build_hamiltonian`` matrix is the reference the
 tests compare against.
 
@@ -334,9 +334,9 @@ def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
     when it ends (at a driven segment, an ideal op or the end).  A driven
     segment uses C itself when it has no bias, one biased copy otherwise;
     one-qubit drives go through ``evolve_segment``.  A segment driving k >= 2
-    qubits reuses the block decomposition of the last such segment when its
-    bias, drive and duration are the same (the two flips of a CPHASE), and
-    forms it otherwise.
+    qubits reuses the block decomposition of the last such segment if it is
+    the same object (a CPHASE's second flip) and forms it otherwise, also for
+    an equal flip of another gate (``CPHASE 0,1; CPHASE 0,1`` forms two).
     """
     base = schedule.base
     if state.n_qubits != base.n_qubits:
@@ -353,7 +353,7 @@ def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
     off = np.zeros(base.n_qubits)
     amps = state.amplitudes
     time, bias = 0.0, off  # the pending undriven run: total time and summed eps * t
-    last = None, None  # the last k >= 2 segment's (bias, drive, duration) and its propagator
+    last = None, None  # the last k >= 2 segment and its propagator
     for seg in schedule.segments:
         epsilon = off if seg.epsilon_ghz is None else seg.epsilon_ghz
         delta = off if seg.delta_ghz is None else seg.delta_ghz
@@ -368,9 +368,8 @@ def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:
         elif np.count_nonzero(delta) == 1:
             amps = evolve_segment(amps, biased(epsilon), delta, seg.duration_ns)
         else:
-            key = (epsilon.tobytes(), delta.tobytes(), seg.duration_ns)
-            if last[0] != key:
-                last = key, _block_propagator(biased(epsilon), delta, seg.duration_ns)
+            if last[0] is not seg:
+                last = seg, _block_propagator(biased(epsilon), delta, seg.duration_ns)
             amps = apply_on_qubits(amps, np.flatnonzero(delta), last[1])
     return QuantumState(end_run(amps, time, bias))
 

@@ -22,8 +22,8 @@ entries (i, i ^ bit) that flip its qubit's bit of the basis index.  It is
 the reference the tests compare the block-structured propagation against,
 and ``evolve`` calls it only for the 2^k x 2^k drive operator of a segment
 that drives k >= 2 qubits (the CPHASE flips), once per such segment unless
-it repeats the previous one's (drive, bias, duration), as a CPHASE's second
-flip does; one driven qubit has a closed form.
+it is the previous one again, as a CPHASE's second flip is; one driven
+qubit has a closed form.
 """
 
 from __future__ import annotations

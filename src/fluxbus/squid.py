@@ -8,16 +8,17 @@ on a uniform flux grid with Dirichlet boundaries and reduces the two lowest
 levels to two-level qubit parameters: tunneling splitting ``delta``, bias
 asymmetry ``epsilon`` and persistent current ``i_p``.
 
-Every grid is centred on Phi0/2, so at the symmetric bias the discrete
-operator is mirror symmetric and is solved as two independent half-size
-tridiagonal problems, one per parity sector.  Level j has parity (-1)^j, so
-each sector supplies every other level, with exact parity however
-near-degenerate its partner.  The splitting ``delta`` is not the difference
-of two ~1300 GHz level energies, which would lose a deep-well splitting to
-rounding: the two sector blocks differ only at the mirror plane, so it
-follows from the two sector ground vectors alone (the discrete form of
-Herring's flux formula for a symmetric double well; Landau and Lifshitz,
-*Quantum Mechanics*, Sec. 50), with full relative precision at any depth.
+Every grid has an odd number of points centred on Phi0/2, so at the
+symmetric bias the discrete operator is mirror symmetric about the centre
+point and is solved as two independent half-size tridiagonal problems, one
+per parity sector.  Level j has parity (-1)^j, so each sector supplies every
+other level, with exact parity however near-degenerate its partner.  The
+splitting ``delta`` is not the difference of two ~1300 GHz level energies,
+which would lose a deep-well splitting to rounding: the two sector blocks
+differ only at the mirror plane, so it follows from the two sector ground
+vectors alone (the discrete form of Herring's flux formula for a symmetric
+double well; Landau and Lifshitz, *Quantum Mechanics*, Sec. 50), with full
+relative precision at any depth.
 A sector that supplies one level (both, in every two-level solve) finds it
 by inverse iteration (see ``solve_levels``); the other sectors and the
 biased full grid use LAPACK bisection.
@@ -76,10 +77,10 @@ _RESIDUAL_PER_NORM = 1.3e-14
 # Inverse-iteration steps allowed per parity sector.  Shifted to min U, the
 # error shrinks each step by the sector's (E0 - U_min)/(E1 - U_min), about 1/5
 # in a harmonic well and 1/3 in a deep double well.  Over 600 random symmetric
-# SQUIDs (L 100-400 pH, C 20-500 fF, Ic 0-3.5 uA, 257-4098 points) the even
-# sector took 11-26 steps.  The odd sector, shifted just below the even ground
-# energy, took 2-25 (mean 10.8; 17-32, mean 23.5, from min U): 2 where its
-# level is a deep-well doublet partner, most where the well is harmonic.
+# SQUIDs (L 100-400 pH, C 20-500 fF, Ic 0-3.5 uA, odd 257-4097 points) the
+# even sector took 11-26 steps.  The odd sector, shifted just below the even
+# ground energy, took 2-25 (mean 11.7; 17-32, mean 23.9, from min U): 2 where
+# its level is a deep-well doublet partner, most where the well is harmonic.
 _INVERSE_ITERATIONS = 100
 
 # Fewest points of a FluxGrid; the Ic calibration's default bracket (uA),
@@ -134,11 +135,11 @@ def beta_l(params: SquidParams) -> float:
 
 @dataclass(frozen=True)
 class FluxGrid:
-    """Uniform flux grid (units of Phi0) for the discretized Hamiltonian,
-    centred on Phi0/2 so that the symmetric bias is mirror symmetric on it.
-    The default half-width 0.75, the window [-0.25, 1.25] Phi0, holds both
-    wells at the symmetric point, and 4097 points resolve near-degenerate
-    splittings."""
+    """Uniform flux grid (units of Phi0) for the discretized Hamiltonian.
+    Centred on Phi0/2 with odd ``n_points``, it holds Phi0/2 as point
+    ``n_points // 2``, the mirror plane of the symmetric bias.  The default
+    half-width 0.75, the window [-0.25, 1.25] Phi0, holds both wells at the
+    symmetric point, and 4097 points resolve near-degenerate splittings."""
 
     half_width: float = 0.75
     n_points: int = 4097
@@ -150,6 +151,8 @@ class FluxGrid:
             raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < MIN_GRID_POINTS:
             raise ValueError(f"n_points must be at least {MIN_GRID_POINTS}, got {self.n_points!r}")
+        if self.n_points % 2 == 0:
+            raise ValueError(f"n_points must be odd, got {self.n_points!r}")
 
     @property
     def points(self) -> np.ndarray:
@@ -276,15 +279,14 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
     """Lowest ``k`` eigenpairs and the gap E1 - E0 of a mirror-symmetric
     tridiagonal matrix with constant off-diagonal ``off``, by parity sector.
 
-    In the basis (e_i +- e_{n-1-i})/sqrt(2) of mirror pairs the matrix splits
-    into two half-size tridiagonal blocks.  For odd n the centre point belongs
-    to the even block alone, bonded to its neighbour pair by sqrt(2) off.  For
-    even n the two middle points are mirror images, so their bond adds +off to
-    the last diagonal entry of the even block and -off to that of the odd one.
-    The diagonal is the mean of the two mirror halves, the projection of the
-    matrix onto either sector.  Level j has parity (-1)^j, so the lowest k
-    levels are the lowest ceil(k/2) even and floor(k/2) odd ones, returned
-    sorted by energy.  A sector that supplies one level solves by inverse
+    ``n`` is odd (a ``FluxGrid`` rule), so the mirror plane is the centre
+    point m = n // 2.  In the basis (e_i +- e_{n-1-i})/sqrt(2) of the m mirror
+    pairs the matrix splits into two tridiagonal blocks; the centre point
+    belongs to the even block alone, bonded to its neighbour pair by sqrt(2)
+    off.  The pairs' diagonal is the mean of the two mirror halves, the
+    projection of the matrix onto either sector.  Level j has parity (-1)^j,
+    so the lowest k levels are the lowest ceil(k/2) even and floor(k/2) odd
+    ones, returned sorted by energy.  A sector that supplies one level solves by inverse
     iteration to a residual of ``tol``; one that supplies more by bisection.
     The even sector is shifted to min U.  The odd sector's lowest level lies
     above the even ground energy, which the Rayleigh quotient or bisection
@@ -294,22 +296,16 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
     The two blocks differ only at the mirror plane, so applying both to their
     ground vectors u (even) and v (odd) leaves (E1 - E0) u.v equal to that
     border term alone, with no energies subtracted: delta = -sqrt(2) off u[m]
-    v[m-1] / (u[:m].v) for odd n, -2 off u[m-1] v[m-1] / (u.v) for even n.
-    Each vector first takes one more step, shifted 4 ``tol`` below its own
-    energy, which strips the higher levels it still carries at residual ``tol``.
+    v[m-1] / (u[:m].v).  Each vector first takes one more step, shifted 4
+    ``tol`` below its own energy, which strips the higher levels it still
+    carries at residual ``tol``.
     """
     n = diag.size
     m = n // 2
     half = 0.5 * (diag[:m] + diag[::-1][:m])
     bonds = np.full(m - 1, off)
-    if n % 2:
-        even = (np.append(half, diag[m]), np.append(bonds, math.sqrt(2.0) * off))
-        odd = (half, bonds)
-    else:
-        even_diag, odd_diag = half.copy(), half.copy()
-        even_diag[-1] += off
-        odd_diag[-1] -= off
-        even, odd = (even_diag, bonds), (odd_diag, bonds)
+    even = (np.append(half, diag[m]), np.append(bonds, math.sqrt(2.0) * off))
+    odd = (half, bonds)
     min_u = float(np.min(diag)) + 2.0 * off  # below every level
 
     def sector(block, count, shift):
@@ -322,10 +318,7 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
     e_even, x_even = sector(even, (k + 1) // 2, min_u)
     e_odd, x_odd = sector(odd, k // 2, float(e_even[0]) - 4.0 * tol)
     u, v = x_even[:, 0], x_odd[:, 0]
-    if n % 2:
-        gap = -math.sqrt(2.0) * off * u[m] * v[m - 1] / (u[:m] @ v)
-    else:
-        gap = -2.0 * off * u[m - 1] * v[m - 1] / (u @ v)
+    gap = -math.sqrt(2.0) * off * u[m] * v[m - 1] / (u[:m] @ v)
     e_odd[0] = e_even[0] + gap
 
     # Mirror each half back onto the full grid.
@@ -334,8 +327,7 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
     parity = np.repeat([1.0, -1.0], [e_even.size, e_odd.size])
     vectors[:m] = pairs
     vectors[n - m :] = pairs[::-1] * parity
-    if n % 2:
-        vectors[m, : e_even.size] = x_even[m]
+    vectors[m, : e_even.size] = x_even[m]
 
     energies = np.concatenate([e_even, e_odd])
     order = np.argsort(energies, kind="stable")
@@ -347,11 +339,11 @@ def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) 
 
     Symmetric three-point finite differences with Dirichlet boundaries; the
     resulting real symmetric tridiagonal problem is solved exactly for the
-    requested levels.  At the symmetric bias (Phi0/2, the grid centre) it
-    splits into even and odd sectors of half the size: each level has exact
-    parity, which keeps near-degenerate doublets clean, and the gap comes
-    from the two sectors' ground vectors with no energies subtracted, so it
-    keeps full relative precision at any depth.
+    requested levels.  At the symmetric bias (Phi0/2, the grid's centre
+    point) it splits into even and odd sectors of half the size: each level
+    has exact parity, which keeps near-degenerate doublets clean, and the gap
+    comes from the two sectors' ground vectors with no energies subtracted,
+    so it keeps full relative precision at any depth.
 
     A parity sector that supplies one level (both sectors at k = 2, the odd
     one at k = 3) finds it by inverse iteration from a positive start vector,

@@ -44,9 +44,14 @@ def test_traced_simulate_builds_a_repeated_flip_once():
     # CNOT is a CPHASE between basis changes of its target.  The CPHASE flips
     # the same two qubits twice under the same bias for the same time, so its
     # drive block is built once; the basis changes' one-qubit drives go
-    # through evolve_segment.  Only the last flip's block is kept: a CPHASE
-    # that repeats an earlier, not the previous, one builds its block again.
-    cases = [("CNOT 0,1\n", 2, 2, 1, 8), ("CPHASE 0,1\nCPHASE 0,2\nCPHASE 0,1\n", 3, 6, 3, 0)]
+    # through evolve_segment.  Only the last flip's block is kept, keyed on
+    # the segment object: a CPHASE that repeats an earlier one builds its
+    # block again, also right after it.
+    cases = [
+        ("CNOT 0,1\n", 2, 2, 1, 8),
+        ("CPHASE 0,1\nCPHASE 0,2\nCPHASE 0,1\n", 3, 6, 3, 0),
+        ("CPHASE 0,1\nCPHASE 0,1\n", 2, 4, 2, 0),
+    ]
     for text, n_logical, flips, builds, one_qubit_drives in cases:
         tracer = _tracing().Tracer()
         with tracer.active():

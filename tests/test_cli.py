@@ -148,6 +148,25 @@ class TestCalibrate:
         cfg = {"L_pH": 150, "C_fF": 80, "Ic_uA": 3.0, "phi_x_Phi0": 0.50015}
         assert _count_solves(monkeypatch, cmd_calibrate, cfg).derived["epsilon_GHz"] > 0.0
 
+    @pytest.mark.parametrize("phi_x, wells", [(0.45, 1), (0.47, 1), (0.48, 2), (0.50015, 2)])
+    def test_double_well_off_symmetry_counts_wells(self, phi_x, wells):
+        # Off Phi0/2 the bias can tilt one well away, though beta_L > 1; the
+        # flag follows the wells of the biased potential on the grid.
+        report = cmd_calibrate({"L_pH": 150, "C_fF": 80, "Ic_uA": 3.0, "phi_x_Phi0": phi_x})
+        u = squidmod.potential(SquidParams(150.0, 80.0, 3.0, phi_x), FluxGrid().points)
+        assert np.count_nonzero((u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])) == wells
+        symmetric = cmd_calibrate({"L_pH": 150, "C_fF": 80, "Ic_uA": 3.0})
+        for key in ("delta_GHz", "i_p_uA", "pi_pulse_ns"):  # properties at Phi0/2
+            assert report.derived[key] == symmetric.derived[key]
+        assert report.flags == {"double_well": wells == 2}
+        if wells == 2:
+            assert report.notes == [] and report.derived["epsilon_GHz"] > 0.0
+        else:
+            assert "epsilon_GHz" not in report.derived
+            assert report.notes == [f"phi_x_Phi0 = {phi_x} has one well: no epsilon; delta, i_p, pi pulse at Phi0/2"]
+        if phi_x == 0.50015:
+            assert report.derived["epsilon_GHz"] == 2.670569555568895
+
 
 class TestDesign:
     def test_design_point(self):
@@ -262,12 +281,12 @@ class TestMainExitCodes:
 
     def test_fine_grid_calibrates(self, cfg_file, capsys):
         # The eigen-residual bound scales with the operator norm (~1/dphi^2),
-        # so a 30000-point grid passes.  Its delta at the suppressed current
+        # so a 30001-point grid passes.  Its delta at the suppressed current
         # agrees with the default grid's to that grid's discretisation error
         # (3-point differences, O(dphi^2): ~7e-6 relative at 4097 points).
         text = "L_pH = 150\nC_fF = 80\nIc_uA = 2.375\ntarget_delta_GHz = 2.6\n"
         derived = []
-        for extra in ("", "grid_points = 30000\n"):
+        for extra in ("", "grid_points = 30001\n"):
             assert main(["calibrate", "--config", cfg_file(text + extra), "--format", "records"]) == 0
             records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
             derived.append({r["key"]: r["value"] for r in records if r["section"] == "derived"})
@@ -496,6 +515,8 @@ class TestMainExitCodes:
                          id="phi_window-empty"),
             pytest.param("calibrate", SQUID_CFG + "grid_points = 100\n", "config key grid_points must be at least 257",
                          id="grid_points-small"),
+            pytest.param("calibrate", SQUID_CFG + "grid_points = 4096\n",
+                         "config key grid_points must be odd, got 4096", id="grid_points-even"),
             pytest.param("calibrate", SQUID_CFG.replace("L_pH = 150", "L_pH = -1"), "config key L_pH must be positive",
                          id="L_pH-negative"),
             pytest.param("calibrate", SQUID_CFG.replace("phi_x_Phi0 = 0.5", "phi_x_Phi0 = 1.5"),
@@ -537,6 +558,7 @@ class TestMainExitCodes:
             ("calibrate", "phi_x_Phi0", "1"),
             ("calibrate", "grid_points", "100"),
             ("calibrate", "grid_points", "-5"),
+            ("calibrate", "grid_points", "4096"),
             ("calibrate", "phi_half_width_Phi0", "0"),
             ("calibrate", "phi_half_width_Phi0", "-1"),
             ("calibrate", "target_delta_GHz", "0"),
@@ -547,6 +569,7 @@ class TestMainExitCodes:
             ("design", "Ic_uA", "-3"),
             ("design", "phi_x_Phi0", "-0.5"),
             ("design", "grid_points", "256"),
+            ("design", "grid_points", "4098"),
             ("design", "phi_half_width_Phi0", "-0.75"),
             ("design", "phi_half_width_Phi0", "inf"),
             ("design", "M_pH", "-2"),
