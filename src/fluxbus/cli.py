@@ -149,11 +149,12 @@ _BUS_KEYS = {"l_b_nh": "L_b_nH", "m_ph": "M_pH", "n_qubits": "N", "k_geom": "k_g
 _CONTROL_KEYS = {"delta_ghz": "delta_GHz", "epsilon_ghz": "epsilon_GHz", "j_mhz": "J_MHz", "mode": "mode"}
 
 # The keys each command reads.  Any other key is refused, so a misspelt key
-# cannot silently leave a default in place.
+# cannot silently leave a default in place.  ``design`` takes J from i_p at
+# Phi0/2, so it reads no flux bias.
 _COMMAND_KEYS = {
     "calibrate": {*_SQUID_KEYS.values(), *_GRID_KEYS.values(), "target_delta_GHz", "bracket_lo_uA", "bracket_hi_uA",
                   "sweep_Ic_lo_uA", "sweep_Ic_hi_uA", "sweep_points"},
-    "design": {*_SQUID_KEYS.values(), *_GRID_KEYS.values(), *_BUS_KEYS.values(), "R_uOhm"},
+    "design": {"L_pH", "C_fF", "Ic_uA", *_GRID_KEYS.values(), *_BUS_KEYS.values(), "R_uOhm"},
     "simulate": {*_CONTROL_KEYS.values(), "n_logical", "initial_bits"},
 }
 _COMMAND_KEYS["compile"] = _COMMAND_KEYS["simulate"]

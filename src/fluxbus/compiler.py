@@ -216,8 +216,10 @@ def _logical_rx(
     turns the wait exp(-i theta/2 Z_a Z_b) into exp(-i theta/2 X_a X_b), which
     restricts to Rx(theta) on the code space without leaking out of the pair
     blocks.  The wait is timed from the pair's own coupling in ``base``.
-    Spectator pairs are untouched: their collective sigma_z annihilates every
-    coupling term that reaches into the active pair.
+    It has period 2 pi in theta (exp(-i pi Z_a Z_b) = -I on the pair, a
+    global phase), which is reduced first, so a multiple of 2 pi compiles to
+    nothing.  Spectator pairs are untouched: their collective sigma_z
+    annihilates every coupling term that reaches into the active pair.
     """
     a, b = reg.pairs[logical]
     j_mhz = float(base.coupling_mhz[a, b])
@@ -226,11 +228,11 @@ def _logical_rx(
             f"logical qubit {logical}: pair {(a, b)} has intra-pair coupling {j_mhz} MHz, "
             "but RX and H are timed from a positive one"
         )
-    theta = theta % (4.0 * math.pi)
+    theta = (theta % (4.0 * math.pi)) % (2.0 * math.pi)
     if theta == 0.0:
         return []
     n = reg.n_physical
-    wait = _wait((theta % (2.0 * math.pi)) / (4.0 * math.pi * (j_mhz * 1e-3)))
+    wait = _wait(theta / (4.0 * math.pi * (j_mhz * 1e-3)))
     basis_change = _physical_hadamard(a, params, n) + _physical_hadamard(b, params, n)
     return basis_change + [wait] + basis_change
 

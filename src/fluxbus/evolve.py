@@ -10,23 +10,22 @@ schedule's base is the coupling graph (``spin.SpinHamiltonianSpec`` holds
 nothing else): every drive and bias is a segment's, and ``None`` is off.
 The coupling and the biases are diagonal in the computational basis, so a
 segment that drives k qubits splits into 2^(N-k) independent 2^k x 2^k
-blocks.  Undriven segments (waits and bias
-pulses) commute: with C the coupling diagonal, which ``run_schedule`` forms
-once, a run of them sums to C T + bias(sum of eps_s t_s), one time and one
-length-N bias vector, and takes one exponential.  ``evolve_segment``
-propagates one amplitude array through one segment given the diagonal and
-the drive vector: one driven qubit has a closed-form 2 x 2 propagator, and
-k >= 2 driven qubits (the CPHASE flips) diagonalise their distinct blocks
-in one batched ``eigh``.  A block is the drive operator plus its slice of D,
-and on the bus, where every pair shares one J, the slices take few distinct
-values, so blocks with equal slices are grouped exactly and each distinct
-one is diagonalised once.  ``run_schedule`` folds one amplitude array over
-the schedule and checks its norm once, at the end.  It sends one-qubit
-drives through the kernel and keeps the last k >= 2 block decomposition, so
-a flip segment that repeats the previous one, as the compiler repeats a
-CPHASE's flip object, is not diagonalised again.  No 2^N x 2^N operator is
-built; the dense ``spin.build_hamiltonian`` matrix is the reference the
-tests compare against.
+blocks.  ``run_schedule`` folds one amplitude array over the schedule,
+forms the coupling diagonal C once, checks the norm once, at the end, and
+takes one path per drive count.  Undriven segments (waits and bias pulses)
+commute, so a run of them sums to C T + bias(sum of eps_s t_s), one time
+and one length-N bias vector, and takes one exponential.  A segment that
+drives one qubit goes through ``evolve_segment``, the closed-form 2 x 2
+propagator.  A segment that drives k >= 2 qubits (the flip moments of CPHASE
+and of logical X) goes through ``_block_propagator``, which diagonalises
+its distinct blocks in one batched ``eigh``.  A block is the drive operator
+plus its slice of D, and on the bus, where every pair shares one J, the
+slices take few distinct values, so blocks with equal slices are grouped
+exactly and each distinct one is diagonalised once.  ``run_schedule`` keeps
+the last k >= 2 decomposition, so a segment that is the previous one again,
+as the compiler repeats a CPHASE's flip object, is not diagonalised again.
+No 2^N x 2^N operator is built; the dense ``spin.build_hamiltonian`` matrix
+is the reference the tests compare against.
 
 One gate table and one block kernel serve ideal propagation, the
 verification target (``compiler.ideal_circuit_unitary``) and the k >= 2
@@ -199,18 +198,22 @@ class PulseSchedule:
 
 
 def evolve_segment(amps, diag, delta_ghz, t_ns: float) -> np.ndarray:
-    """Apply exp(-i 2 pi (H/h) t) exactly to a 2^N amplitude array, as a new
-    array; norm-preserving.  It checks shapes, not values.
+    """Apply exp(-i 2 pi (H/h) t) exactly to a 2^N amplitude array for a
+    segment that drives one qubit, as a new array; norm-preserving.  It
+    checks shapes and the drive count, not values: any other drive count is
+    ``run_schedule``'s (an undriven run is one phase, k >= 2 driven qubits go
+    through ``_block_propagator``) and raises ValueError here.
 
-    H/h = diag(D) - sum over driven q of (delta_q/2) X_q, with D (GHz, one
-    entry per basis state: ``spin.add_biases`` of ``spin.coupling_diagonal``
-    and the segment's biases) and the drives ``delta_ghz`` (GHz, one per
-    qubit).  With the k driven axes moved to the back, H is block diagonal
-    in 2^(N-k) blocks of size 2^k: the k-qubit drive operator plus that
-    block's slice of D.  k = 0 is the phases
-    exp(-i 2 pi D t); k = 1 is the closed-form 2 x 2 propagator
-    (``_evolve_one_drive``); k >= 2 propagates every block through one
-    batched eigendecomposition.
+    H/h = diag(D) - (delta_q/2) X_q, with D (GHz, one entry per basis state:
+    ``spin.add_biases`` of ``spin.coupling_diagonal`` and the segment's
+    biases) and the drives ``delta_ghz`` (GHz, one per qubit, non-zero at q
+    alone).  H splits into 2^(N-1) blocks of size 2 x 2, each H = m I + h Z
+    + b X with m = (d0 + d1)/2, h = (d0 - d1)/2 and b = -delta_q/2, where d0,
+    d1 are D at bit q = 0, 1.  With Omega = hypot(h, b) its propagator is
+    e^{-i 2 pi m t} [cos(2 pi Omega t) I - i (sin(2 pi Omega t)/Omega) (h Z
+    + b X)].  At Omega = 0 (h = b = 0) the block is the phase alone; the
+    division is guarded there, and hypot keeps Omega from underflowing to 0
+    while h or b is not.
     """
     amps = np.asarray(amps, dtype=complex)
     diag = np.asarray(diag, dtype=float)
@@ -219,13 +222,26 @@ def evolve_segment(amps, diag, delta_ghz, t_ns: float) -> np.ndarray:
     if amps.shape != (2**n,) or diag.shape != (2**n,) or delta_ghz.shape != (n,):
         raise ValueError(f"need a length-2^N amplitude vector and diagonal and N drives, got {amps.shape} amplitudes")
     driven = np.flatnonzero(delta_ghz)
-    k = driven.size
-    if k == 0:
-        return np.exp(-2j * math.pi * diag * t_ns) * amps
-    if k == 1:
-        q = int(driven[0])
-        return _evolve_one_drive(amps, diag, q, delta_ghz[q], t_ns)
-    return apply_on_qubits(amps, driven, _block_propagator(diag, delta_ghz, t_ns))
+    if driven.size != 1:
+        raise ValueError(f"evolve_segment drives one qubit, got {driven.size}")
+    q = int(driven[0])
+    d = diag.reshape(2**q, 2, -1)
+    a = amps.reshape(2**q, 2, -1)
+    a0, a1 = a[:, 0], a[:, 1]
+    m = 0.5 * (d[:, 0] + d[:, 1])
+    h = 0.5 * (d[:, 0] - d[:, 1])
+    b = -0.5 * delta_ghz[q]
+    omega = np.hypot(h, b)
+    theta = 2.0 * math.pi * omega * t_ns
+    cos = np.cos(theta)
+    sin_over = np.sin(theta) / np.where(omega > 0.0, omega, 1.0)
+    phase = np.exp(-2j * math.pi * m * t_ns)
+    off = -1j * sin_over * b  # the X entry of the bracket
+    zh = -1j * sin_over * h
+    out = np.empty_like(a)
+    out[:, 0] = phase * ((cos + zh) * a0 + off * a1)
+    out[:, 1] = phase * (off * a0 + (cos - zh) * a1)
+    return out.reshape(-1)
 
 
 def _block_propagator(diag: np.ndarray, delta_ghz: np.ndarray, t_ns: float):
@@ -294,35 +310,6 @@ def apply_on_qubits(amps: np.ndarray, qubits, op) -> np.ndarray:
     axes = _permutation(amps.ndim - 1, n, qubits)
     blocks = op(_gather(amps, qubits)).reshape(amps.shape[:-1] + (2,) * n)
     return blocks.transpose(np.argsort(axes)).reshape(amps.shape)
-
-
-def _evolve_one_drive(amp: np.ndarray, diag: np.ndarray, q: int, delta: float, t_ns: float) -> np.ndarray:
-    """exp(-i 2 pi H t) on the 2 x 2 blocks of one driven qubit ``q``.
-
-    Each block is H = m I + h Z + b X with m = (d0 + d1)/2, h = (d0 - d1)/2
-    and b = -delta/2, where d0, d1 are D at bit q = 0, 1.  With Omega =
-    hypot(h, b) its propagator is e^{-i 2 pi m t} [cos(2 pi Omega t) I
-    - i (sin(2 pi Omega t)/Omega) (h Z + b X)].  At Omega = 0 (h = b = 0)
-    the block is the phase alone; the division is guarded there, and hypot
-    keeps Omega from underflowing to 0 while h or b is not.
-    """
-    d = diag.reshape(2**q, 2, -1)
-    a = amp.reshape(2**q, 2, -1)
-    a0, a1 = a[:, 0], a[:, 1]
-    m = 0.5 * (d[:, 0] + d[:, 1])
-    h = 0.5 * (d[:, 0] - d[:, 1])
-    b = -0.5 * delta
-    omega = np.hypot(h, b)
-    theta = 2.0 * math.pi * omega * t_ns
-    cos = np.cos(theta)
-    sin_over = np.sin(theta) / np.where(omega > 0.0, omega, 1.0)
-    phase = np.exp(-2j * math.pi * m * t_ns)
-    off = -1j * sin_over * b  # the X entry of the bracket
-    zh = -1j * sin_over * h
-    out = np.empty_like(a)
-    out[:, 0] = phase * ((cos + zh) * a0 + off * a1)
-    out[:, 1] = phase * (off * a0 + (cos - zh) * a1)
-    return out.reshape(-1)
 
 
 def run_schedule(state: QuantumState, schedule: PulseSchedule) -> QuantumState:

@@ -12,18 +12,14 @@ state (sigma_z eigenvalue +1).  The machine is one fixed coupling graph, so
 bias epsilon is a control pulse, passed where it acts.  The diagonal part
 D = sum_{i>j} J_ij z_i z_j - (1/2) sum_q epsilon_q z_q over the basis has one
 recipe: ``coupling_diagonal`` forms the coupling terms in O(2^N) memory and
-``add_biases`` adds the non-zero bias terms in place.  The coupling is fixed
-for a whole pulse schedule, so ``evolve.run_schedule`` forms it once; it
-adds a driven segment's biases to one copy, and an undriven run's summed
-eps * t to the coupling times the run's time.  ``build_hamiltonian(spec,
-delta, epsilon)`` assembles the dense 2^N x 2^N matrix, capped at
-``MAX_DENSE_QUBITS``; each sigma_x term is written by index, on the
-entries (i, i ^ bit) that flip its qubit's bit of the basis index.  It is
-the reference the tests compare the block-structured propagation against,
-and ``evolve`` calls it only for the 2^k x 2^k drive operator of a segment
-that drives k >= 2 qubits (the CPHASE flips), once per such segment unless
-it is the previous one again, as a CPHASE's second flip is; one driven
-qubit has a closed form.
+``add_biases`` adds the non-zero bias terms in place, so a caller that holds
+the coupling fixed, as a pulse schedule does, forms it once.
+``build_hamiltonian(spec, delta, epsilon)`` assembles the dense 2^N x 2^N
+matrix, capped at ``MAX_DENSE_QUBITS``; each sigma_x term is written by
+index, on the entries (i, i ^ bit) that flip its qubit's bit of the basis
+index.  It is the reference the tests compare the block-structured
+propagation against, and ``evolve`` builds with it the 2^k x 2^k drive
+operator of a segment that drives k >= 2 qubits.
 """
 
 from __future__ import annotations

@@ -33,7 +33,10 @@ Ic_uA = 3.0
 phi_x_Phi0 = 0.5
 """
 
-DESIGN_CFG = SQUID_CFG + """
+# design takes J from i_p at Phi0/2 and reads no flux bias.
+DESIGN_SQUID_CFG = SQUID_CFG.replace("phi_x_Phi0 = 0.5\n", "")
+
+DESIGN_CFG = DESIGN_SQUID_CFG + """
 M_pH = 2
 L_b_nH = 2
 N = 1000
@@ -181,7 +184,7 @@ class TestDesign:
         assert not report.flags["N_exceeds_max"]
 
     def test_zero_mutual(self):
-        cfg = parse_config_text(SQUID_CFG) | {"M_pH": 0.0, "L_b_nH": 2.0, "N": 4}
+        cfg = parse_config_text(DESIGN_SQUID_CFG) | {"M_pH": 0.0, "L_b_nH": 2.0, "N": 4}
         report = cmd_design(cfg)
         assert report.derived["J_MHz"] == 0.0
         assert report.derived["M_eff_fH"] == 0.0
@@ -198,13 +201,14 @@ class TestDesign:
         # N M^2/(L L_b) = 200 * 100 / (150 * 100) = 1.33: the same bus that
         # solve_currents refuses
         path = tmp_path / "bus.cfg"
-        path.write_text(SQUID_CFG + "M_pH = 10\nL_b_nH = 0.1\nN = 200\n")
+        path.write_text(DESIGN_SQUID_CFG + "M_pH = 10\nL_b_nH = 0.1\nN = 200\n")
         assert main(["design", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error[numerical]:") and "not passive" in err and "N = 200" in err
 
     def test_biased_design_solves_once(self, monkeypatch):
-        _count_solves(monkeypatch, cmd_design, parse_config(DEMOS / "design.cfg") | {"phi_x_Phi0": 0.50015})
+        # design reads no bias: its one solve is the SQUID's at Phi0/2.
+        _count_solves(monkeypatch, cmd_design, parse_config(DEMOS / "design.cfg"))
 
 
 def _count_solves(monkeypatch, command, cfg):
@@ -567,7 +571,6 @@ class TestMainExitCodes:
             ("design", "L_pH", "0"),
             ("design", "C_fF", "-80"),
             ("design", "Ic_uA", "-3"),
-            ("design", "phi_x_Phi0", "-0.5"),
             ("design", "grid_points", "256"),
             ("design", "grid_points", "4098"),
             ("design", "phi_half_width_Phi0", "-0.75"),
@@ -611,6 +614,8 @@ class TestMainExitCodes:
             ("calibrate", SQUID_CFG + "grid_point = 257\n", "grid_point"),
             ("calibrate", DESIGN_CFG, "M_pH"),
             ("design", DESIGN_CFG + "target_delta_GHz = 2.6\n", "target_delta_GHz"),
+            # J comes from i_p at Phi0/2, whatever the bias
+            pytest.param("design", DESIGN_CFG + "phi_x_Phi0 = 0.5\n", "phi_x_Phi0", id="design-phi_x_Phi0"),
             ("simulate", SIM_CFG + "L_pH = 150\n", "L_pH"),
             ("compile", SIM_CFG.replace("J_MHz", "J_mhz"), "J_mhz"),
             # the window's two ends are one key, phi_half_width_Phi0
@@ -691,7 +696,7 @@ class TestMainExitCodes:
             pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = 100\n", None, 3,
                          "error[numerical]: target 100 GHz outside [3.227e-08, 26.34] GHz reachable on Ic bracket "
                          "[1.5, 3.0] uA", id="bracket"),
-            pytest.param("design", SQUID_CFG + "M_pH = 10\nL_b_nH = 0.1\nN = 200\n", None, 3,
+            pytest.param("design", DESIGN_SQUID_CFG + "M_pH = 10\nL_b_nH = 0.1\nN = 200\n", None, 3,
                          "error[numerical]: L_b - N M^2/L = -33.33 pH with N = 200: the bus is not passive "
                          "(N M^2 must stay below L*L_b = 1.5e+04 pH^2)", id="not-passive"),
             pytest.param("design", DESIGN_CFG.replace("N = 1000", "N = 3"), None, 2,

@@ -210,6 +210,24 @@ class TestSingleQubitGates:
         for key in ("duration_ns", "fidelity", "leakage", "spectator_trace_distance", "logical_probabilities"):
             assert shifted[key] == pytest.approx(base[key], abs=1e-9)
 
+    @pytest.mark.parametrize("mode", ["physical", "ideal"])
+    @pytest.mark.parametrize("turns", [1, -1, 3])
+    def test_rx_angle_reduced_by_its_period(self, mode, turns):
+        # The wait exp(-i theta/2 Z_a Z_b) has period 2 pi up to a global
+        # phase (exp(-i pi Z_a Z_b) = -I on the pair), so theta + 2 pi m
+        # compiles to the pulse of theta, and an odd multiple of 2 pi, like
+        # a multiple of 4 pi, to nothing.
+        params = ControlParams(mode=mode)
+        shift = 2.0 * math.pi * turns
+        durations = [
+            [s.duration_ns for s in compile_gate(Gate("RX", (0,), theta), params).segments]
+            for theta in (0.7, 0.7 + shift)
+        ]
+        assert durations[1] == pytest.approx(durations[0], abs=1e-9)
+        assert compile_gate(Gate("RX", (0,), shift), params).segments == ()
+        record = cmd_simulate({"n_logical": 2}, f"RX 0,{shift!r}\n", mode=mode)
+        assert record["segments"] == 0 and record["fidelity"] == 1.0 and record["leakage"] == 0.0
+
     def test_unsupported_gate(self):
         with pytest.raises(ValueError):
             Gate("SWAP", (0, 1))

@@ -33,10 +33,24 @@ def graph(n):
 
 
 def evolve_spec(state, args, t_ns):
-    """evolve_segment under the full Hamiltonian of a (graph, drives,
-    biases) triple, norm-checked."""
+    """evolve_segment, the one-drive kernel, under the full Hamiltonian of a
+    (graph, drives, biases) triple, norm-checked."""
     spec, delta, epsilon = args
     return QuantumState(evolve_segment(state.amplitudes, add_biases(coupling_diagonal(spec), epsilon), delta, t_ns))
+
+
+def run_spec(state, args, t_ns):
+    """A one-segment schedule of a (graph, drives, biases) triple through
+    ``run_schedule``, which takes the path of its drive count."""
+    spec, delta, epsilon = args
+    return run_schedule(state, PulseSchedule((PulseSegment(t_ns, delta, epsilon),), spec))
+
+
+def dense_evolve(amps, args, t_ns):
+    """The dense oracle: exp(-i 2 pi H t) applied to an amplitude array, from
+    ``eigh`` of ``build_hamiltonian`` of a (graph, drives, biases) triple."""
+    w, v = np.linalg.eigh(build_hamiltonian(*args))
+    return v @ (np.exp(-2j * math.pi * w * t_ns) * (v.conj().T @ amps))
 
 
 def random_spec(rng, n):
@@ -53,10 +67,13 @@ def random_state(rng, n):
 
 
 class TestEvolveSegment:
+    """One segment: the one-drive kernel itself, and every drive count as a
+    one-segment ``run_schedule`` against the dense oracle."""
+
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(0)
         state = random_state(rng, 3)
-        out = evolve_spec(state, random_spec(rng, 3), 0.0)
+        out = run_spec(state, random_spec(rng, 3), 0.0)
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
 
     def test_rabi_flip_at_design_tunneling(self):
@@ -72,7 +89,7 @@ class TestEvolveSegment:
         # relative to the aligned states.
         spec = spec_with(2, coupling=[[0.0, 25.0], [25.0, 0.0]])
         plus = QuantumState(np.full(4, 0.5, dtype=complex))
-        out = evolve_spec(plus, spec, 1.0)
+        out = run_spec(plus, spec, 1.0)
         j, t = 0.025, 1.0
         ratio_ud = out.amplitudes[1] / out.amplitudes[0]
         assert ratio_ud == pytest.approx(np.exp(2j * math.pi * j * t) / np.exp(-2j * math.pi * j * t), abs=1e-12)
@@ -86,16 +103,18 @@ class TestEvolveSegment:
             u = v @ np.diag(np.exp(-2j * math.pi * w * 0.73)) @ v.conj().T
             assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-10
             state = random_state(rng, n)
-            out = evolve_spec(state, spec, 0.73)
+            out = run_spec(state, spec, 0.73)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+            assert np.max(np.abs(out.amplitudes - u @ state.amplitudes)) <= 1e-12
 
     def test_composition(self):
         rng = np.random.default_rng(2)
         spec = random_spec(rng, 3)
         state = random_state(rng, 3)
-        once = evolve_spec(state, spec, 1.9)
-        twice = evolve_spec(evolve_spec(state, spec, 1.1), spec, 0.8)
+        once = run_spec(state, spec, 1.9)
+        twice = run_spec(run_spec(state, spec, 1.1), spec, 0.8)
         assert np.max(np.abs(once.amplitudes - twice.amplitudes)) < 1e-10
+        assert np.max(np.abs(once.amplitudes - dense_evolve(state.amplitudes, spec, 1.9))) <= 1e-12
 
     def test_shapes_checked(self):
         # (amplitudes, diagonal, drives) shapes, each case wrong in one.
@@ -106,13 +125,26 @@ class TestEvolveSegment:
 
     @pytest.mark.parametrize("delta", [[0.0, 0.0], [2.6, 0.0], [2.6, 1.0]])
     def test_returns_an_array(self, delta):
-        # k = 0, 1 and 2 driven qubits: each branch returns a new amplitude
-        # array and leaves its input alone.
-        amps = random_state(np.random.default_rng(12), 2).amplitudes
+        # k = 0, 1 and 2 driven qubits, each on its own path: the output is
+        # the dense oracle's, in an array of its own.
+        spec = spec_with(2, delta=delta, epsilon=[2.0, 1.0], coupling=[[0.0, 25.0], [25.0, 0.0]])
+        state = random_state(np.random.default_rng(12), 2)
+        out = run_spec(state, spec, 0.3).amplitudes
+        assert not np.shares_memory(out, state.amplitudes)
+        assert np.max(np.abs(out - dense_evolve(state.amplitudes, spec, 0.3))) <= 1e-12
+
+    def test_one_drive_returns_a_new_array(self):
+        amps = random_state(np.random.default_rng(12), 2).amplitudes.copy()
         before = amps.copy()
-        out = evolve_segment(amps, np.arange(4.0), np.array(delta), 0.3)
-        assert type(out) is np.ndarray and out.shape == (4,) and out is not amps
+        out = evolve_segment(amps, np.arange(4.0), np.array([2.6, 0.0]), 0.3)
+        assert type(out) is np.ndarray and out.shape == (4,) and not np.shares_memory(out, amps)
         assert np.array_equal(amps, before)
+
+    @pytest.mark.parametrize("delta", [[0.0, 0.0], [2.6, 1.0]])
+    def test_other_drive_counts_refused(self, delta):
+        # The kernel drives one qubit; run_schedule owns every other count.
+        with pytest.raises(ValueError, match=f"^evolve_segment drives one qubit, got {np.count_nonzero(delta)}$"):
+            evolve_segment(np.full(4, 0.5, dtype=complex), np.arange(4.0), np.array(delta), 0.3)
 
     @pytest.mark.parametrize("t_ns", [0.0, 5.0])
     @pytest.mark.parametrize("delta", [5e-324, 9.49e-301, 3.0])
@@ -127,10 +159,8 @@ class TestEvolveSegment:
             coupling = [[0.0, 30.0, -12.0], [30.0, 0.0, 45.0], [-12.0, 45.0, 0.0]]
             spec = spec_with(3, delta=[0.0, delta, 0.0], epsilon=[0.4, 0.9, -1.1], coupling=coupling)
         state = random_state(np.random.default_rng(11), n)
-        w, v = np.linalg.eigh(build_hamiltonian(*spec))
-        expected = v @ (np.exp(-2j * math.pi * w * t_ns) * (v.conj().T @ state.amplitudes))
         out = evolve_spec(state, spec, t_ns)
-        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+        assert np.max(np.abs(out.amplitudes - dense_evolve(state.amplitudes, spec, t_ns))) <= 1e-12
 
     def test_energy_conservation(self):
         rng = np.random.default_rng(3)
@@ -139,7 +169,7 @@ class TestEvolveSegment:
         state = random_state(rng, 3)
         e0 = np.vdot(state.amplitudes, h @ state.amplitudes).real
         for t in (0.1, 0.9, 5.0):
-            out = evolve_spec(state, spec, t)
+            out = run_spec(state, spec, t)
             e = np.vdot(out.amplitudes, h @ out.amplitudes).real
             assert abs(e - e0) < 1e-10
 
@@ -313,11 +343,11 @@ class TestRunSchedule:
         out = run_schedule(state, PulseSchedule((flip, *waits, flip), base))
         assert len(added) == 1 and np.allclose(added[0], times @ biases, rtol=0, atol=1e-15)
         off = np.zeros(4)
-        expected = evolve_spec(state, (base, flip.delta_ghz, off), 0.19)
+        expected = dense_evolve(state.amplitudes, (base, flip.delta_ghz, off), 0.19)
         for t, e in zip(times, biases):
-            expected = evolve_spec(expected, (base, off, e), t)
-        expected = evolve_spec(expected, (base, flip.delta_ghz, off), 0.19)
-        assert np.max(np.abs(out.amplitudes - expected.amplitudes)) <= 1e-12
+            expected = dense_evolve(expected, (base, off, e), t)
+        expected = dense_evolve(expected, (base, flip.delta_ghz, off), 0.19)
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
 
     def test_run_checks_its_state_once(self, monkeypatch):
         # A wait, an ideal op, a one-qubit drive, a bias and the same flip
@@ -345,14 +375,17 @@ class TestRunSchedule:
         # zero-bias flip at N = 8 take few distinct values, and eigh gets
         # one block for each of them.
         n, driven = 8, [3, 5]
-        diag = spin.coupling_diagonal(bus_all_to_all(n, 25.0))
+        base = bus_all_to_all(n, 25.0)
         delta = np.zeros(n)
         delta[driven] = 2.6
-        distinct = {tuple(row) for row in evolve_mod._gather(diag, driven)}
+        distinct = {tuple(row) for row in evolve_mod._gather(spin.coupling_diagonal(base), driven)}
+        state = QuantumState.basis(n, 0)
+        expected = dense_evolve(state.amplitudes, (base, delta, np.zeros(n)), 0.19)
         sizes, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-        evolve_segment(QuantumState.basis(n, 0).amplitudes, diag, delta, 0.19)
+        out = run_spec(state, (base, delta, None), 0.19)
         assert sizes == [len(distinct)] and len(distinct) < 64 // 2
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
 
 
 class TestFidelity:

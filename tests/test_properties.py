@@ -250,6 +250,17 @@ def segment_specs(draw, max_qubits):
 
 
 @st.composite
+def one_drive_specs(draw, max_qubits):
+    """``segment_specs`` with one driven qubit, the case ``evolve_segment``
+    takes; ``run_schedule`` is checked at every drive count below."""
+    n = draw(st.integers(1, max_qubits))
+    delta = np.zeros(n)
+    delta[draw(st.integers(0, n - 1))] = draw(_DRIVES.filter(lambda d: d != 0.0))
+    epsilon = np.array([draw(_DRIVES) for _ in range(n)])
+    return SpinHamiltonianSpec(_couplings(draw, n)), delta, epsilon
+
+
+@st.composite
 def coupling_specs(draw, max_qubits):
     """A schedule's base: random symmetric couplings (MHz)."""
     n = draw(st.integers(1, max_qubits))
@@ -264,7 +275,7 @@ def _random_state(data, n):
 
 
 @settings(PROPERTY, max_examples=60)
-@given(segment_specs(max_qubits=8), st.floats(0.0, 10.0, allow_nan=False), st.data())
+@given(one_drive_specs(max_qubits=8), st.floats(0.0, 10.0, allow_nan=False), st.data())
 def test_evolve_segment_matches_dense_oracle(case, t_ns, data):
     spec, delta, epsilon = case
     state = _random_state(data, spec.n_qubits)
