@@ -280,14 +280,9 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
     }
     beta = squidmod.beta_l(params)
     report.derived["beta_L"] = beta
-    # beta_L > 1 is two wells at Phi0/2; a bias off it can tilt one away.
-    double_well = beta > 1.0
-    if double_well and abs(params.phi_x - 0.5) >= squidmod._CENTRE_TOL:
-        u = squidmod.potential(params, grid.points)
-        double_well = int(np.count_nonzero((u[1:-1] < u[:-2]) & (u[1:-1] < u[2:]))) >= 2
-    report.flags["double_well"] = double_well
 
     if beta <= 1.0:
+        report.flags["double_well"] = False
         sol = squidmod.solve_levels(params, grid=grid)
         lc_s2 = params.l_ph * 1e-12 * params.c_ff * 1e-15
         if lc_s2 > 0.0:
@@ -299,7 +294,8 @@ def cmd_calibrate(cfg: dict) -> DesignReport:
     else:
         tlp = squidmod.extract_two_level(params, grid=grid)
         report.derived["delta_GHz"] = tlp.delta_ghz
-        if double_well:
+        report.flags["double_well"] = tlp.epsilon_ghz is not None
+        if tlp.epsilon_ghz is not None:
             report.derived["epsilon_GHz"] = tlp.epsilon_ghz
         else:
             report.notes.append(f"phi_x_Phi0 = {params.phi_x} has one well: no epsilon; delta, i_p, pi pulse at Phi0/2")

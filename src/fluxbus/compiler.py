@@ -97,6 +97,8 @@ class LogicalRegister:
 
     @classmethod
     def default(cls, n_logical: int) -> "LogicalRegister":
+        if not isinstance(n_logical, Integral) or isinstance(n_logical, bool) or n_logical < 0:
+            raise ValueError(f"n_logical must be a non-negative integer, got {n_logical!r}")
         return cls(tuple((2 * k, 2 * k + 1) for k in range(n_logical)))
 
     def code_indices(self) -> np.ndarray:
@@ -436,6 +438,8 @@ def verify_ifs(state: QuantumState, spec: SpinHamiltonianSpec, reg: LogicalRegis
     Zero exactly on any code-space product state; a fully flipped pair
     contributes its collective sigma_z (+-2) to every coupling link.
     """
+    if state.n_qubits != spec.n_qubits:
+        raise ValueError(f"state has {state.n_qubits} qubits, the spec {spec.n_qubits}")
     if reg is None:
         if spec.n_qubits % 2:
             raise ValueError("default pairing needs an even qubit count")

@@ -117,6 +117,8 @@ class QuantumState:
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "QuantumState":
         """Computational basis state number ``index``."""
+        if not isinstance(n_qubits, Integral) or isinstance(n_qubits, bool) or n_qubits < 0:
+            raise ValueError(f"n_qubits must be a non-negative integer, got {n_qubits!r}")
         if not 0 <= index < 2**n_qubits:
             raise ValueError(f"basis index {index} is outside 0..{2**n_qubits - 1}")
         amp = np.zeros(2**n_qubits, dtype=complex)
@@ -194,7 +196,7 @@ class PulseSchedule:
 
     @property
     def duration_ns(self) -> float:
-        return sum(seg.duration_ns for seg in self.segments)
+        return sum((seg.duration_ns for seg in self.segments), 0.0)
 
 
 def evolve_segment(amps, diag, delta_ghz, t_ns: float) -> np.ndarray:

@@ -72,6 +72,9 @@ class TestEncoding:
             LogicalRegister(((0, 1), (1, 2)))
         with pytest.raises(ValueError):
             LogicalRegister(((0, 3),))
+        for count in (-3, 2.5, True):
+            with pytest.raises(ValueError, match=rf"^n_logical must be a non-negative integer, got {count!r}$"):
+                LogicalRegister.default(count)
 
     @pytest.mark.parametrize("pairs", [((0, 1.9),), ((1.0, 0),), ((0, 1), (False, 3))], ids=str)
     def test_register_refuses_non_integer_qubits(self, pairs):
@@ -484,6 +487,8 @@ class TestVerifyIfs:
     def test_two_flipped_pairs(self):
         spec = bus_all_to_all(4, 25.0)
         assert verify_ifs(QuantumState.basis(4, 0), spec) == pytest.approx(4.0, abs=1e-12)
+        with pytest.raises(ValueError, match="^state has 2 qubits, the spec 4$"):
+            verify_ifs(encode("0", LogicalRegister.default(1)), spec)
 
     def test_flipped_pair_with_code_spectator(self):
         spec = bus_all_to_all(4, 25.0)

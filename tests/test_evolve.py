@@ -490,6 +490,9 @@ class TestQuantumState:
             QuantumState(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             QuantumState(np.array(1.0))
+        for count in (-1, 2.5, True):
+            with pytest.raises(ValueError, match=rf"^n_qubits must be a non-negative integer, got {count!r}$"):
+                QuantumState.basis(count, 0)
 
     @pytest.mark.parametrize("index", [-1, 4, 7])
     def test_basis_index_checked(self, index):

@@ -1,7 +1,7 @@
 """The package's public names: every ``__all__`` entry exists, and the
 package root re-exports only names its modules declare public, and the
-public options are counted.  Its modules define one exception class and
-import nothing they do not use."""
+public options are counted.  Its modules define one exception class,
+import nothing they do not use and read no private name of another."""
 
 import ast
 import dataclasses
@@ -99,3 +99,43 @@ def test_no_unused_imports(name):
     # MODULES leaves out __init__, whose imports are re-exports.
     path = Path(fluxbus.__file__).with_name(f"{name}.py")
     assert unused_imports(path.read_text()) == []
+
+
+def private_reads(source: str) -> list:
+    """(line, name) of each ``_``-prefixed name of another fluxbus module that
+    ``source`` imports, or reads as an attribute of a fluxbus module it
+    imports (dunder names such as ``__all__`` are exempt)."""
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    tree = ast.parse(source)
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias for alias in node.names if alias.name.startswith("fluxbus")]
+            modules |= {alias.asname or alias.name.partition(".")[0] for alias in names}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fluxbus")):
+            if node.module in (None, "fluxbus"):  # binds modules
+                modules |= {alias.asname or alias.name for alias in node.names}
+            reads += [(node.lineno, alias.name) for alias in node.names if private(alias.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                reads.append((node.lineno, node.attr))
+    return sorted(reads)
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A rule kept private to its module is stated there once; a module that
+    # reads it from outside re-derives that rule.
+    package = Path(fluxbus.__file__).parent
+    reads = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in private_reads(path.read_text())
+    ]
+    assert reads == []

@@ -12,6 +12,7 @@ from splitting_oracle import splitting
 from fluxbus import squid as squidmod
 from fluxbus.constants import JOSEPHSON_GHZ_PER_UA, KINETIC_GHZ_FF, PHI0_PH_UA
 from fluxbus.squid import (
+    IC_BRACKET_UA,
     MIN_GRID_POINTS,
     FluxGrid,
     NumericalError,
@@ -335,55 +336,47 @@ def _exact_test_every_step(diag, off, shift, tol):
 
 
 def test_screened_iteration_matches_exact_test_on_every_step(monkeypatch):
-    # 300 random symmetric SQUIDs (600 parity sectors).  The residual read
-    # from each solve tracks the exact one to 1% of tol on every step that
-    # has not converged, and never reads more than 1% of tol above it, so no
-    # step that the exact test would pass is skipped.  The odd sector, shifted
-    # next to its level, can pass tol in one jump to the rounding floor, where
-    # the read residual may sit far below the exact one.  The exact test alone
-    # decides: the energy, vector and solve count equal those of the loop
-    # that runs it on every step, also at a tol placed between the two
-    # residuals of a step, where a screen that decided alone would differ.
-    # Where that tol lies below what the loop can reach, both fail to converge.
-    sectors = []
-    monkeypatch.setattr(squidmod, "_ground_state", lambda *args: sectors.append(args) or _ground_state(*args))
+    # 300 random symmetric SQUIDs and 100 drawn as the design sweep draws its
+    # design points (L 125-150 pH, C 60-100 fF, Ic across the calibration
+    # bracket, default grid): 800 parity sectors.  The residual read from each
+    # solve tracks the exact one to 1% of tol on every step that has not
+    # converged, and never reads more than 1% of tol above it.  So the read
+    # test decides every step as the exact test does: the energy, vector and
+    # solve count equal those of the loop that runs the exact test on every
+    # step, and only the accepted iterate takes a product with T.
+    draws = []
     rng = np.random.default_rng(22)
     for _ in range(300):
         l_ph, c_ff, beta = rng.uniform(100.0, 400.0), rng.uniform(20.0, 500.0), rng.uniform(1.0, 1.6)
         params = SquidParams(l_ph, c_ff, beta * PHI0_PH_UA / (2.0 * math.pi * l_ph))
-        grid = FluxGrid(n_points=2 * int(rng.integers(MIN_GRID_POINTS // 2, 2049)) + 1)
+        draws.append((params, FluxGrid(n_points=2 * int(rng.integers(MIN_GRID_POINTS // 2, 2049)) + 1)))
+    rng = np.random.default_rng(35)
+    for _ in range(100):
+        params = SquidParams(rng.uniform(125.0, 150.0), rng.uniform(60.0, 100.0), rng.uniform(*IC_BRACKET_UA))
+        draws.append((params, FluxGrid()))
+    sectors = []
+    monkeypatch.setattr(squidmod, "_ground_state", lambda *args: sectors.append(args) or _ground_state(*args))
+    for params, grid in draws:
         try:
             solve_levels(params, grid)
         except NumericalError:
             pass  # a window too small for this SQUID; its sectors were still solved
-    assert len(sectors) >= 600
+    assert len(sectors) >= 800
 
-    solves = []
+    solves, products = [], []
     monkeypatch.setattr(squidmod, "dpttrs", lambda *args: solves.append(1) or dpttrs(*args))
-    straddled = unreachable = 0
+    matvec = squidmod._tridiagonal_matvec
+    monkeypatch.setattr(squidmod, "_tridiagonal_matvec", lambda *args: products.append(1) or matvec(*args))
     for diag, off, shift, tol in sectors:
-        reference = _exact_test_every_step(diag, off, shift, tol)
-        assert reference[0] is not None
-        exact, read = reference[3:]
+        energy, vector, steps, exact, read = _exact_test_every_step(diag, off, shift, tol)
+        assert energy is not None
         assert np.max(read - exact) <= 1e-2 * tol
         assert np.max(np.abs(read - exact)[exact > tol], initial=0.0) <= 1e-2 * tol
-        cases = [(tol, reference)]
-        if exact[-1] != read[-1]:
-            mid = 0.5 * (exact[-1] + read[-1])
-            cases.append((mid, _exact_test_every_step(diag, off, shift, mid)))
-            straddled += 1
-        for tol_case, (energy, vector, steps, _, _) in cases:
-            solves.clear()
-            if energy is None:
-                unreachable += 1
-                with pytest.raises(NumericalError, match="did not converge"):
-                    _ground_state(diag, off, shift, tol_case)
-                assert len(solves) == steps == squidmod._INVERSE_ITERATIONS
-                continue
-            energies, vectors = _ground_state(diag, off, shift, tol_case)
-            assert len(solves) == steps
-            assert np.array_equal(energies, [energy]) and np.array_equal(vectors[:, 0], vector)
-    assert straddled >= 500 and 0 < unreachable < straddled
+        solves.clear()
+        products.clear()
+        energies, vectors = _ground_state(diag, off, shift, tol)
+        assert len(solves) == steps and len(products) == 1
+        assert np.array_equal(energies, [energy]) and np.array_equal(vectors[:, 0], vector)
 
 
 class TestExtractTwoLevel:
@@ -398,15 +391,23 @@ class TestExtractTwoLevel:
         assert abs(tlp.delta_ghz - 2.6) <= 0.52
 
     def test_epsilon_zero_at_symmetry(self, monkeypatch):
-        # epsilon is exactly 0 at Phi0/2 alone, and every bias costs the one
-        # symmetric solve.
-        solves = []
+        # epsilon is exactly 0 at Phi0/2 alone, None at 0.1 Phi0, where the
+        # bias leaves one well, and every bias costs the one symmetric solve.
+        solves, epsilons = [], []
         monkeypatch.setattr(squidmod, "solve_levels", lambda *args, **kw: solves.append(1) or solve_levels(*args, **kw))
         for phi_x in (0.5, 0.5 + 5e-13, 0.5 + BIAS_OFFSET, 0.1):
             solves.clear()
-            epsilon = extract_two_level(replace(P_UNSUPPRESSED, phi_x=phi_x)).epsilon_ghz
-            assert (epsilon == 0.0) == (phi_x == 0.5) and epsilon >= 0.0
+            epsilons.append(extract_two_level(replace(P_UNSUPPRESSED, phi_x=phi_x)).epsilon_ghz)
             assert len(solves) == 1
+        assert epsilons[0] == 0.0 and epsilons[1] > 0.0 and epsilons[2] > 0.0 and epsilons[3] is None
+
+    @pytest.mark.parametrize("phi_x, one_well", [(0.45, True), (0.47, True), (0.48, False), (0.50015, False)])
+    def test_epsilon_none_where_the_bias_leaves_one_well(self, phi_x, one_well):
+        # The design SQUID's biased potential keeps two minima at 0.48 and
+        # 0.50015 Phi0 and one at 0.47 and 0.45, where 2 i_p dPhi would read
+        # 534 and 890 GHz with no splitting to describe.
+        epsilon = extract_two_level(replace(P_UNSUPPRESSED, phi_x=phi_x)).epsilon_ghz
+        assert epsilon is None if one_well else isinstance(epsilon, float)
 
     def test_epsilon_at_design_offset_barrier_up(self):
         # Barrier up (Ic = 3 uA): the 0.15 mPhi0 offset splits the wells by
