@@ -3,8 +3,8 @@
 The same table is available from the command line as
 ``fluxbus reproduce-paper``; here it is assembled through the library calls
 so each row's provenance is visible.  J is formed as ``fluxbus design`` forms
-it, from the SQUID loaded by the bus: its inductance is renormalized by
-1 + M^2/(L L_b).
+it, from the SQUID loaded by the bus: a SQUID whose loop inductance is
+L/(1 + M^2/(L L_b)).
 """
 
 from dataclasses import replace
@@ -17,7 +17,7 @@ bus = fb.BusParams(l_b_nh=2.0, m_ph=2.0, n_qubits=1000)
 barrier_up = fb.extract_two_level(squid)
 suppressed = fb.extract_two_level(replace(squid, ic_ua=2.375))
 biased = fb.extract_two_level(replace(squid, phi_x=0.5 + 0.15e-3))
-loaded = fb.extract_two_level(replace(squid, l_renorm_factor=1.0 + bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)))
+loaded = fb.extract_two_level(replace(squid, l_ph=squid.l_ph / (1.0 + bus.m_ph**2 / (squid.l_ph * bus.l_b_ph))))
 
 rows = [
     ("tunneling, barrier up", f"{barrier_up.delta_ghz * 1e9:.1f} Hz", "~30 Hz", ""),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -62,6 +63,8 @@ class BusParams:
             raise ValueError(f"l_b_nh must be positive, got {self.l_b_nh!r}")
         if self.m_ph < 0:
             raise ValueError(f"m_ph must be non-negative, got {self.m_ph!r}")
+        if not isinstance(self.n_qubits, Integral) or isinstance(self.n_qubits, bool):
+            raise ValueError(f"n_qubits must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 2 or self.n_qubits % 2 != 0:
             raise ValueError(f"n_qubits must be even and at least 2, got {self.n_qubits!r}")
         if not 0.0 < self.k_geom <= 1.0:
@@ -120,9 +123,12 @@ def solve_currents(
     complement of the SQUID block; a bus with N M^2 >= L L_b is not passive
     and raises ``NumericalError``, as does a flux quantization residual
     above 1e-12 Phi0; flux and bias lists whose length is not N raise
-    ``ValueError``.  Flux quantization defaults to n = 0; both n and the bus
-    bias are overridable for residual-current studies.
+    ``ValueError``, as does an ``n_quanta`` that is not an integer.  Flux
+    quantization defaults to n = 0; both n and the bus bias are overridable
+    for residual-current studies.
     """
+    if not isinstance(n_quanta, Integral) or isinstance(n_quanta, bool):
+        raise ValueError(f"n_quanta must be an integer, got {n_quanta!r}")
     fluxes = np.asarray(fluxes_phi0, dtype=float)
     biases = np.asarray(biases_phi0, dtype=float)
     if fluxes.shape != (bus.n_qubits,) or biases.shape != (bus.n_qubits,):
@@ -142,7 +148,9 @@ def solve_currents(
 
 
 def flux_quantization_residual(sol: CurrentSolution, bus: BusParams, n_quanta: int = 0) -> float:
-    """|L_b I_b + sum M I_i - (n Phi0 - Phi_bx)| in units of Phi0."""
+    """|L_b I_b + sum M I_i - (n Phi0 - Phi_bx)| in units of Phi0, for an integer n."""
+    if not isinstance(n_quanta, Integral) or isinstance(n_quanta, bool):
+        raise ValueError(f"n_quanta must be an integer, got {n_quanta!r}")
     lhs = bus.l_b_ph * sol.bus_current_ua + bus.m_ph * float(np.sum(sol.squid_currents_ua))
     target = (n_quanta - bus.phi_bx) * PHI0_PH_UA
     return abs(lhs - target) / PHI0_PH_UA

@@ -329,7 +329,6 @@ def cmd_design(cfg: dict) -> DesignReport:
     if "R_uOhm" in cfg:
         decay_ms = _from_config(cfg, busmod.residual_decay_time, {"r_uohm": "R_uOhm"}, l_b_nh=bus.l_b_nh)
     renorm = 1.0 + bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
-    squid = replace(squid, l_renorm_factor=renorm)
     busmod.passive_schur_complement(squid, bus)
 
     report = DesignReport(kind="design")
@@ -350,7 +349,7 @@ def cmd_design(cfg: dict) -> DesignReport:
     if bus.m_ph == 0.0:
         report.derived["J_MHz"] = 0.0
     else:
-        tlp = squidmod.extract_two_level(squid, grid=grid)
+        tlp = squidmod.extract_two_level(replace(squid, l_ph=squid.l_ph / renorm), grid=grid)
         j_mhz = busmod.coupling_strength(tlp, bus)
         report.derived["i_p_uA"] = tlp.i_p_ua
         report.derived["J_MHz"] = j_mhz

@@ -119,6 +119,8 @@ class QuantumState:
         """Computational basis state number ``index``."""
         if not isinstance(n_qubits, Integral) or isinstance(n_qubits, bool) or n_qubits < 0:
             raise ValueError(f"n_qubits must be a non-negative integer, got {n_qubits!r}")
+        if not isinstance(index, Integral) or isinstance(index, bool):
+            raise ValueError(f"basis index must be an integer, got {index!r}")
         if not 0 <= index < 2**n_qubits:
             raise ValueError(f"basis index {index} is outside 0..{2**n_qubits - 1}")
         amp = np.zeros(2**n_qubits, dtype=complex)

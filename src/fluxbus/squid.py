@@ -2,7 +2,7 @@
 
 Solves the one-dimensional loop Hamiltonian
 
-    H = -(hbar^2 / 2C) d^2/dPhi^2 + (Phi - Phi_x)^2 / (2 L_eff) - E_J cos(2 pi Phi / Phi0)
+    H = -(hbar^2 / 2C) d^2/dPhi^2 + (Phi - Phi_x)^2 / (2 L) - E_J cos(2 pi Phi / Phi0)
 
 on a uniform flux grid with Dirichlet boundaries and reduces the two lowest
 levels to two-level qubit parameters: tunneling splitting ``delta``, bias
@@ -100,23 +100,19 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SquidParams:
-    """Circuit constants of one rf-SQUID loop.
-
-    ``l_renorm_factor`` is the dimensionless bus-loading correction
-    1 + M^2/(L L_b); the effective loop inductance is L / l_renorm_factor.
-    """
+    """Circuit constants of one rf-SQUID loop.  On a bus loop L_b through a
+    mutual M, ``l_ph`` is the loaded loop inductance L/(1 + M^2/(L L_b))."""
 
     l_ph: float
     c_ff: float
     ic_ua: float
     phi_x: float = 0.5
-    l_renorm_factor: float = 1.0
 
     def __post_init__(self):
-        for name in ("l_ph", "c_ff", "ic_ua", "l_renorm_factor"):
+        for name in ("l_ph", "c_ff", "ic_ua"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("l_ph", "c_ff", "l_renorm_factor"):
+        for name in ("l_ph", "c_ff"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.ic_ua < 0:
@@ -190,17 +186,10 @@ class TwoLevelParams:
 
 
 def potential(params: SquidParams, phi) -> np.ndarray | float:
-    """Loop potential U(phi)/h in GHz, phi in units of Phi0.
-
-    Inductive term uses the renormalized inductance L / l_renorm_factor.
-    """
+    """Loop potential U(phi)/h in GHz, phi in units of Phi0; the parabola
+    reads the one loop inductance ``l_ph``, the loaded one on a bus."""
     phi = np.asarray(phi, dtype=float)
-    inductive = (
-        FLUX_ENERGY_GHZ_PH
-        * params.l_renorm_factor
-        * (phi - params.phi_x) ** 2
-        / (2.0 * params.l_ph)
-    )
+    inductive = FLUX_ENERGY_GHZ_PH * (phi - params.phi_x) ** 2 / (2.0 * params.l_ph)
     josephson = -params.josephson_energy_ghz * np.cos(2.0 * math.pi * phi)
     u = inductive + josephson
     return float(u) if u.ndim == 0 else u
@@ -422,7 +411,7 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
     symmetric point Phi0/2 (same L, C, Ic).
 
     ``delta`` is that solve's splitting; ``i_p`` is the circulating-current
-    magnitude |<well| (Phi - Phi_x)/L_eff |well>| of the localized
+    magnitude |<well| (Phi - Phi_x)/L |well>| of the localized
     combinations (psi0 +- psi1)/sqrt(2); ``epsilon`` = 2 i_p |Phi_x - Phi0/2|
     is the bias energy projected onto those two wells (Orlando et al., Phys.
     Rev. B 60, 15398 (1999)), exactly linear in the offset and 0 at Phi0/2.
@@ -442,7 +431,7 @@ def extract_two_level(params: SquidParams, grid: FluxGrid | None = None) -> TwoL
     phi = sym.grid.points
     dphi = sym.grid.spacing
     psi0, psi1 = sym.wavefunctions[0], sym.wavefunctions[1]
-    current_ua = (phi - 0.5) * PHI0_PH_UA * params.l_renorm_factor / params.l_ph
+    current_ua = (phi - 0.5) * PHI0_PH_UA / params.l_ph
     ips = []
     for well in ((psi0 + psi1) / math.sqrt(2.0), (psi0 - psi1) / math.sqrt(2.0)):
         ips.append(abs(float(np.sum(well**2 * current_ua) * dphi)))

@@ -22,7 +22,7 @@ def operator(params, grid):
     lo = mp.mpf(0.5) - mp.mpf(grid.half_width)
     dphi = 2 * mp.mpf(grid.half_width) / (grid.n_points - 1)
     kin = mp.mpf(KINETIC_GHZ_FF) / mp.mpf(params.c_ff) / dphi**2
-    inductive = mp.mpf(FLUX_ENERGY_GHZ_PH) * mp.mpf(params.l_renorm_factor) / (2 * mp.mpf(params.l_ph))
+    inductive = mp.mpf(FLUX_ENERGY_GHZ_PH) / (2 * mp.mpf(params.l_ph))
     e_j = mp.mpf(JOSEPHSON_GHZ_PER_UA) * mp.mpf(params.ic_ua)
     phi_x = mp.mpf(params.phi_x)
     diag = []

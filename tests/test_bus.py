@@ -62,6 +62,20 @@ class TestSolveCurrents:
         sol = solve_currents([0.5] * 4, [0.5] * 4, SQUID, bus, n_quanta=1)
         assert flux_quantization_residual(sol, bus, n_quanta=1) < 1e-12
         assert sol.bus_current_ua != 0.0
+        # a NumPy integer is an integer
+        numpy_quanta = solve_currents([0.5] * 4, [0.5] * 4, SQUID, bus, n_quanta=np.int64(1))
+        assert numpy_quanta.bus_current_ua == sol.bus_current_ua
+
+    @pytest.mark.parametrize("n_quanta", [0.5, 1.0, True])
+    def test_non_integer_quanta_rejected(self, n_quanta):
+        # Flux quantization traps a whole number of flux quanta in the bus:
+        # half a quantum, or True taken as one, is not a bus state.
+        message = rf"^n_quanta must be an integer, got {n_quanta!r}$"
+        with pytest.raises(ValueError, match=message):
+            solve_currents([0.5] * 4, [0.5] * 4, SQUID, BUS4, n_quanta=n_quanta)
+        sol = solve_currents([0.5] * 4, [0.5] * 4, SQUID, BUS4)
+        with pytest.raises(ValueError, match=message):
+            flux_quantization_residual(sol, BUS4, n_quanta=n_quanta)
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
@@ -239,6 +253,8 @@ class TestDesignFormulas:
             ("m_ph", -1.0, "be non-negative"),
             ("n_qubits", 3, "be even and at least 2"),
             ("n_qubits", 0, "be even and at least 2"),
+            ("n_qubits", 4.0, "be an integer"),
+            ("n_qubits", True, "be an integer"),
             ("k_geom", 1.5, "lie in (0, 1]"),
         ]:
             kwargs = {"l_b_nh": 2.0, "m_ph": 2.0, "n_qubits": 4, field: value}

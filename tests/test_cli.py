@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -19,9 +20,11 @@ from fluxbus.cli import (
     main,
     parse_config,
 )
+from fluxbus import bus as busmod
 from fluxbus.bus import BusParams
 from fluxbus.compiler import ControlParams, LogicalRegister
-from fluxbus.squid import FluxGrid, SquidParams, TwoLevelParams
+from fluxbus.constants import PHI0_PH_UA
+from fluxbus.squid import FluxGrid, NumericalError, SquidParams, TwoLevelParams
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -205,6 +208,18 @@ class TestDesign:
         assert main(["design", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error[numerical]:") and "not passive" in err and "N = 200" in err
+
+    def test_loaded_single_well_refused(self, cfg_file, capsys):
+        # The bus lowers the loop inductance to L/(1 + M^2/(L L_b)), and
+        # beta_L with it: at beta_L = 1 + 5e-6 bare, the loaded SQUID (factor
+        # 1 + 1.33e-5) has a single well, so it has no i_p and no J.
+        ic_ua = (1.0 + 5e-6) * PHI0_PH_UA / (2.0 * math.pi * 150.0)
+        assert squidmod.beta_l(SquidParams(150.0, 80.0, ic_ua)) > 1.0
+        text = DESIGN_CFG.replace("Ic_uA = 3.0", f"Ic_uA = {ic_ua!r}")
+        with pytest.raises(NumericalError, match=r"^beta_L = 1\.000 <= 1: potential has a single well$"):
+            cmd_design(parse_config_text(text))
+        assert main(["design", "--config", cfg_file(text)]) == 3
+        assert capsys.readouterr().err.startswith("error[numerical]: beta_L = 1.000 <= 1")
 
     def test_biased_design_solves_once(self, monkeypatch):
         # design reads no bias: its one solve is the SQUID's at Phi0/2.
@@ -830,6 +845,53 @@ def test_readme_key_table_matches_the_cli(command):
     for missing in required:
         with pytest.raises(ValueError, match=rf"^missing config key\(s\): {missing}$"):
             run({key: _REQUIRED_VALUES[key] for key in required - {missing}})
+
+
+def _at_printed_precision(value, printed: str) -> str:
+    """``value`` rounded to as many decimals as ``printed`` shows."""
+    return f"{value:.{len(printed.partition('.')[2])}f}"
+
+
+# README's design-point table: quantity -> cmd_reproduce_paper row name.
+_README_ROWS = {
+    "tunneling, barrier up": "tunneling_unsuppressed_Hz",
+    "tunneling, Ic = 2.375 uA": "tunneling_suppressed_GHz",
+    "bias splitting at 0.15 mPhi0": "bias_splitting_GHz",
+    "effective mutual M^2/L_b": "effective_mutual_fH",
+    "coupling strength J": "coupling_J_MHz",
+    "geometric bound N_max": "N_max",
+    "pi-pulse time": "pi_pulse_ns",
+}
+
+
+def test_readme_design_point_matches_the_commands():
+    # README's "The design point, reproduced" prints the table and the J
+    # sentence; each number is the code's at the precision printed.
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split(
+        "## The design point, reproduced", 1)[1]
+    prose, table = section.split("| quantity | computed | quoted |", 1)
+    rows = {row["name"]: row for row in cmd_reproduce_paper()[0]}
+    printed = {}
+    for line in table.split("\n\n", 1)[0].splitlines()[2:]:
+        quantity, computed, quoted = (cell.strip() for cell in line.strip("|").split("|"))
+        printed[quantity] = (computed.split()[0], re.search(r"[\d.]+", quoted).group())
+    assert set(printed) == set(_README_ROWS)
+    for quantity, (computed, quoted) in printed.items():
+        row = rows[_README_ROWS[quantity]]
+        assert _at_printed_precision(row["computed"], computed) == computed, quantity
+        assert float(quoted) == row["quoted"], quantity
+
+    sentence = re.search(
+        r"1 \+ M\^2/\(L L_b\) = ([\d.]+), gives ([\d.]+) MHz, where the bare SQUID would give ([\d.]+) MHz",
+        " ".join(prose.split()),
+    )
+    factor, loaded_j, bare_j = sentence.groups()
+    design = cmd_design(parse_config(DEMOS / "design.cfg")).derived
+    bare_squid = squidmod.extract_two_level(SquidParams(150.0, 80.0, 3.0))
+    bare = busmod.coupling_strength(bare_squid, BusParams(2.0, 2.0, 1000))
+    assert _at_printed_precision(design["L_renorm_factor"], factor) == factor == "1.0000133"
+    assert _at_printed_precision(design["J_MHz"], loaded_j) == loaded_j == "24.559140"
+    assert _at_printed_precision(bare, bare_j) == bare_j == "24.559528"
 
 
 class TestReproducePaper:

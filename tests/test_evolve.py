@@ -494,9 +494,10 @@ class TestQuantumState:
             with pytest.raises(ValueError, match=rf"^n_qubits must be a non-negative integer, got {count!r}$"):
                 QuantumState.basis(count, 0)
 
-    @pytest.mark.parametrize("index", [-1, 4, 7])
+    @pytest.mark.parametrize("index", [-1, 4, 7, 1.5, True])
     def test_basis_index_checked(self, index):
-        with pytest.raises(ValueError, match="basis index"):
+        # 1.5 would fail inside numpy, and True would index every amplitude.
+        with pytest.raises(ValueError, match="^basis index"):
             QuantumState.basis(2, index)
 
     def test_state_keeps_a_read_only_copy(self):

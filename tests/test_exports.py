@@ -65,7 +65,7 @@ def test_public_option_count():
     # Every public parameter and field is a knob a caller can turn.  A change
     # that adds or removes one changes these numbers on purpose.
     defaults = option_defaults()
-    assert (len(defaults), sum(defaults)) == (138, 34)
+    assert (len(defaults), sum(defaults)) == (137, 33)
 
 
 def test_one_exception_class():

@@ -30,7 +30,13 @@ from fluxbus.evolve import (
     logical_process_fidelity,
     run_schedule,
 )
-from fluxbus.constants import ENERGY_GHZ_PER_PH_UA2, KINETIC_GHZ_FF, PHI0_PH_UA
+from fluxbus.constants import (
+    ENERGY_GHZ_PER_PH_UA2,
+    FLUX_ENERGY_GHZ_PH,
+    JOSEPHSON_GHZ_PER_UA,
+    KINETIC_GHZ_FF,
+    PHI0_PH_UA,
+)
 from fluxbus.spin import (
     SpinHamiltonianSpec,
     add_biases,
@@ -596,6 +602,24 @@ def test_pairwise_energy_within_weak_coupling_bound(case):
     bare = float(d @ d) / (2.0 * squid.l_ph) * ENERGY_GHZ_PER_PH_UA2
     r = bus.n_qubits * bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
     assert abs(exact - pairwise) <= r**2 / (1.0 - r) * bare * (1.0 + 1e-9) + 1e-12 * abs(exact)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    st.floats(50.0, 500.0), st.floats(20.0, 500.0), st.floats(0.0, 3.5),
+    st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 50.0), st.floats(0.1, 10.0),
+)
+def test_loaded_squid_potential_is_the_renormalized_parabola(l_ph, c_ff, ic_ua, phi_x, m_ph, l_b_nh):
+    # The bus loads a SQUID by one number, r = 1 + M^2/(L L_b): the potential
+    # of the SQUID with loop inductance L/r is the bare parabola steepened by r.
+    r = 1.0 + m_ph**2 / (l_ph * l_b_nh * 1e3)
+    phi = FluxGrid().points
+    inductive = FLUX_ENERGY_GHZ_PH * r * (phi - phi_x) ** 2 / (2.0 * l_ph)
+    josephson = -JOSEPHSON_GHZ_PER_UA * ic_ua * np.cos(2.0 * math.pi * phi)
+    loaded = potential(SquidParams(l_ph / r, c_ff, ic_ua, phi_x), phi)
+    # within 4 ulp of the two terms' size (U itself may cancel to 0)
+    bound = 4.0 * np.finfo(float).eps * (inductive + np.abs(josephson))
+    assert np.all(np.abs(loaded - (inductive + josephson)) <= bound)
 
 
 @st.composite

@@ -53,7 +53,8 @@ class TestPotential:
         )
 
     def test_renormalization_steepens_parabola(self):
-        p = replace(P_UNSUPPRESSED, l_renorm_factor=1.5)
+        # A loaded SQUID is the same SQUID with the smaller inductance L/r.
+        p = replace(P_UNSUPPRESSED, l_ph=P_UNSUPPRESSED.l_ph / 1.5)
         assert potential(p, 0.6) > potential(P_UNSUPPRESSED, 0.6)
 
 
@@ -464,7 +465,7 @@ class TestExtractTwoLevel:
         factor = 1.0 + 2.0**2 / (150.0 * 2000.0)
         for params in (P_SUPPRESSED, P_UNSUPPRESSED):
             bare = extract_two_level(params).delta_ghz
-            loaded = extract_two_level(replace(params, l_renorm_factor=factor)).delta_ghz
+            loaded = extract_two_level(replace(params, l_ph=params.l_ph / factor)).delta_ghz
             assert abs(loaded - bare) / bare < 1e-2
 
 
@@ -620,20 +621,19 @@ class TestValidation:
             {"l_ph": 150.0, "c_ff": 0.0, "ic_ua": 3.0},
             {"l_ph": 150.0, "c_ff": 80.0, "ic_ua": -0.1},
             {"l_ph": 150.0, "c_ff": 80.0, "ic_ua": 3.0, "phi_x": 1.0},
-            {"l_ph": 150.0, "c_ff": 80.0, "ic_ua": 3.0, "l_renorm_factor": 0.0},
         ],
     )
     def test_bad_params_rejected(self, kwargs):
         # Each rule leads with its field and ends with the value it refused.
         rules = {"l_ph": "be positive", "c_ff": "be positive", "ic_ua": "be non-negative",
-                 "phi_x": "lie in [0, 1) flux quanta", "l_renorm_factor": "be positive"}
+                 "phi_x": "lie in [0, 1) flux quanta"}
         (field,) = [k for k, v in kwargs.items() if v != {"l_ph": 150.0, "c_ff": 80.0, "ic_ua": 3.0}.get(k)]
         with pytest.raises(ValueError) as info:
             SquidParams(**kwargs)
         assert str(info.value) == f"{field} must {rules[field]}, got {kwargs[field]!r}"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["l_ph", "c_ff", "ic_ua", "phi_x", "l_renorm_factor"])
+    @pytest.mark.parametrize("field", ["l_ph", "c_ff", "ic_ua", "phi_x"])
     def test_non_finite_params_rejected(self, field, value):
         # nan <= 0 is False, so the sign checks alone let NaN through: a NaN L
         # would end in a grid-edge error and an infinite C in a zero splitting.
