@@ -87,9 +87,13 @@ def passive_schur_complement(squid: SquidParams, bus: BusParams) -> float:
     """Schur complement L_b - N M^2/L (pH) of the inductance matrix.
 
     The bus is passive exactly when it is positive, i.e. N M^2 < L L_b;
-    otherwise ``NumericalError`` names N.
+    otherwise ``NumericalError`` names N.  An M whose square overflows
+    double precision is refused the same way.
     """
-    schur = bus.l_b_ph - bus.n_qubits * bus.m_ph**2 / squid.l_ph
+    try:
+        schur = bus.l_b_ph - bus.n_qubits * bus.m_ph**2 / squid.l_ph
+    except OverflowError:
+        schur = -math.inf
     if schur <= 0.0:
         raise NumericalError(
             f"L_b - N M^2/L = {schur:.4g} pH with N = {bus.n_qubits}: the bus is not passive "

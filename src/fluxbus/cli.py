@@ -328,8 +328,8 @@ def cmd_design(cfg: dict) -> DesignReport:
     # The decay time checks R before any level is solved.
     if "R_uOhm" in cfg:
         decay_ms = _from_config(cfg, busmod.residual_decay_time, {"r_uohm": "R_uOhm"}, l_b_nh=bus.l_b_nh)
-    renorm = 1.0 + bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
     busmod.passive_schur_complement(squid, bus)
+    renorm = 1.0 + bus.m_ph**2 / (squid.l_ph * bus.l_b_ph)
 
     report = DesignReport(kind="design")
     report.inputs = {

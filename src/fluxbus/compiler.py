@@ -225,10 +225,10 @@ def _logical_rx(
     """
     a, b = reg.pairs[logical]
     j_mhz = float(base.coupling_mhz[a, b])
-    if not j_mhz > 0.0:
+    if not j_mhz * 1e-3 > 0.0:
         raise ValueError(
             f"logical qubit {logical}: pair {(a, b)} has intra-pair coupling {j_mhz} MHz, "
-            "but RX and H are timed from a positive one"
+            "but RX and H are timed from one that is positive in GHz"
         )
     theta = (theta % (4.0 * math.pi)) % (2.0 * math.pi)
     if theta == 0.0:
@@ -263,10 +263,10 @@ def _cphase(i: int, j: int, reg: LogicalRegister, params: ControlParams, base: S
     """
     b_i, b_j = reg.pairs[i][1], reg.pairs[j][1]
     j_mhz = float(base.coupling_mhz[b_i, b_j])
-    if not j_mhz > 0.0:
+    if not j_mhz * 1e-3 > 0.0:
         raise ValueError(
-            f"CPHASE {i},{j}: pairs {reg.pairs[i]} and {reg.pairs[j]} need a positive cross coupling, "
-            f"got {j_mhz} MHz"
+            f"CPHASE {i},{j}: pairs {reg.pairs[i]} and {reg.pairs[j]} need a cross coupling that is positive "
+            f"in GHz, got {j_mhz} MHz"
         )
     flips = _moment([("x_flip", b_i), ("x_flip", b_j)], params, reg.n_physical)
     segments = flips + [_wait(1.0 / (32.0 * (j_mhz * 1e-3)))] + flips
@@ -406,8 +406,8 @@ def compile_circuit(
     ``base`` is the coupling graph the schedule runs on, by default the
     all-to-all bus at ``params.j_mhz``; pass the encoded-chain graph to
     compile against that topology instead.  Every coupling-timed wait reads
-    its J from ``base``: RX and H need a positive coupling within their
-    pair, CPHASE and CNOT a positive cross coupling between their pairs.
+    its J from ``base``: RX and H need a coupling within their pair, CPHASE
+    and CNOT a cross coupling between their pairs, that is positive in GHz.
     Every qubit must couple equally to both qubits of each other pair, which
     hides a code-space pair from it and makes CPHASE's cross couplings equal.
     ``base`` is the coupling graph alone (``SpinHamiltonianSpec`` holds no

@@ -8,21 +8,10 @@ on a uniform flux grid with Dirichlet boundaries and reduces the two lowest
 levels to two-level qubit parameters: tunneling splitting ``delta``, bias
 asymmetry ``epsilon`` and persistent current ``i_p``.
 
-Every grid has an odd number of points centred on Phi0/2, so at the
-symmetric bias the discrete operator is mirror symmetric about the centre
-point and is solved as two independent half-size tridiagonal problems, one
-per parity sector.  Level j has parity (-1)^j, so each sector supplies every
-other level, with exact parity however near-degenerate its partner.  The
-splitting ``delta`` is not the difference of two ~1300 GHz level energies,
-which would lose a deep-well splitting to rounding: the two sector blocks
-differ only at the mirror plane, so it follows from the two sector ground
-vectors alone (the discrete form of Herring's flux formula for a symmetric
-double well; Landau and Lifshitz, *Quantum Mechanics*, Sec. 50), with full
-relative precision at any depth.
-A sector that supplies one level (both, in every two-level solve) finds it
-by inverse iteration (see ``solve_levels``); the other sectors and the
-biased full grid use LAPACK bisection.  Each level's exact residual is
-checked once, against the full operator.
+Every grid has an odd number of points centred on Phi0/2, so the
+symmetric bias is mirror symmetric on the grid; there ``solve_levels`` gives
+each level exact parity and ``delta`` full relative precision at any well
+depth.
 
 Conventions
 -----------
@@ -75,13 +64,11 @@ _EDGE_MASS_LIMIT = 1e-6
 # Eigen-residual bound per unit of operator norm: 9.7e-9 GHz for the design
 # SQUID on the default 4097-point grid, where the norm is 7.4e5 GHz.
 _RESIDUAL_PER_NORM = 1.3e-14
-# Inverse-iteration steps allowed per parity sector.  Shifted to min U, the
-# error shrinks each step by the sector's (E0 - U_min)/(E1 - U_min), about 1/5
-# in a harmonic well and 1/3 in a deep double well.  Over 600 random symmetric
-# SQUIDs (L 100-400 pH, C 20-500 fF, Ic 0-3.5 uA, odd 257-4097 points) the
-# even sector took 11-26 steps.  The odd sector, shifted just below the even
-# ground energy, took 2-25 (mean 11.7; 17-32, mean 23.9, from min U): 2 where
-# its level is a deep-well doublet partner, most where the well is harmonic.
+# Inverse-iteration steps allowed per parity sector (``_ground_state``).  Over
+# 600 random symmetric SQUIDs (L 100-400 pH, C 20-500 fF, Ic 0-3.5 uA, odd
+# 257-4097 points) the even sector took 11-26 steps and the odd sector 2-25
+# (mean 11.7): 2 where its level is a deep-well doublet partner, most where
+# the well is harmonic.
 _INVERSE_ITERATIONS = 100
 
 # Fewest points of a FluxGrid; the Ic calibration's default bracket (uA),
@@ -261,24 +248,35 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
 
     ``n`` is odd (a ``FluxGrid`` rule), so the mirror plane is the centre
     point m = n // 2.  In the basis (e_i +- e_{n-1-i})/sqrt(2) of the m mirror
-    pairs the matrix splits into two tridiagonal blocks; the centre point
-    belongs to the even block alone, bonded to its neighbour pair by sqrt(2)
-    off.  The pairs' diagonal is the mean of the two mirror halves, the
-    projection of the matrix onto either sector.  Level j has parity (-1)^j,
-    so the lowest k levels are the lowest ceil(k/2) even and floor(k/2) odd
-    ones, returned sorted by energy.  A sector that supplies one level solves by inverse
-    iteration to a residual of ``tol``; one that supplies more by bisection.
-    The even sector is shifted to min U.  The odd sector's lowest level lies
+    pairs the matrix splits into two half-size tridiagonal blocks; the centre
+    point belongs to the even block alone, bonded to its neighbour pair by
+    sqrt(2) off.  The pairs' diagonal is the mean of the two mirror halves,
+    the projection of the matrix onto either sector.  Level j has parity
+    (-1)^j, so the lowest k levels are the lowest ceil(k/2) even and floor(k/2)
+    odd ones, returned sorted by energy, each with exact parity however
+    near-degenerate its partner.
+
+    A sector that supplies one level (both, at k = 2) solves by inverse
+    iteration (``_ground_state``) to a residual of ``tol``; one that supplies
+    more by LAPACK bisection.  The even sector is shifted to min U, below every
+    level because the kinetic term is positive definite; there the error
+    shrinks each step by (E0 - U_min)/(E1 - U_min), about 1/5 in a harmonic
+    well and 1/3 in a deep double well.  The odd sector's lowest level lies
     above the even ground energy, which the Rayleigh quotient or bisection
     misses only by rounding (~eps |T|, about ``tol``/30), so it is shifted
-    4 ``tol`` below that energy, which ``dpttrf`` certifies as it factors.
+    4 ``tol`` below that energy (17-32 steps from min U become 2-25), which
+    ``dpttrf`` certifies as it factors.
 
-    The two blocks differ only at the mirror plane, so applying both to their
-    ground vectors u (even) and v (odd) leaves (E1 - E0) u.v equal to that
-    border term alone, with no energies subtracted: delta = -sqrt(2) off u[m]
-    v[m-1] / (u[:m].v).  Each vector first takes one more step, shifted 4
-    ``tol`` below its own energy, which strips the higher levels it still
-    carries at residual ``tol``.
+    The splitting is not the difference of two ~1300 GHz level energies,
+    which would lose a deep-well splitting to rounding.  The two blocks
+    differ only at the mirror plane, so applying both to their ground vectors
+    u (even) and v (odd) leaves (E1 - E0) u.v equal to that border term
+    alone: delta = -sqrt(2) off u[m] v[m-1] / (u[:m].v), the discrete form of
+    Herring's flux formula for a symmetric double well (Landau and Lifshitz,
+    *Quantum Mechanics*, Sec. 50), with full relative precision at any depth.
+    Each vector first takes one more step, shifted 4 ``tol`` below its own
+    energy, which strips the higher levels it still carries at residual
+    ``tol``.
     """
     n = diag.size
     m = n // 2
@@ -317,59 +315,58 @@ def _lowest_mirror_symmetric(diag: np.ndarray, off: float, k: int, tol: float) -
 def solve_levels(params: SquidParams, grid: FluxGrid | None = None, k: int = 2) -> EigenSolution:
     """Lowest ``k`` eigenpairs of the discretized loop Hamiltonian.
 
-    Symmetric three-point finite differences with Dirichlet boundaries; the
-    resulting real symmetric tridiagonal problem is solved exactly for the
-    requested levels.  At the symmetric bias (Phi0/2, the grid's centre
-    point) it splits into even and odd sectors of half the size: each level
-    has exact parity, which keeps near-degenerate doublets clean, and the gap
-    comes from the two sectors' ground vectors with no energies subtracted,
-    so it keeps full relative precision at any depth.
-
-    A parity sector that supplies one level (both sectors at k = 2, the odd
-    one at k = 3) finds it by inverse iteration from a positive start vector,
-    which overlaps the sector's ground state because the negative bonds make
-    that state positive.  The even sector is shifted to min U, which lies
-    below every level because the kinetic term is positive definite; the odd
-    one 4 tolerances below the even ground energy, which lies below its level
-    and much nearer it.  ``dpttrf`` certifies each shift.  A step converges
-    on the residual read from its own solve.  The other sectors and the
-    biased full grid, which must resolve several close levels in one problem,
-    use LAPACK bisection (``eigh_tridiagonal``).  Each sector's ground vector
-    takes one more step, 4 tolerances below its own energy, before the gap is
-    formed.  Every level then passes the edge-mass check and the one check of
-    its exact residual, against the full operator at twice the sector tol.
+    Symmetric three-point finite differences with Dirichlet boundaries give a
+    real symmetric tridiagonal operator, solved exactly for the requested
+    levels.  At the symmetric bias (Phi0/2, the grid's centre point) every
+    level has exact parity and ``gap`` keeps full relative precision however
+    small (``_lowest_mirror_symmetric``); at any other bias the full grid is
+    solved by LAPACK bisection.  Every returned level has passed one check of
+    its exact residual against the full operator, at ``_RESIDUAL_PER_NORM``
+    times its max-row-sum norm, and carries at most 1e-6 probability mass in
+    the outer 5% of the grid.
 
     Raises
     ------
     ValueError
         if ``k`` is below 2.
     NumericalError
-        if a returned wavefunction carries more than 1e-6 probability mass in
-        the outer 5% of the grid, the potential minimum sits at the edge, the
-        eigensolver fails, inverse iteration does not converge or its iterate
-        leaves double-precision range, or residuals exceed tolerance.
+        if the potential or the kinetic term is not finite in double
+        precision, the potential minimum sits at the edge, a returned
+        wavefunction carries more than 1e-6 probability mass in the outer 5%
+        of the grid, the eigensolver fails, inverse iteration does not
+        converge or its iterate leaves double-precision range, or residuals
+        exceed tolerance.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if grid is None:
         grid = FluxGrid()
 
-    phi = grid.points
+    # A window, L or Ic out of double-precision range is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = grid.points
+        u = potential(params, phi)
+    if not np.isfinite(u).all():
+        raise NumericalError(
+            f"potential is not finite in double precision on the flux window: L = {params.l_ph!r} pH, "
+            f"Ic = {params.ic_ua!r} uA, half-width {grid.half_width!r} Phi0"
+        )
     dphi = grid.spacing
-    u = potential(params, phi)
     n = grid.n_points
 
     edge = max(1, int(0.05 * n))
     if np.argmin(u) < edge or np.argmin(u) >= n - edge:
         raise NumericalError("potential minimum at the grid edge; widen the window")
 
-    kin = KINETIC_GHZ_FF / params.c_ff
-    diag = u + 2.0 * kin / dphi**2
-    off = np.full(n - 1, -kin / dphi**2)
+    hop = KINETIC_GHZ_FF / params.c_ff / dphi**2
+    if not hop < math.inf:
+        raise NumericalError(f"kinetic term is not finite in double precision: C = {params.c_ff!r} fF")
+    diag = u + 2.0 * hop
+    off = np.full(n - 1, -hop)
 
     # Eigen-residual bound on the discrete operator, in the grid norm, relative
     # to its max-row-sum norm (which grows as 1/dphi^2 with the grid).
-    tol = _RESIDUAL_PER_NORM * (float(np.max(np.abs(diag))) + 2.0 * kin / dphi**2)
+    tol = _RESIDUAL_PER_NORM * (float(np.max(np.abs(diag))) + 2.0 * hop)
 
     if abs(params.phi_x - 0.5) < _CENTRE_TOL:  # mirror symmetric about the grid's centre
         energies, vectors, gap = _lowest_mirror_symmetric(diag, off[0], k, 0.5 * tol)
@@ -462,13 +459,12 @@ def calibrate_critical_current(
     bisection proves that at each end it moves off: lo moves only to a
     midpoint whose delta exceeds the target, hi only to one whose delta is at
     most the target, and delta(Ic) is monotone.  So an end is solved only if
-    the bisection never moved off it.  If the target is not enclosed, or a
-    midpoint solve fails, both ends are solved in the order an up-front check
-    would solve them, which raises the same error.
+    the bisection never moved off it, after the loop, lo first.
 
     Raises ``ValueError`` for a target that is not positive or a bracket that
-    breaks 0 <= lo < hi, before any solve, and ``NumericalError`` if the
-    target is not enclosed by the bracket.
+    breaks 0 <= lo < hi, before any solve, and ``NumericalError`` naming the
+    end's Ic and splitting if the target is not enclosed at an end, or the
+    failing solve's own error.
     """
     if not target_delta_ghz > 0:
         raise ValueError(f"target_delta_ghz must be positive, got {target_delta_ghz!r}")
@@ -479,33 +475,24 @@ def calibrate_critical_current(
     def delta_of(ic: float) -> float:
         return solve_levels(replace(params, ic_ua=ic, phi_x=0.5), grid=grid).gap
 
-    def check_enclosed() -> None:
-        d_lo, d_hi = delta_of(bracket[0]), delta_of(bracket[1])
-        if not (d_hi <= target_delta_ghz <= d_lo):
-            raise NumericalError(
-                f"target {target_delta_ghz:.4g} GHz outside [{d_hi:.4g}, {d_lo:.4g}] GHz "
-                f"reachable on Ic bracket [{bracket[0]}, {bracket[1]}] uA"
-            )
-
-    try:
-        for _ in range(_CALIBRATION_STEPS):
+    for _ in range(_CALIBRATION_STEPS):
+        mid = 0.5 * (lo + hi)
+        d_mid = delta_of(mid)
+        if abs(d_mid - target_delta_ghz) <= _CALIBRATION_REL_TOL * target_delta_ghz:
+            break
+        if d_mid > target_delta_ghz:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-6:
             mid = 0.5 * (lo + hi)
-            d_mid = delta_of(mid)
-            if abs(d_mid - target_delta_ghz) <= _CALIBRATION_REL_TOL * target_delta_ghz:
-                break
-            if d_mid > target_delta_ghz:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-6:
-                mid = 0.5 * (lo + hi)
-                break
-        enclosed = (lo != bracket[0] or target_delta_ghz <= delta_of(lo)) and (
-            hi != bracket[1] or delta_of(hi) <= target_delta_ghz
+            break
+    if lo == bracket[0] and not target_delta_ghz <= (d_lo := delta_of(lo)):
+        raise NumericalError(
+            f"target {target_delta_ghz:.4g} GHz is above delta = {d_lo:.4g} GHz at the bracket's low end Ic = {lo} uA"
         )
-    except NumericalError:
-        check_enclosed()
-        raise
-    if not enclosed:
-        check_enclosed()
+    if hi == bracket[1] and not (d_hi := delta_of(hi)) <= target_delta_ghz:
+        raise NumericalError(
+            f"target {target_delta_ghz:.4g} GHz is below delta = {d_hi:.4g} GHz at the bracket's high end Ic = {hi} uA"
+        )
     return mid

@@ -105,6 +105,12 @@ class TestSolveCurrents:
         with pytest.raises(NumericalError, match="N = 200: the bus is not passive"):
             solve_currents([0.5] * 200, [0.49] * 200, SQUID, bus)
 
+    def test_mutual_whose_square_overflows_is_not_passive(self):
+        # M^2 = 1e400 leaves double precision; N M^2 >= L L_b all the same.
+        bus = BusParams(l_b_nh=2.0, m_ph=1e200, n_qubits=2)
+        with pytest.raises(NumericalError, match=r"^L_b - N M\^2/L = -inf pH with N = 2: the bus is not passive"):
+            solve_currents([0.5, 0.5], [0.49, 0.49], SQUID, bus)
+
     def test_just_passive_bus_has_positive_energy(self):
         bus = BusParams(l_b_nh=0.1, m_ph=10.0, n_qubits=148)  # N M^2 / (L L_b) = 0.987
         sol = solve_currents([0.5] * 148, [0.49] * 148, SQUID, bus)

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -709,8 +710,8 @@ class TestMainExitCodes:
             pytest.param("design", DESIGN_CFG.replace("Ic_uA = 3.0", "Ic_uA = 0.5"), None, 3,
                          "error[numerical]: beta_L = 0.228 <= 1: potential has a single well", id="no-double-well"),
             pytest.param("calibrate", SQUID_CFG + "target_delta_GHz = 100\n", None, 3,
-                         "error[numerical]: target 100 GHz outside [3.227e-08, 26.34] GHz reachable on Ic bracket "
-                         "[1.5, 3.0] uA", id="bracket"),
+                         "error[numerical]: target 100 GHz is above delta = 26.34 GHz at the bracket's low end "
+                         "Ic = 1.5 uA", id="bracket"),
             pytest.param("design", DESIGN_SQUID_CFG + "M_pH = 10\nL_b_nH = 0.1\nN = 200\n", None, 3,
                          "error[numerical]: L_b - N M^2/L = -33.33 pH with N = 200: the bus is not passive "
                          "(N M^2 must stay below L*L_b = 1.5e+04 pH^2)", id="not-passive"),
@@ -737,19 +738,51 @@ class TestMainExitCodes:
             pytest.param("design", DESIGN_CFG.replace("M_pH = 2", "M_pH = 1e-320"), None, 3,
                          "error[numerical]: k L_b / M overflows double precision at M = 1e-320 pH: "
                          "no geometric bound", id="geometric-bound-overflow"),
+            # Values whose arithmetic leaves double precision: one error line,
+            # with no traceback and no numpy warning.
+            pytest.param("design", DESIGN_CFG.replace("M_pH = 2", "M_pH = 1e200").replace("N = 1000", "N = 2"), None,
+                         3, "error[numerical]: L_b - N M^2/L = -inf pH with N = 2: the bus is not passive "
+                         "(N M^2 must stay below L*L_b = 3e+05 pH^2)", id="mutual-square-overflow"),
+            pytest.param("design",
+                         DESIGN_CFG.replace("L_pH = 150", "L_pH = 5e-324").replace("L_b_nH = 2", "L_b_nH = 1e-4"),
+                         None, 3,
+                         "error[numerical]: L_b - N M^2/L = -inf pH with N = 1000: the bus is not passive "
+                         "(N M^2 must stay below L*L_b = 0 pH^2)", id="inductance-product-underflow"),
+            pytest.param("calibrate", SQUID_CFG + "phi_half_width_Phi0 = 1e200\n", None, 3,
+                         "error[numerical]: potential is not finite in double precision on the flux window: "
+                         "L = 150 pH, Ic = 3.0 uA, half-width 1e+200 Phi0", id="window-square-overflow"),
+            pytest.param("calibrate", SQUID_CFG + "phi_half_width_Phi0 = 1.7e308\n", None, 3,
+                         "error[numerical]: potential is not finite in double precision on the flux window: "
+                         "L = 150 pH, Ic = 3.0 uA, half-width 1.7e+308 Phi0", id="window-width-overflow"),
+            pytest.param("calibrate", SQUID_CFG.replace("L_pH = 150", "L_pH = 5e-324"), None, 3,
+                         "error[numerical]: potential is not finite in double precision on the flux window: "
+                         "L = 5e-324 pH, Ic = 3.0 uA, half-width 0.75 Phi0", id="inductance-underflow"),
+            pytest.param("calibrate", SQUID_CFG.replace("C_fF = 80", "C_fF = 5e-324"), None, 3,
+                         "error[numerical]: kinetic term is not finite in double precision: C = 5e-324 fF",
+                         id="capacitance-underflow"),
+            pytest.param("compile", SIM_CFG.replace("J_MHz = 25", "J_MHz = 5e-324"), "H 0\nCNOT 0,1\n", 2,
+                         "error[config]: logical qubit 0: pair (0, 1) has intra-pair coupling 5e-324 MHz, "
+                         "but RX and H are timed from one that is positive in GHz",
+                         id="coupling-ghz-underflow-compile"),
+            pytest.param("simulate", SIM_CFG.replace("J_MHz = 25", "J_MHz = 5e-324"), "CPHASE 0,1\n", 2,
+                         "error[config]: CPHASE 0,1: pairs (0, 1) and (2, 3) need a cross coupling that is positive "
+                         "in GHz, got 5e-324 MHz", id="coupling-ghz-underflow-simulate"),
         ],
     )
     def test_failure_model(self, cfg_file, tmp_path, capsys, command, text, circuit, code, err):
         # One trigger per kind of failure: a solve that fails on valid input
         # exits 3 (NumericalError), bad input exits 2 (ValueError), each with
         # its message unchanged; a value that underflows to 0 only drops what
-        # it would divide (exit 0, nothing on stderr).
+        # it would divide (exit 0, nothing on stderr).  None of them warns.
         args = [command, "--config", cfg_file(text)]
         if circuit is not None:
             (tmp_path / "c.circuit").write_text(circuit)
             args += ["--circuit", str(tmp_path / "c.circuit")]
-        assert main(args) == code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == code
         assert capsys.readouterr().err == (err and err + "\n")
+        assert [str(w.message) for w in caught] == []
 
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
         # The output is printed first; a path that cannot be written is then
